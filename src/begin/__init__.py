@@ -51,6 +51,7 @@ from .engine import (
 )
 from .graph import (
     BeginGraph,
+    EdgeList,
     GraphNode,
     build_graph,
     export_graph,

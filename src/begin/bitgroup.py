@@ -278,10 +278,12 @@ def partition_from_json(text: str) -> Partition:
     """Parse the partition file format; mask strings are {0,1}, X_1 leftmost."""
     obj = json.loads(text)
     try:
-        p = int(obj["p"])
+        p = obj["p"]
         lists = {key: list(obj.get(key, [])) for key in ("A", "B", "C")}
     except (TypeError, KeyError) as exc:
         raise ValueError(f"partition JSON missing field: {exc}") from exc
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValueError(f"partition width p must be an integer, got {p!r}")
 
     def parse_block(strings: list) -> tuple[Mask, ...]:
         masks = []

@@ -345,6 +345,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        # exit 1 means "not CI", so a crash of any other kind is an error too
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -52,6 +52,11 @@ class Pmf:
         arr = np.asarray(self.probs, dtype=np.float64)
         if arr.shape != (1 << self.p,):
             raise ValueError(f"probs must have length 2^{self.p}, got {arr.shape}")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(
+                f"non-finite probabilities {arr[bad[:4]].tolist()} at cells {bad[:4].tolist()}"
+            )
         if arr.min() < 0.0:
             raise ValueError(f"negative probability {arr.min()}")
         total = arr.sum()

@@ -9,15 +9,17 @@ verdict.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .bitgroup import IndexSets, Mask, Partition
 from .schur import OmegaMatrix
 
 __all__ = [
     "GraphNode",
+    "EdgeList",
     "BeginGraph",
     "build_graph",
     "separates",
@@ -39,28 +41,96 @@ class GraphNode:
             raise ValueError(f"wing must be B, L, or R, got {self.wing!r}")
 
 
+Edge = Tuple[int, int, float]
+
+
+class EdgeList:
+    """Read-only sequence of (i, j, weight) edges held as three flat arrays.
+
+    Iterates, indexes, measures and compares equal like the tuple of
+    (int, int, float) triples it stands for, without holding a Python object
+    per edge: a dense block inverse can give millions of edges.
+    """
+
+    __slots__ = ("rows", "cols", "weights")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> None:
+        arrays = (
+            np.array(rows, dtype=np.int64),
+            np.array(cols, dtype=np.int64),
+            np.array(weights, dtype=np.float64),
+        )
+        if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("edge rows, cols and weights must be equal-length vectors")
+        for name, arr in zip(self.__slots__, arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_triples(cls, edges: Iterable[Edge]) -> "EdgeList":
+        """Edges from (i, j, weight) triples, as hand-built graphs and JSON give them."""
+        triples = [(int(i), int(j), float(w)) for i, j, w in edges]
+        return cls(*(zip(*triples) if triples else ((), (), ())))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("EdgeList is read-only")
+
+    def __len__(self) -> int:
+        return int(self.rows.shape[0])
+
+    def __iter__(self) -> Iterator[Edge]:
+        return zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return (int(self.rows[index]), int(self.cols[index]), float(self.weights[index]))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EdgeList):
+            return (
+                np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.weights, other.weights)
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"EdgeList({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class BeginGraph:
-    """Thresholded adjacency of the block inverse, wing-annotated."""
+    """Thresholded adjacency of the block inverse, wing-annotated.
+
+    edges may be given as any iterable of (i, j, weight) triples; it is
+    stored as an EdgeList.
+    """
 
     nodes: Tuple[GraphNode, ...]
-    edges: Tuple[Tuple[int, int, float], ...]
+    edges: EdgeList
     tol: float
 
     def __post_init__(self) -> None:
+        edges = self.edges
+        if not isinstance(edges, EdgeList):
+            edges = EdgeList.from_triples(edges)
+            object.__setattr__(self, "edges", edges)
         n = len(self.nodes)
-        for i, j, w in self.edges:
-            if not (0 <= i < j < n):
+        rows, cols, weights = edges.rows, edges.cols, edges.weights
+        bad_index = (rows < 0) | (rows >= cols) | (cols >= n)
+        bad = bad_index | (np.abs(weights) <= self.tol)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j, w = edges[k]
+            if bad_index[k]:
                 raise ValueError(f"bad edge ({i},{j}) for {n} nodes")
-            if abs(w) <= self.tol:
-                raise ValueError(f"edge ({i},{j}) weight {w} inside tolerance")
-
-    def neighbors(self) -> List[List[int]]:
-        adj: List[List[int]] = [[] for _ in self.nodes]
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+            raise ValueError(f"edge ({i},{j}) weight {w} inside tolerance")
 
 
 def _coordinate_names(part: Optional[Partition], width: int) -> Dict[int, str]:
@@ -99,36 +169,22 @@ def build_graph(omega: OmegaMatrix, labels: IndexSets, tol: float) -> BeginGraph
     for wing, masks in zip("BLR", (labels.b_set, labels.l_set, labels.r_set)):
         for mk in masks:
             nodes.append(GraphNode(mask=mk, wing=wing, label=_mask_label(mk, names)))
-    edges: List[Tuple[int, int, float]] = []
     mat = omega.omega
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = float(mat[i, j])
-            if abs(w) > tol:
-                edges.append((i, j, w))
-    return BeginGraph(nodes=tuple(nodes), edges=tuple(edges), tol=tol)
+    rows, cols = np.nonzero(np.triu(np.abs(mat) > tol, 1))
+    edges = EdgeList(rows, cols, mat[rows, cols])
+    return BeginGraph(nodes=tuple(nodes), edges=edges, tol=tol)
 
 
 def separates(g: BeginGraph) -> bool:
-    """True iff removing the center nodes disconnects left wing from right."""
-    adj = g.neighbors()
-    blocked = [node.wing == "B" for node in g.nodes]
-    seen = [False] * len(g.nodes)
-    queue = deque(
-        i for i, node in enumerate(g.nodes) if node.wing == "L"
-    )
-    for i in queue:
-        seen[i] = True
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if blocked[j] or seen[j]:
-                continue
-            if g.nodes[j].wing == "R":
-                return False
-            seen[j] = True
-            queue.append(j)
-    return True
+    """True iff removing the center nodes disconnects left wing from right.
+
+    Every node outside the center lies on a wing, so a path from the left
+    wing to the right one that avoids the center must cross a left-right
+    edge somewhere; separation is the absence of such an edge.
+    """
+    wings = np.array([node.wing for node in g.nodes], dtype="<U1")
+    a, b = wings[g.edges.rows], wings[g.edges.cols]
+    return not ((a != b) & (a != "B") & (b != "B")).any()
 
 
 def _dot_quote(text: str) -> str:
@@ -186,5 +242,5 @@ def graph_from_json(text: str) -> BeginGraph:
         )
         for entry in obj["nodes"]
     )
-    edges = tuple((int(i), int(j), float(w)) for i, j, w in obj["edges"])
+    edges = EdgeList.from_triples(obj["edges"])
     return BeginGraph(nodes=nodes, edges=edges, tol=float(obj["tol"]))

@@ -7,7 +7,8 @@ downstream equality checks can be bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -71,11 +72,11 @@ def _pinv_top(arr: np.ndarray, rank: int) -> np.ndarray:
     return (pinv + pinv.T) / 2.0
 
 
-def _rank_eigh(arr: np.ndarray, rank_tol: Optional[float]) -> int:
-    n = arr.shape[0]
+def _rank_eigh(vals: np.ndarray, rank_tol: Optional[float]) -> int:
+    # numerical rank from the eigenvalues of a symmetric matrix
+    n = vals.shape[0]
     if n == 0:
         return 0
-    vals = np.linalg.eigvalsh((arr + arr.T) / 2.0)
     scale = float(np.abs(vals).max())
     if rank_tol is None:
         rank_tol = n * np.finfo(np.float64).eps
@@ -98,10 +99,15 @@ def pinv_sym(
 
 @dataclass(frozen=True)
 class SigmaPartition:
-    """Interaction covariance over masks ordered center, left wing, right wing."""
+    """Interaction covariance over masks ordered center, left wing, right wing.
+
+    eigenvalues holds the ascending spectrum the PSD check computed, kept so
+    that the rank of sigma costs no second decomposition.
+    """
 
     sigma: np.ndarray
     labels: IndexSets
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.sigma, dtype=np.float64)
@@ -113,13 +119,14 @@ class SigmaPartition:
                 f"sigma shape {arr.shape} does not match {expected} labeled masks"
             )
         _require_symmetric(arr, tol=1e-12)
-        if arr.size:
-            low = float(np.linalg.eigvalsh((arr + arr.T) / 2.0).min())
-            if low < _PSD_TOL:
-                raise ValueError(f"sigma has eigenvalue {low}, not PSD")
+        vals = np.linalg.eigvalsh((arr + arr.T) / 2.0) if arr.size else np.zeros(0)
+        if vals.size and float(vals.min()) < _PSD_TOL:
+            raise ValueError(f"sigma has eigenvalue {float(vals.min())}, not PSD")
         arr = arr.copy()
         arr.flags.writeable = False
+        vals.flags.writeable = False
         object.__setattr__(self, "sigma", arr)
+        object.__setattr__(self, "eigenvalues", vals)
 
     @property
     def n_b(self) -> int:
@@ -167,11 +174,19 @@ class OmegaMatrix:
     omega: np.ndarray
     f: np.ndarray
     n_b: int
-    sigma_residual: float
+    sigma: np.ndarray = field(repr=False, compare=False)
 
     @property
     def wing_block(self) -> np.ndarray:
         return self.omega[self.n_b :, self.n_b :]
+
+    @cached_property
+    def sigma_residual(self) -> float:
+        """max |sigma omega sigma - sigma|, computed on first read."""
+        sigma = self.sigma
+        if not sigma.size:
+            return 0.0
+        return float(np.abs(sigma @ self.omega @ sigma - sigma).max())
 
 
 def schur_complement(
@@ -200,7 +215,7 @@ def schur_complement(
     s = (s + s.T) / 2.0
     residual = float(np.abs(f.T - m @ b).max()) if f.size else 0.0
     if rank_tol is None:
-        rank_s = max(_rank_eigh(sp.sigma, None) - rank_b, 0)
+        rank_s = max(_rank_eigh(sp.eigenvalues, None) - rank_b, 0)
         s_pinv = _pinv_top(s, rank_s)
     else:
         s_pinv, rank_s = _pinv_eigh(s, rank_tol, anchor)
@@ -237,10 +252,4 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> OmegaMatrix:
         omega[:n_b, n_b:] = -g
         omega[n_b:, :n_b] = -g.T
     omega[n_b:, n_b:] = sr.s_pinv
-    sigma = sp.sigma
-    sigma_residual = (
-        float(np.abs(sigma @ omega @ sigma - sigma).max()) if sigma.size else 0.0
-    )
-    return OmegaMatrix(
-        omega=omega, f=sp.f_block.copy(), n_b=n_b, sigma_residual=sigma_residual
-    )
+    return OmegaMatrix(omega=omega, f=sp.f_block.copy(), n_b=n_b, sigma=sp.sigma)

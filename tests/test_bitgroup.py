@@ -211,3 +211,11 @@ def test_span_basis_is_echelon():
     assert isinstance(sp, MaskSpan)
     # echelon: strictly decreasing leading bits, reduced above pivots
     assert [m.bits for m in sp.basis] == [0b100, 0b011]
+
+
+def test_partition_json_rejects_non_integer_width():
+    for p in ("3.7", "3.0", "true", '"3"', "null"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            partition_from_json(f'{{"p": {p}, "A": ["100"], "B": ["010"], "C": ["001"]}}')
+    part = partition_from_json('{"p": 3, "A": ["100"], "B": ["010"], "C": ["001"]}')
+    assert part == Partition.coordinate_split(1, 1, 1)

@@ -262,3 +262,33 @@ def test_bad_arguments_raise_system_exit():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["quantize", "missing.json"])  # --depths is required
+
+
+def test_non_finite_pmf_exits_two(tmp_path, part111_file, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("bits,prob\n" + "".join(f"{c:03b},nan\n" for c in range(8)))
+    assert main(["test", str(bad), "--partition", part111_file]) == 2
+    assert capsys.readouterr().err.startswith("error: non-finite probabilities")
+
+
+def test_unexpected_exception_exits_two(tmp_path, part111_file, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate sigma")
+
+    monkeypatch.setattr("begin.cli.test_ci", exhausted)
+    xor = write_xor(tmp_path)
+    assert main(["test", xor, "--partition", part111_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError: cannot allocate sigma\n"
+
+
+def test_interrupts_and_exits_are_not_swallowed(tmp_path, part111_file, monkeypatch):
+    xor = write_xor(tmp_path)
+    for exc in (KeyboardInterrupt(), SystemExit(3)):
+        def raiser(*args, _exc=exc, **kwargs):
+            raise _exc
+
+        monkeypatch.setattr("begin.cli.test_ci", raiser)
+        with pytest.raises(type(exc)):
+            main(["test", xor, "--partition", part111_file])

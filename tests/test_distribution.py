@@ -245,3 +245,12 @@ def test_support_reporting():
     pmf = Pmf(2, np.array([0.5, 0.0, 0.5, 0.0]))
     assert pmf.support_size == 2
     assert sorted(pmf.support) == [0, 2]
+
+
+def test_pmf_rejects_non_finite_probabilities():
+    with pytest.raises(ValueError, match=r"non-finite probabilities \[nan, nan\] at cells \[0, 1\]"):
+        Pmf(1, np.array([np.nan, np.nan]))
+    with pytest.raises(ValueError, match=r"non-finite probabilities \[inf\] at cells \[2\]"):
+        Pmf(2, np.array([0.5, 0.5, np.inf, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        Pmf(1, np.array([-np.inf, np.nan]))

@@ -1,16 +1,22 @@
 import json
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from begin import (
     BeginGraph,
+    EdgeList,
     GraphNode,
     Mask,
+    OmegaMatrix,
     Partition,
     Pmf,
     assemble_sigma,
     build_graph,
+    build_index_sets,
     export_graph,
     graph_from_json,
     make_ci_pmf,
@@ -219,3 +225,216 @@ def test_graph_validation_errors(split111, halves_pmf):
     wrong = Partition.coordinate_split(1, 2, 1)
     with pytest.raises(ValueError):
         build_graph(om, assemble_sigma(make_ci_pmf(1, 2, 1, seed=0), wrong).labels, 1e-8)
+
+
+# References for the array-backed graph: the per-entry threshold loop and
+# adjacency-list BFS that build_graph and separates replaced, and the
+# exporters as written for a plain tuple of (i, j, weight) triples.
+
+
+def reference_edges(mat, tol):
+    n = mat.shape[0]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = float(mat[i, j])
+            if abs(w) > tol:
+                edges.append((i, j, w))
+    return tuple(edges)
+
+
+def reference_separates(nodes, edges):
+    adj = [[] for _ in nodes]
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    blocked = [nd.wing == "B" for nd in nodes]
+    seen = [False] * len(nodes)
+    queue = deque(i for i, nd in enumerate(nodes) if nd.wing == "L")
+    for i in queue:
+        seen[i] = True
+    while queue:
+        i = queue.popleft()
+        for j in adj[i]:
+            if blocked[j] or seen[j]:
+                continue
+            if nodes[j].wing == "R":
+                return False
+            seen[j] = True
+            queue.append(j)
+    return True
+
+
+def reference_dot(nodes, edges):
+    quote = lambda t: '"' + t.replace("\\", "\\\\").replace('"', '\\"') + '"'  # noqa: E731
+    max_w = max((abs(w) for _, _, w in edges), default=1.0)
+    lines = ["graph begin {", "  node [shape=ellipse];"]
+    for wing in ("L", "B", "R"):
+        lines.append(f"  subgraph cluster_{wing} {{")
+        lines.append(f"    label={quote(wing)};")
+        for i, nd in enumerate(nodes):
+            if nd.wing == wing:
+                lines.append(f"    n{i} [label={quote(nd.label)}];")
+        lines.append("  }")
+    for i, j, w in edges:
+        pen = 0.5 + 2.5 * abs(w) / max_w
+        lines.append(f'  n{i} -- n{j} [weight="{w:.17g}", penwidth="{pen:.3f}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(nodes, edges, tol):
+    obj = {
+        "width": nodes[0].mask.width if nodes else 0,
+        "tol": tol,
+        "nodes": [
+            {"bits": nd.mask.to_string(), "wing": nd.wing, "label": nd.label}
+            for nd in nodes
+        ],
+        "edges": [[i, j, w] for i, j, w in edges],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+OVERLAP_PART = Partition(
+    3, a_gens=[Mask(0b110, 3)], b_gens=[Mask(0b010, 3)], c_gens=[Mask(0b100, 3)]
+)
+
+REFERENCE_CASES = [
+    (Partition.coordinate_split(1, 1, 1), "ci", 3),
+    (Partition.coordinate_split(2, 2, 2), "ci", 5),
+    (Partition.coordinate_split(2, 2, 2), "generic", 6),
+    (Partition.coordinate_split(2, 0, 2), "generic", 7),
+    (Partition.coordinate_split(2, 1, 3), "generic", 8),
+    (OVERLAP_PART, "generic", 9),
+]
+
+
+def case_graph(part, kind, seed, tol=1e-8):
+    if kind == "ci":
+        sizes = [len(part.a_gens), len(part.b_gens), len(part.c_gens)]
+        pmf = make_ci_pmf(*sizes, seed=seed, zero_prob=0.3)
+    else:
+        pmf = make_generic_pmf(part.p, seed=seed)
+    sp = assemble_sigma(pmf, part)
+    om = sb_inverse(sp, schur_complement(sp))
+    return om, build_graph(om, sp.labels, tol)
+
+
+@pytest.mark.parametrize("part,kind,seed", REFERENCE_CASES)
+def test_build_graph_and_exports_match_reference(part, kind, seed):
+    om, g = case_graph(part, kind, seed)
+    ref = reference_edges(om.omega, g.tol)
+    assert g.edges == ref
+    assert tuple(g.edges) == ref
+    assert len(g.edges) == len(ref)
+    assert [type(v) for e in g.edges for v in e] == [int, int, float] * len(ref)
+    if ref:
+        assert g.edges[0] == ref[0] and g.edges[-1] == ref[-1]
+    assert separates(g) == reference_separates(g.nodes, ref)
+    assert export_graph(g, "dot") == reference_dot(g.nodes, ref)
+    text = export_graph(g, "json")
+    assert text == reference_json(g.nodes, ref, g.tol)
+    assert graph_from_json(text) == g
+    assert hash(graph_from_json(text)) == hash(g)
+
+
+def test_edge_list_behaves_like_a_tuple_of_triples():
+    triples = ((0, 2, 0.5), (1, 2, -0.25))
+    edges = EdgeList.from_triples(triples)
+    assert edges == triples and triples == edges
+    assert edges != triples[:1] and edges != list(triples)
+    assert EdgeList.from_triples(()) == ()
+    assert edges[1] == (1, 2, -0.25)
+    assert edges[:1] == triples[:1]
+    assert hash(edges) == hash(triples)
+    with pytest.raises(AttributeError):
+        edges.rows = np.zeros(2, dtype=np.int64)
+    with pytest.raises(ValueError):
+        edges.weights[0] = 1.0
+    with pytest.raises(ValueError):
+        EdgeList([0], [1, 2], [0.5])
+
+
+def test_edge_validation_reports_the_first_bad_edge():
+    nodes = (node(3, 0b010, "B", "B1"), node(3, 0b100, "L", "A1"), node(3, 0b001, "R", "C1"))
+    with pytest.raises(ValueError, match=r"bad edge \(2,1\) for 3 nodes"):
+        BeginGraph(nodes=nodes, edges=((0, 1, 0.5), (2, 1, 0.5), (0, 1, 0.0)), tol=1e-8)
+    with pytest.raises(ValueError, match=r"edge \(0,2\) weight 1e-09 inside tolerance"):
+        BeginGraph(nodes=nodes, edges=((0, 2, 1e-9), (1, 5, 0.5)), tol=1e-8)
+    with pytest.raises(ValueError, match=r"bad edge \(0,3\)"):
+        BeginGraph(nodes=nodes, edges=((0, 3, 0.5),), tol=1e-8)
+
+
+@st.composite
+def hand_built_graphs(draw):
+    wings = draw(st.lists(st.sampled_from("BLR"), min_size=0, max_size=9))
+    n = len(wings)
+    nodes = tuple(node(4, i + 1, wing, f"N{i}") for i, wing in enumerate(wings))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.floats(min_value=0.01, max_value=2.0) | st.floats(
+        min_value=-2.0, max_value=-0.01
+    )
+    edges = tuple(sorted((i, j, draw(weights)) for i, j in chosen))
+    return BeginGraph(nodes=nodes, edges=edges, tol=1e-8)
+
+
+@seed(3)
+@settings(max_examples=300, deadline=None)
+@given(g=hand_built_graphs())
+def test_separation_matches_reference_on_hand_built_graphs(g):
+    assert separates(g) == reference_separates(g.nodes, tuple(g.edges))
+
+
+@seed(4)
+@settings(max_examples=200, deadline=None)
+@given(
+    part=st.sampled_from(
+        [
+            Partition.coordinate_split(1, 1, 1),
+            Partition.coordinate_split(1, 0, 2),
+            Partition.coordinate_split(2, 1, 0),
+            OVERLAP_PART,
+        ]
+    ),
+    data=st.data(),
+)
+def test_separation_matches_reference_on_random_symmetric_matrices(part, data):
+    labels = build_index_sets(part)
+    n = len(labels.all_masks())
+    # entries mix exact zeros, values inside the tolerance and clear weights
+    entry = st.sampled_from([0.0, 0.0, 0.0, 5e-9, -1e-8, 2e-8, 0.3, -1.0])
+    upper = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    mat = np.triu(upper.reshape(n, n))
+    mat = mat + np.triu(mat, 1).T
+    n_b = len(labels.b_set)
+    om = OmegaMatrix(omega=mat, f=np.zeros((n_b, n - n_b)), n_b=n_b, sigma=np.zeros((n, n)))
+    g = build_graph(om, labels, 1e-8)
+    ref = reference_edges(mat, 1e-8)
+    assert g.edges == ref
+    assert separates(g) == reference_separates(g.nodes, ref)
+
+
+def test_separation_edge_cases_match_reference():
+    left, center, right = node(3, 4, "L", "A1"), node(3, 2, "B", "B1"), node(3, 1, "R", "C1")
+    cases = [
+        ((), ()),
+        ((right, left), ()),
+        ((right, left), ((0, 1, 0.5),)),
+        ((left, left, center), ((0, 1, 0.5), (1, 2, 0.5))),
+        ((right, center, right), ((0, 1, 0.5), (1, 2, 0.5))),
+        ((right, center, left, left), ((0, 3, 0.5), (1, 2, 0.5), (2, 3, 0.5))),
+        ((center, left, right), ()),
+    ]
+    for nodes, edges in cases:
+        g = BeginGraph(nodes=nodes, edges=edges, tol=1e-8)
+        assert separates(g) == reference_separates(nodes, edges)
+
+
+def test_overlapping_wing_partitions_match_reference():
+    for k in range(12):
+        om, g = case_graph(OVERLAP_PART, "generic", 600 + k)
+        ref = reference_edges(om.omega, g.tol)
+        assert g.edges == ref
+        assert separates(g) == reference_separates(g.nodes, ref)

@@ -13,6 +13,7 @@ from begin import (
     sb_inverse,
     schur_complement,
 )
+from begin.schur import _rank_eigh
 
 PENROSE_TOL = 1e-8
 
@@ -188,3 +189,54 @@ def test_rowspace_and_sandwich_identities_across_pmf_mix():
         assert sr.residual <= 1e-8
         assert om.sigma_residual <= 1e-8
         count += 1
+
+
+def reference_rank(arr):
+    # the fresh decomposition schur_complement ran before the PSD check's
+    # eigenvalues were kept
+    vals = np.linalg.eigvalsh((arr + arr.T) / 2.0)
+    scale = float(np.abs(vals).max())
+    return int((np.abs(vals) > arr.shape[0] * np.finfo(np.float64).eps * scale).sum())
+
+
+def corpus_mix(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        r, s, t = (int(v) for v in rng.integers(0, 3, size=3))
+        if r + s + t < 2 or (r == 0 and t == 0):
+            continue
+        pmf_seed = int(rng.integers(100_000))
+        if len(out) % 2:
+            pmf = make_ci_pmf(r, s, t, seed=pmf_seed, zero_prob=0.3)
+        else:
+            pmf = make_generic_pmf(r + s + t, seed=pmf_seed, zero_fraction=0.25)
+        out.append(assemble_sigma(pmf, Partition.coordinate_split(r, s, t)))
+    return out
+
+
+def test_rank_from_stored_eigenvalues_matches_fresh_decomposition():
+    for sp in corpus_mix(60, 41):
+        fresh = np.linalg.eigvalsh((sp.sigma + sp.sigma.T) / 2.0)
+        assert np.array_equal(sp.eigenvalues, fresh)
+        assert _rank_eigh(sp.eigenvalues, None) == reference_rank(sp.sigma)
+        sr = schur_complement(sp)
+        assert sr.rank_s == max(reference_rank(sp.sigma) - sr.rank_b, 0)
+    assert _rank_eigh(np.zeros(0), None) == 0
+
+
+def test_stored_eigenvalues_are_read_only(halves_pmf, split111):
+    sp = assemble_sigma(halves_pmf, split111)
+    assert sp.eigenvalues.shape == (5,)
+    with pytest.raises(ValueError):
+        sp.eigenvalues[0] = 1.0
+
+
+def test_sigma_residual_is_lazy_and_equals_eager_formula():
+    for sp in corpus_mix(30, 43):
+        om = sb_inverse(sp, schur_complement(sp))
+        assert "sigma_residual" not in vars(om)
+        sigma = sp.sigma
+        eager = float(np.abs(sigma @ om.omega @ sigma - sigma).max())
+        assert om.sigma_residual == eager
+        assert vars(om)["sigma_residual"] == eager
