@@ -63,7 +63,6 @@ from .hadamard import (
     dense_hadamard,
     fwht,
     prism,
-    prism_eigenvalues,
     prism_recursion_check,
 )
 from .oracle import (

@@ -190,7 +190,6 @@ class Partition:
         object.__setattr__(self, "a_gens", tuple(self.a_gens))
         object.__setattr__(self, "b_gens", tuple(self.b_gens))
         object.__setattr__(self, "c_gens", tuple(self.c_gens))
-        union_dim = 0
         for gens in (self.a_gens, self.b_gens, self.c_gens):
             for g in gens:
                 if g.width != self.p:

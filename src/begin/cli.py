@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,31 +32,9 @@ from .hadamard import fwht, prism
 from .quantize import delta_curve, quantized_ci_scan, source_from_json
 from .schur import pinv_sym, sb_inverse, schur_complement
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _RANK_WIDTH_CAP = 12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; identical configs give identical bytes."""
-
-    subcommand: str
-    input_path: Optional[str] = None
-    partition_path: Optional[str] = None
-    tol: float = 1e-8
-    rank_tol: Optional[float] = None
-    seed: int = 0
-    depths: Tuple[int, ...] = ()
-    fmt: Optional[str] = None
-    out: Optional[str] = None
-    assert_tol: Optional[float] = None
-    mode: Optional[str] = None
-    dims: Tuple[int, ...] = ()
-    zero_prob: float = 0.0
-    alpha: float = 1.0
-    thetas: Tuple[float, ...] = ()
-    chord: float = 0.0
 
 
 def _parse_depths(text: str) -> Tuple[int, ...]:
@@ -145,27 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        partition_path=getattr(args, "partition", None),
-        tol=getattr(args, "tol", 1e-8),
-        rank_tol=getattr(args, "rank_tol", None),
-        seed=getattr(args, "seed", 0),
-        depths=_parse_depths(args.depths) if getattr(args, "depths", None) else (),
-        fmt=getattr(args, "format", None),
-        out=getattr(args, "out", None),
-        assert_tol=getattr(args, "assert_tol", None),
-        mode=getattr(args, "mode", None),
-        dims=_parse_int_tuple(args.dims) if getattr(args, "dims", None) else (),
-        zero_prob=getattr(args, "zero_prob", 0.0),
-        alpha=getattr(args, "alpha", 1.0),
-        thetas=_parse_float_tuple(args.thetas) if getattr(args, "thetas", None) else (),
-        chord=getattr(args, "chord", 0.0),
-    )
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -198,53 +154,53 @@ def _read_vector(path: str) -> np.ndarray:
     return np.array(vals, dtype=np.float64)
 
 
-def cmd_test(cfg: RunConfig) -> int:
-    with open(cfg.partition_path) as fh:
+def cmd_test(args: argparse.Namespace) -> int:
+    with open(args.partition) as fh:
         part = partition_from_json(fh.read())
-    empirical = not _sniff_pmf_file(cfg.input_path)
+    empirical = not _sniff_pmf_file(args.input)
     if empirical:
-        pmf = pmf_from_samples(read_samples_csv(cfg.input_path))
+        pmf = pmf_from_samples(read_samples_csv(args.input))
     else:
-        pmf = read_pmf_csv(cfg.input_path)
-    tol = cfg.assert_tol if (empirical and cfg.assert_tol is not None) else cfg.tol
-    verdict = test_ci(pmf, part, tol=tol, rank_tol=cfg.rank_tol)
+        pmf = read_pmf_csv(args.input)
+    tol = args.assert_tol if (empirical and args.assert_tol is not None) else args.tol
+    verdict = test_ci(pmf, part, tol=tol, rank_tol=args.rank_tol)
     payload = verdict.to_json_dict()
     if empirical:
         payload["empirical"] = True
-        if cfg.assert_tol is None:
+        if args.assert_tol is None:
             # advisory only: magnitudes without a hard claim
             payload["is_ci"] = None
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    if empirical and cfg.assert_tol is None:
+    if empirical and args.assert_tol is None:
         return 0
     return 0 if verdict.is_ci else 1
 
 
-def cmd_graph(cfg: RunConfig) -> int:
-    with open(cfg.partition_path) as fh:
+def cmd_graph(args: argparse.Namespace) -> int:
+    with open(args.partition) as fh:
         part = partition_from_json(fh.read())
-    pmf = read_pmf_csv(cfg.input_path)
+    pmf = read_pmf_csv(args.input)
     sp = assemble_sigma(pmf, part)
-    sr = schur_complement(sp, cfg.rank_tol)
+    sr = schur_complement(sp, args.rank_tol)
     om = sb_inverse(sp, sr)
-    g = build_graph(om, sp.labels, cfg.tol)
-    fmt = cfg.fmt
+    g = build_graph(om, sp.labels, args.tol)
+    fmt = args.format
     if fmt is None:
-        if cfg.out is not None and cfg.out.lower().endswith(".json"):
+        if args.out is not None and args.out.lower().endswith(".json"):
             fmt = "json"
         else:
             fmt = "dot"
-    _emit(export_graph(g, fmt), cfg.out)
+    _emit(export_graph(g, fmt), args.out)
     return 0
 
 
-def cmd_rank(cfg: RunConfig) -> int:
-    pmf = read_pmf_csv(cfg.input_path)
+def cmd_rank(args: argparse.Namespace) -> int:
+    pmf = read_pmf_csv(args.input)
     if pmf.p > _RANK_WIDTH_CAP:
         raise ValueError(f"rank report capped at p <= {_RANK_WIDTH_CAP}")
     masks = [Mask(v, pmf.p) for v in range(1, 1 << pmf.p)]
     sigma = interaction_cov(pmf, masks, masks)
-    _, rank = pinv_sym((sigma + sigma.T) / 2.0, cfg.rank_tol)
+    _, rank = pinv_sym((sigma + sigma.T) / 2.0, args.rank_tol)
     support = pmf.support_size
     status = "pass" if rank == support - 1 else "fail"
     sys.stdout.write(f"rank: {rank}\nsupport: {support}\nidentity: {status}\n")
@@ -264,63 +220,68 @@ def _format_vector(vec: np.ndarray, fmt: str) -> str:
     return "\n".join(f"{v:.17g}" for v in vec) + "\n"
 
 
-def cmd_prism(cfg: RunConfig) -> int:
-    y = _read_vector(cfg.input_path)
-    _emit(_format_matrix(prism(y).dense(), cfg.fmt or "csv"), cfg.out)
+def cmd_prism(args: argparse.Namespace) -> int:
+    y = _read_vector(args.input)
+    _emit(_format_matrix(prism(y).dense(), args.format), args.out)
     return 0
 
 
-def cmd_wht(cfg: RunConfig) -> int:
-    y = _read_vector(cfg.input_path)
-    _emit(_format_vector(fwht(y), cfg.fmt or "csv"), cfg.out)
+def cmd_wht(args: argparse.Namespace) -> int:
+    y = _read_vector(args.input)
+    _emit(_format_vector(fwht(y), args.format), args.out)
     return 0
 
 
-def cmd_quantize(cfg: RunConfig) -> int:
-    with open(cfg.input_path) as fh:
+def cmd_quantize(args: argparse.Namespace) -> int:
+    depths = _parse_depths(args.depths)
+    with open(args.input) as fh:
         source = source_from_json(fh.read())
-    verdicts = quantized_ci_scan(source, cfg.depths, tol=cfg.tol)
+    verdicts = quantized_ci_scan(source, depths, tol=args.tol)
     lines = [
         "d,is_ci,max_offblock_S,max_offblock_Omega,belief_residual,rank_B,support_B"
     ]
-    for d, v in zip(cfg.depths, verdicts):
+    for d, v in zip(depths, verdicts):
         lines.append(
             f"{d},{str(v.is_ci).lower()},{v.max_offblock_s:.17g},"
             f"{v.max_offblock_omega:.17g},{v.belief_residual:.17g},"
             f"{v.rank_b},{v.support_b}"
         )
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_delta(cfg: RunConfig) -> int:
-    with open(cfg.input_path) as fh:
+def cmd_delta(args: argparse.Namespace) -> int:
+    depths = _parse_depths(args.depths)
+    with open(args.input) as fh:
         source = source_from_json(fh.read())
-    report = delta_curve(source, cfg.depths, mode=cfg.mode or "auto")
-    _emit(report.to_csv(), cfg.out)
+    report = delta_curve(source, depths, mode=args.mode)
+    _emit(report.to_csv(), args.out)
     return 0
 
 
-def cmd_random(cfg: RunConfig) -> int:
-    if cfg.mode == "ci":
-        if len(cfg.dims) != 3:
+def cmd_random(args: argparse.Namespace) -> int:
+    # both lists are parsed whatever the mode, so a malformed one is refused
+    dims = _parse_int_tuple(args.dims) if args.dims else ()
+    thetas = _parse_float_tuple(args.thetas) if args.thetas else ()
+    if args.mode == "ci":
+        if len(dims) != 3:
             raise ValueError("ci mode needs --dims R,S,T")
         pmf = make_ci_pmf(
-            *cfg.dims, seed=cfg.seed, zero_prob=cfg.zero_prob, alpha=cfg.alpha
+            *dims, seed=args.seed, zero_prob=args.zero_prob, alpha=args.alpha
         )
-    elif cfg.mode == "generic":
-        if len(cfg.dims) != 1:
+    elif args.mode == "generic":
+        if len(dims) != 1:
             raise ValueError("generic mode needs --dims P")
-        pmf = make_generic_pmf(cfg.dims[0], seed=cfg.seed,
-                               zero_fraction=cfg.zero_prob)
-    elif cfg.mode == "ising":
-        if len(cfg.thetas) != 4:
+        pmf = make_generic_pmf(dims[0], seed=args.seed,
+                               zero_fraction=args.zero_prob)
+    elif args.mode == "ising":
+        if len(thetas) != 4:
             raise ValueError("ising mode needs --thetas T12,T23,T34,T41")
-        pmf = make_ising_cycle_pmf(cfg.thetas, chord=cfg.chord)
-        pmf = Pmf(pmf.p, pmf.probs, meta={**pmf.meta, "seed": cfg.seed})
+        pmf = make_ising_cycle_pmf(thetas, chord=args.chord)
+        pmf = Pmf(pmf.p, pmf.probs, meta={**pmf.meta, "seed": args.seed})
     else:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
-    write_pmf_csv(pmf, cfg.out)
+        raise ValueError(f"unknown mode {args.mode!r}")
+    write_pmf_csv(pmf, args.out)
     return 0
 
 
@@ -340,8 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _DISPATCH[args.subcommand](args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -89,6 +89,8 @@ def pmf_from_samples(data: np.ndarray) -> Pmf:
     if not np.isin(arr, (-1, 1)).all():
         raise ValueError("sample entries must be +1 or -1")
     n, p = arr.shape
+    if p > WIDTH_CAP:
+        raise ValueError(f"{p} sample columns exceed the {WIDTH_CAP}-bit cap")
     cells = _cells_from_signs(arr.astype(np.int64))
     counts = np.bincount(cells, minlength=1 << p)
     return Pmf(p, counts / n, meta={"generator": "empirical", "n": n})
@@ -314,6 +316,8 @@ def read_pmf_csv(path: str) -> Pmf:
                 raise ValueError(f"malformed pmf row: {row!r}")
             cell, w = _parse_bits(row[0].strip())
             if width is None:
+                if w > WIDTH_CAP:
+                    raise ValueError(f"{w}-bit cells exceed the {WIDTH_CAP}-bit cap")
                 width = w
             elif w != width:
                 raise ValueError(f"inconsistent bits width in {row!r}")

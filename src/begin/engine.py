@@ -41,16 +41,15 @@ DEFAULT_TOL = 1e-8
 class CiVerdict:
     """Outcome of one conditional-independence decision.
 
-    criterion_agreement lines up as (expectation tables, factorization and
-    Schur off-block, graph separation); entries must coincide whenever all
-    magnitudes are far from the tolerance.
+    criteria maps each route (belief, factorization, schur, separation) to
+    its answer; the answers must coincide whenever all magnitudes are far
+    from the tolerance.
     """
 
     is_ci: bool
     max_offblock_s: float
     max_offblock_omega: float
     belief_residual: float
-    criterion_agreement: Tuple[bool, bool, bool]
     criteria: Dict[str, bool]
     rank_b: int
     support_b: int
@@ -116,61 +115,87 @@ def assemble_sigma(pmf: Pmf, part: Partition) -> SigmaPartition:
     return SigmaPartition(sigma=sigma, labels=labels)
 
 
-def _parity_keys(cells: np.ndarray, gens_bits: Sequence[int]) -> np.ndarray:
-    """Configuration index of each cell over the given parity generators."""
-    keys = np.zeros(cells.shape, dtype=np.int64)
+def _parity_keys(
+    cells: np.ndarray, gens_bits: Sequence[int], prefix: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Configuration index of each cell over the given parity generators.
+
+    Starting from prefix, the keys over a first generator list, gives the
+    keys over that list followed by gens_bits: prefix * 2^len(gens_bits) +
+    the keys over gens_bits alone.
+    """
+    keys = np.zeros(cells.shape, dtype=np.int64) if prefix is None else prefix
     for g in gens_bits:
         keys = (keys << 1) | (np.bitwise_count(cells & g) & 1)
     return keys
 
 
-def _cond_table_residual(
-    probs: np.ndarray,
-    cells: np.ndarray,
-    targets_bits: Sequence[int],
-    b_basis: Sequence[int],
-    other_basis: Sequence[int],
-) -> float:
-    """Worst gap between E[X_t | center, other] and E[X_t | center].
+def _chi(cells: np.ndarray, bits: int) -> np.ndarray:
+    """The +-1 interaction of a mask on each cell."""
+    return 1.0 - 2.0 * (np.bitwise_count(cells & bits) & 1)
 
-    Tables run over positive-mass configurations only; cells with zero
-    probability never contribute.
+
+class _ConfigTable:
+    """Probability mass of each parity configuration of a pmf's support.
+
+    Every conditional-expectation table of the engine is read off one of
+    these; only positive-mass configurations carry a conditional value.
     """
-    kb = _parity_keys(cells, b_basis)
-    ko = _parity_keys(cells, other_basis)
-    nb, no = 1 << len(b_basis), 1 << len(other_basis)
-    combined = kb * no + ko
-    mass_b = np.bincount(kb, weights=probs, minlength=nb)
-    mass_bo = np.bincount(combined, weights=probs, minlength=nb * no)
-    pos_b = mass_b > 0.0
-    pos_bo = mass_bo > 0.0
-    bo_parent = (np.arange(nb * no) // no)[pos_bo]
+
+    def __init__(
+        self, cells: np.ndarray, probs: np.ndarray, keys: np.ndarray, size: int
+    ) -> None:
+        self.cells, self.probs, self.keys = cells, probs, keys
+        self.mass = np.bincount(keys, weights=probs, minlength=size)
+        self.positive = self.mass > 0.0
+
+    @classmethod
+    def of(cls, pmf: Pmf, gens_bits: Sequence[int]) -> "_ConfigTable":
+        cells = pmf.support
+        keys = _parity_keys(cells, gens_bits)
+        return cls(cells, pmf.probs[cells], keys, 1 << len(gens_bits))
+
+    def refine(self, gens_bits: Sequence[int]) -> "_ConfigTable":
+        """The table over this one's generators followed by gens_bits."""
+        keys = _parity_keys(self.cells, gens_bits, self.keys)
+        return _ConfigTable(
+            self.cells, self.probs, keys, self.mass.size << len(gens_bits)
+        )
+
+    def cond_mean(self, values: np.ndarray) -> np.ndarray:
+        """E[values | configuration], zero on zero-mass configurations."""
+        num = np.bincount(
+            self.keys, weights=self.probs * values, minlength=self.mass.size
+        )
+        pos = self.positive
+        out = np.zeros(self.mass.size)
+        out[pos] = num[pos] / self.mass[pos]
+        return out
+
+
+def _cond_table_residual(
+    center: _ConfigTable, targets_bits: Sequence[int], other_basis: Sequence[int]
+) -> float:
+    """Worst gap between E[X_t | center, other] and E[X_t | center]."""
+    joint = center.refine(other_basis)
+    pos = joint.positive
+    parent = (np.arange(joint.mass.size) >> len(other_basis))[pos]
     worst = 0.0
     for t in targets_bits:
-        chi = 1.0 - 2.0 * (np.bitwise_count(cells & t) & 1)
-        num_b = np.bincount(kb, weights=probs * chi, minlength=nb)
-        num_bo = np.bincount(combined, weights=probs * chi, minlength=nb * no)
-        cond_b = np.zeros(nb)
-        cond_b[pos_b] = num_b[pos_b] / mass_b[pos_b]
-        gap = np.abs(num_bo[pos_bo] / mass_bo[pos_bo] - cond_b[bo_parent])
-        if gap.size:
-            worst = max(worst, float(gap.max()))
+        chi = _chi(center.cells, t)
+        gap = np.abs(joint.cond_mean(chi)[pos] - center.cond_mean(chi)[parent])
+        worst = max(worst, float(gap.max()))
     return worst
 
 
-def _belief_residual(pmf: Pmf, part: Partition, labels: IndexSets) -> float:
+def _belief_residual(
+    center: _ConfigTable, part: Partition, labels: IndexSets
+) -> float:
     """Criterion over both wings: wing interactions forget the far block."""
-    cells = pmf.support
-    probs = pmf.probs[cells]
-    b_basis = [m.bits for m in part.b_span.basis]
-    a_basis = [m.bits for m in part.a_span.basis]
     c_basis = [m.bits for m in part.c_span.basis]
-    left = _cond_table_residual(
-        probs, cells, [m.bits for m in labels.l_set], b_basis, c_basis
-    )
-    right = _cond_table_residual(
-        probs, cells, [m.bits for m in labels.r_set], b_basis, a_basis
-    )
+    a_basis = [m.bits for m in part.a_span.basis]
+    left = _cond_table_residual(center, [m.bits for m in labels.l_set], c_basis)
+    right = _cond_table_residual(center, [m.bits for m in labels.r_set], a_basis)
     return max(left, right)
 
 
@@ -186,15 +211,6 @@ def _factorization_witness(
     return FactorizationWitness(
         ok=gap <= tol, m1=m1, m2=m2, lhs=lhs, rhs=rhs, gap=gap
     )
-
-
-def _support_b(pmf: Pmf, part: Partition) -> int:
-    cells = pmf.support
-    probs = pmf.probs[cells]
-    b_basis = [m.bits for m in part.b_span.basis]
-    keys = _parity_keys(cells, b_basis)
-    mass = np.bincount(keys, weights=probs, minlength=1 << len(b_basis))
-    return int((mass > 0.0).sum())
 
 
 def test_ci(
@@ -219,7 +235,8 @@ def test_ci(
     max_s = float(np.abs(s_off).max()) if s_off.size else 0.0
     max_omega = float(np.abs(omega_off).max()) if omega_off.size else 0.0
 
-    belief_residual = _belief_residual(pmf, part, sp.labels)
+    center = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis])
+    belief_residual = _belief_residual(center, part, sp.labels)
     fact = _factorization_witness(sp, sr, tol)
 
     graph = build_graph(om, sp.labels, tol)
@@ -227,7 +244,6 @@ def test_ci(
 
     schur_ok = max_s <= tol
     belief_ok = belief_residual <= tol
-    agreement = (belief_ok, fact.ok and schur_ok, separated)
     criteria = {
         "belief": belief_ok,
         "factorization": fact.ok,
@@ -239,10 +255,9 @@ def test_ci(
         max_offblock_s=max_s,
         max_offblock_omega=max_omega,
         belief_residual=belief_residual,
-        criterion_agreement=agreement,
         criteria=criteria,
         rank_b=sr.rank_b,
-        support_b=_support_b(pmf, part),
+        support_b=int(center.positive.sum()),
         tol=tol,
         degenerate_wings=not (sp.labels.l_set and sp.labels.r_set),
         wing_overlap=len(sp.labels.overlap),
@@ -291,20 +306,16 @@ def belief_coefficients(
     gram_pinv, _ = pinv_sym(gram, rank_tol)
     alpha = gram_pinv @ cross
 
-    cells = pmf.support
-    probs = pmf.probs[cells]
-    chi_t = 1.0 - 2.0 * (np.bitwise_count(cells & target.bits) & 1)
-    fitted_cells = np.zeros(cells.shape)
+    center = _ConfigTable.of(pmf, [mk.bits for mk in span_b.basis])
+    chi_t = _chi(center.cells, target.bits)
+    fitted_cells = np.zeros(center.cells.shape)
     for c, lam_c in enumerate(lam):
-        fitted_cells += alpha[c] * (
-            1.0 - 2.0 * (np.bitwise_count(cells & int(lam_c)) & 1)
-        )
+        fitted_cells += alpha[c] * _chi(center.cells, int(lam_c))
 
-    b_basis = [mk.bits for mk in span_b.basis]
     other = part.c_span.basis if condition_on == "C" else part.a_span.basis
-    fit_residual = _fitted_gap(probs, cells, chi_t, fitted_cells, b_basis, [])
+    fit_residual = _fitted_gap(center, chi_t, fitted_cells)
     residual = _fitted_gap(
-        probs, cells, chi_t, fitted_cells, b_basis, [mk.bits for mk in other]
+        center.refine([mk.bits for mk in other]), chi_t, fitted_cells
     )
     members = tuple(Mask(int(v), part.p) for v in lam)
     return BeliefCoefficients(
@@ -318,27 +329,15 @@ def belief_coefficients(
 
 
 def _fitted_gap(
-    probs: np.ndarray,
-    cells: np.ndarray,
-    chi_t: np.ndarray,
-    fitted_cells: np.ndarray,
-    b_basis: Sequence[int],
-    other_basis: Sequence[int],
+    table: _ConfigTable, chi_t: np.ndarray, fitted_cells: np.ndarray
 ) -> float:
     """Max |E[X_t | config] - fitted| over positive-mass configurations.
 
     fitted is constant on each center configuration, so its conditional
     average equals its value there.
     """
-    keys = _parity_keys(cells, list(b_basis) + list(other_basis))
-    n = 1 << (len(b_basis) + len(other_basis))
-    mass = np.bincount(keys, weights=probs, minlength=n)
-    num = np.bincount(keys, weights=probs * chi_t, minlength=n)
-    fit = np.bincount(keys, weights=probs * fitted_cells, minlength=n)
-    pos = mass > 0.0
-    if not pos.any():
-        return 0.0
-    gap = np.abs(num[pos] / mass[pos] - fit[pos] / mass[pos])
+    pos = table.positive
+    gap = np.abs(table.cond_mean(chi_t)[pos] - table.cond_mean(fitted_cells)[pos])
     return float(gap.max())
 
 

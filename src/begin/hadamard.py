@@ -19,7 +19,6 @@ __all__ = [
     "dense_hadamard",
     "PrismMatrix",
     "prism",
-    "prism_eigenvalues",
     "prism_recursion_check",
 ]
 
@@ -75,11 +74,8 @@ class PrismMatrix:
         idx = np.arange(self.symbol.size, dtype=np.int64)
         return self.symbol[np.bitwise_xor.outer(idx, idx)]
 
-    @property
-    def entries(self) -> np.ndarray:
-        return self.dense()
-
     def eigenvalues(self) -> np.ndarray:
+        """Exactly fwht(symbol): the 2^p scaling of the conjugation cancels."""
         return fwht(self.symbol)
 
 
@@ -89,11 +85,6 @@ def prism(y: Sequence[float]) -> PrismMatrix:
     arr = arr.copy()
     arr.flags.writeable = False
     return PrismMatrix(arr, p)
-
-
-def prism_eigenvalues(y: Sequence[float]) -> np.ndarray:
-    """Eigenvalues of prism(y): exactly fwht(y), the 2^p scaling cancels."""
-    return fwht(y)
 
 
 def dense_hadamard(p: int) -> np.ndarray:

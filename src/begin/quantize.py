@@ -453,15 +453,20 @@ def delta_curve(
         constants = source.measured_constants()
     points = []
     for d in depths:
+        # the joint table holds (2^d)^3 cells, so refuse before building it
+        cells = 1 << d
+        if cells > _EXACT_SUBSET_CAP:
+            raise ValueError(
+                f"depth {d} gives {cells} cells per variable, beyond the "
+                f"{_EXACT_SUBSET_CAP}-cell cap on the joint table in every mode"
+            )
+        if mode == "exact" and cells > _EXACT_ATOM_CAP:
+            raise ValueError(
+                f"exact mode needs <= {_EXACT_ATOM_CAP} atoms per side, got {cells}"
+            )
+        want_exact = mode in ("exact", "auto") and cells <= _EXACT_ATOM_CAP
         table = source.joint_table(d)
         nu, nw = table.shape[0], table.shape[2]
-        if max(nu, nw) > _EXACT_SUBSET_CAP:
-            raise ValueError(f"atom count {max(nu, nw)} beyond exact-mode cap")
-        want_exact = mode in ("exact", "auto") and max(nu, nw) <= _EXACT_ATOM_CAP
-        if mode == "exact" and max(nu, nw) > _EXACT_ATOM_CAP:
-            raise ValueError(
-                f"exact mode needs <= {_EXACT_ATOM_CAP} atoms per side, got {max(nu, nw)}"
-            )
         p_v = table.sum(axis=(0, 2))
         acc_rect = np.zeros((nu, nw))
         upper = 0.0

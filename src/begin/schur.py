@@ -36,51 +36,45 @@ def _require_symmetric(a: np.ndarray, tol: float = _SYM_TOL) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
+def _kept(vals: np.ndarray, rank_tol: Optional[float], anchor: float) -> np.ndarray:
+    """Which eigenvalues of a symmetric matrix count as nonzero.
+
+    The cutoff is rank_tol * max|eigenvalue|, or by default dim * binary64
+    epsilon times the larger of max|eigenvalue| and anchor; anchor raises
+    the floor for matrices whose entries were formed by cancellation at a
+    larger scale than their own spectrum.
+    """
+    scale = float(np.abs(vals).max()) if vals.size else 0.0
+    if rank_tol is None:
+        cutoff = vals.size * np.finfo(np.float64).eps * max(scale, anchor)
+    else:
+        cutoff = rank_tol * scale
+    return np.abs(vals) > cutoff
+
+
 def _pinv_eigh(
-    arr: np.ndarray, rank_tol: Optional[float], anchor: float
+    arr: np.ndarray,
+    rank_tol: Optional[float] = None,
+    anchor: float = 0.0,
+    rank: Optional[int] = None,
 ) -> Tuple[np.ndarray, int]:
-    # anchor raises the default cutoff floor for matrices whose entries were
-    # formed by cancellation at a larger scale than their own spectrum
+    """Pseudoinverse through one eigendecomposition, and how many eigenvalues
+    it inverted: those above the _kept cutoff, or with rank given (known
+    from structure rather than from a noise threshold) the top rank of them.
+    """
     n = arr.shape[0]
     if n == 0:
         return arr.copy().reshape(0, 0), 0
     vals, vecs = np.linalg.eigh((arr + arr.T) / 2.0)
-    scale = float(np.abs(vals).max())
-    if rank_tol is None:
-        cutoff = n * np.finfo(np.float64).eps * max(scale, anchor)
+    if rank is None:
+        keep = _kept(vals, rank_tol, anchor)
     else:
-        cutoff = rank_tol * scale
-    keep = np.abs(vals) > cutoff
+        # eigh returns the eigenvalues in ascending order
+        keep = np.arange(n) >= n - rank
     inv_vals = np.zeros_like(vals)
     inv_vals[keep] = 1.0 / vals[keep]
     pinv = (vecs * inv_vals) @ vecs.T
     return (pinv + pinv.T) / 2.0, int(keep.sum())
-
-
-def _pinv_top(arr: np.ndarray, rank: int) -> np.ndarray:
-    # invert exactly the given number of leading eigenvalues; used when the
-    # rank is known from structure rather than from a noise threshold
-    n = arr.shape[0]
-    if n == 0:
-        return arr.copy().reshape(0, 0)
-    vals, vecs = np.linalg.eigh((arr + arr.T) / 2.0)
-    inv_vals = np.zeros_like(vals)
-    if rank > 0:
-        top = np.argsort(vals)[-rank:]
-        inv_vals[top] = 1.0 / vals[top]
-    pinv = (vecs * inv_vals) @ vecs.T
-    return (pinv + pinv.T) / 2.0
-
-
-def _rank_eigh(vals: np.ndarray, rank_tol: Optional[float]) -> int:
-    # numerical rank from the eigenvalues of a symmetric matrix
-    n = vals.shape[0]
-    if n == 0:
-        return 0
-    scale = float(np.abs(vals).max())
-    if rank_tol is None:
-        rank_tol = n * np.finfo(np.float64).eps
-    return int((np.abs(vals) > rank_tol * scale).sum())
 
 
 def pinv_sym(
@@ -94,7 +88,7 @@ def pinv_sym(
     """
     arr = np.asarray(a, dtype=np.float64)
     _require_symmetric(arr)
-    return _pinv_eigh(arr, rank_tol, 0.0)
+    return _pinv_eigh(arr, rank_tol)
 
 
 @dataclass(frozen=True)
@@ -215,8 +209,9 @@ def schur_complement(
     s = (s + s.T) / 2.0
     residual = float(np.abs(f.T - m @ b).max()) if f.size else 0.0
     if rank_tol is None:
-        rank_s = max(_rank_eigh(sp.eigenvalues, None) - rank_b, 0)
-        s_pinv = _pinv_top(s, rank_s)
+        rank_sigma = int(_kept(sp.eigenvalues, None, 0.0).sum())
+        rank_s = max(rank_sigma - rank_b, 0)
+        s_pinv, _ = _pinv_eigh(s, rank=rank_s)
     else:
         s_pinv, rank_s = _pinv_eigh(s, rank_tol, anchor)
     return SchurResult(

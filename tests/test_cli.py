@@ -292,3 +292,40 @@ def test_interrupts_and_exits_are_not_swallowed(tmp_path, part111_file, monkeypa
         monkeypatch.setattr("begin.cli.test_ci", raiser)
         with pytest.raises(type(exc)):
             main(["test", xor, "--partition", part111_file])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["quantize", "{missing}", "--depths", "3..1"],
+         "error: empty depth range '3..1'\n"),
+        (["random", "--mode", "ci", "--dims", "a,1,1", "--out", "{missing}"],
+         "error: invalid literal for int() with base 10: 'a'\n"),
+        (["random", "--mode", "ising", "--thetas", "x,1,1,1", "--out", "{missing}"],
+         "error: could not convert string to float: 'x'\n"),
+    ],
+)
+def test_list_arguments_are_refused_before_any_file_is_opened(
+    tmp_path, capsys, argv, message
+):
+    # the path lies in a directory that does not exist, so opening it for
+    # reading or writing would fail with a different message
+    missing = str(tmp_path / "absent" / "file")
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_inputs_wider_than_the_cap_exit_two_before_allocating(
+    tmp_path, part111_file, capsys
+):
+    # a 2^40-cell table would need 8 TiB; the width is refused first
+    wide_pmf = tmp_path / "wide.csv"
+    wide_pmf.write_text("bits,prob\n" + "+" * 40 + ",1\n")
+    assert main(["test", str(wide_pmf), "--partition", part111_file]) == 2
+    assert capsys.readouterr().err == "error: 40-bit cells exceed the 24-bit cap\n"
+    wide_samples = tmp_path / "wide_samples.csv"
+    wide_samples.write_text(",".join(["1"] * 40) + "\n" + ",".join(["-1"] * 40) + "\n")
+    assert main(["test", str(wide_samples), "--partition", part111_file]) == 2
+    assert capsys.readouterr().err == "error: 40 sample columns exceed the 24-bit cap\n"

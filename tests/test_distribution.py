@@ -254,3 +254,9 @@ def test_pmf_rejects_non_finite_probabilities():
         Pmf(2, np.array([0.5, 0.5, np.inf, 0.0]))
     with pytest.raises(ValueError, match="non-finite"):
         Pmf(1, np.array([-np.inf, np.nan]))
+
+
+def test_sample_width_is_capped_before_cells_are_indexed():
+    # 64 columns would also overflow the int64 cell index
+    with pytest.raises(ValueError, match="64 sample columns exceed the 24-bit cap"):
+        pmf_from_samples(np.ones((3, 64), dtype=np.int64))

@@ -76,7 +76,6 @@ def test_ci_holds_on_halves(halves_pmf, split111):
     assert v.max_offblock_s <= 1e-12
     assert v.max_offblock_omega <= 1e-10
     assert v.belief_residual <= 1e-12
-    assert v.criterion_agreement == (True, True, True)
     assert v.criteria == {
         "belief": True,
         "factorization": True,
@@ -90,7 +89,6 @@ def test_ci_fails_on_xor(xor_pmf, split111):
     assert not v.is_ci
     assert v.max_offblock_s == 1.0
     assert v.belief_residual == 1.0
-    assert v.criterion_agreement == (False, False, False)
     assert not any(v.criteria.values())
 
 
@@ -312,3 +310,17 @@ def test_center_subset_fakes_a_dependence():
 
 def test_subset_search_skips_single_mask_centers(halves_pmf, split111):
     assert search_subset_counterexamples([(halves_pmf, split111)]) == []
+
+
+def test_support_b_counts_positive_mass_center_configurations():
+    part = Partition.coordinate_split(1, 3, 1)
+    thinned = 0
+    for seed in range(20):
+        pmf = make_ci_pmf(1, 3, 1, seed=seed, zero_prob=0.3)
+        v = decide_ci(pmf, part)
+        # the center is coordinates 2..4 of 5, bits 3..1 of the cell index
+        expected = len(set(((pmf.support >> 1) & 0b111).tolist()))
+        assert v.support_b == expected
+        assert v.rank_b == expected - 1
+        thinned += expected < 8
+    assert thinned > 0

@@ -8,7 +8,6 @@ from begin import (
     make_generic_pmf,
     moments_from_pmf,
     prism,
-    prism_eigenvalues,
     prism_recursion_check,
 )
 from conftest import naive_wht
@@ -83,14 +82,14 @@ def test_prism_block_matches_dense():
 
 
 def test_prism_eigenvalue_examples():
-    assert np.array_equal(prism_eigenvalues(np.array([1.0, 0.0])), [1.0, 1.0])
-    vals = prism_eigenvalues(np.array([1.0, 0.5]))
+    assert np.array_equal(prism(np.array([1.0, 0.0])).eigenvalues(), [1.0, 1.0])
+    vals = prism(np.array([1.0, 0.5])).eigenvalues()
     assert np.array_equal(vals, [1.5, 0.5])
 
 
 def test_prism_eigenvalues_match_dense_solver():
     y = RNG.standard_normal(16)
-    claimed = np.sort(prism_eigenvalues(y))
+    claimed = np.sort(prism(y).eigenvalues())
     numeric = np.sort(np.linalg.eigvalsh(prism(y).dense()))
     np.testing.assert_allclose(claimed, numeric, atol=1e-10)
 

@@ -184,6 +184,16 @@ def test_delta_modes_and_caps():
     assert override.points[0].bound_rhs == 0.25
 
 
+def test_delta_depth_cap_is_checked_before_the_joint_table(monkeypatch):
+    def refuse(self, d):
+        raise AssertionError(f"joint table built at depth {d}")
+
+    monkeypatch.setattr(SmoothSource, "joint_table", refuse)
+    for mode in ("rect", "upper", "auto", "exact"):
+        with pytest.raises(ValueError, match="4096-cell cap on the joint table"):
+            delta_curve(linear_source(), [13], mode=mode)
+
+
 def test_delta_point_tier_ordering_enforced():
     with pytest.raises(ValueError):
         DeltaPoint(d=1, delta_rect=0.5, delta_exact=0.2, delta_upper=1.0, bound_rhs=None)

@@ -13,7 +13,6 @@ from begin import (
     sb_inverse,
     schur_complement,
 )
-from begin.schur import _rank_eigh
 
 PENROSE_TOL = 1e-8
 
@@ -219,10 +218,10 @@ def test_rank_from_stored_eigenvalues_matches_fresh_decomposition():
     for sp in corpus_mix(60, 41):
         fresh = np.linalg.eigvalsh((sp.sigma + sp.sigma.T) / 2.0)
         assert np.array_equal(sp.eigenvalues, fresh)
-        assert _rank_eigh(sp.eigenvalues, None) == reference_rank(sp.sigma)
         sr = schur_complement(sp)
+        assert sr.rank_b + sr.rank_s == reference_rank(sp.sigma)
         assert sr.rank_s == max(reference_rank(sp.sigma) - sr.rank_b, 0)
-    assert _rank_eigh(np.zeros(0), None) == 0
+    assert pinv_sym(np.zeros((0, 0)))[1] == 0
 
 
 def test_stored_eigenvalues_are_read_only(halves_pmf, split111):
@@ -240,3 +239,110 @@ def test_sigma_residual_is_lazy_and_equals_eager_formula():
         eager = float(np.abs(sigma @ om.omega @ sigma - sigma).max())
         assert om.sigma_residual == eager
         assert vars(om)["sigma_residual"] == eager
+
+
+# The three eigen helpers schur.py had before they were folded into one,
+# kept verbatim as references: the folded helper must reproduce them bit
+# for bit.
+
+
+def reference_pinv_eigh(arr, rank_tol, anchor):
+    n = arr.shape[0]
+    if n == 0:
+        return arr.copy().reshape(0, 0), 0
+    vals, vecs = np.linalg.eigh((arr + arr.T) / 2.0)
+    scale = float(np.abs(vals).max())
+    if rank_tol is None:
+        cutoff = n * np.finfo(np.float64).eps * max(scale, anchor)
+    else:
+        cutoff = rank_tol * scale
+    keep = np.abs(vals) > cutoff
+    inv_vals = np.zeros_like(vals)
+    inv_vals[keep] = 1.0 / vals[keep]
+    pinv = (vecs * inv_vals) @ vecs.T
+    return (pinv + pinv.T) / 2.0, int(keep.sum())
+
+
+def reference_pinv_top(arr, rank):
+    n = arr.shape[0]
+    if n == 0:
+        return arr.copy().reshape(0, 0)
+    vals, vecs = np.linalg.eigh((arr + arr.T) / 2.0)
+    inv_vals = np.zeros_like(vals)
+    if rank > 0:
+        top = np.argsort(vals)[-rank:]
+        inv_vals[top] = 1.0 / vals[top]
+    pinv = (vecs * inv_vals) @ vecs.T
+    return (pinv + pinv.T) / 2.0
+
+
+def reference_rank_eigh(vals, rank_tol):
+    n = vals.shape[0]
+    if n == 0:
+        return 0
+    scale = float(np.abs(vals).max())
+    if rank_tol is None:
+        rank_tol = n * np.finfo(np.float64).eps
+    return int((np.abs(vals) > rank_tol * scale).sum())
+
+
+def reference_schur(sp, rank_tol):
+    # schur_complement's arithmetic with the reference helpers plugged in
+    b, f, d = sp.b_block, sp.f_block, sp.wing_block
+    anchor = float(np.abs(sp.sigma).max()) if sp.sigma.size else 0.0
+    b_pinv, rank_b = reference_pinv_eigh(b, rank_tol, anchor)
+    m = f.T @ b_pinv
+    s = d - m @ f if sp.n_b else d.copy()
+    s = (s + s.T) / 2.0
+    if rank_tol is None:
+        rank_s = max(reference_rank_eigh(sp.eigenvalues, None) - rank_b, 0)
+        s_pinv = reference_pinv_top(s, rank_s)
+    else:
+        s_pinv, rank_s = reference_pinv_eigh(s, rank_tol, anchor)
+    return s_pinv, b_pinv, rank_b, rank_s
+
+
+def assert_pinv_matches_reference(a, rank_tol):
+    got, rank = pinv_sym(a, rank_tol)
+    ref, ref_rank = reference_pinv_eigh(a, rank_tol, 0.0)
+    assert np.array_equal(got, ref)
+    assert rank == ref_rank
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-10, 1e-3])
+def test_pinv_sym_is_bitwise_the_reference_helper(rank_tol):
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        dim = int(rng.integers(1, 25))
+        a = random_psd(rng, dim, int(rng.integers(0, min(4, dim))))
+        assert_pinv_matches_reference((a + a.T) / 2.0, rank_tol)
+    for sp in corpus_mix(40, 53):
+        assert_pinv_matches_reference(sp.sigma, rank_tol)
+        assert_pinv_matches_reference(sp.wing_block, rank_tol)
+    assert_pinv_matches_reference(np.zeros((0, 0)), rank_tol)
+    assert_pinv_matches_reference(np.zeros((3, 3)), rank_tol)
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-10])
+def test_schur_complement_is_bitwise_the_reference_helpers(rank_tol):
+    cases = corpus_mix(80, 59)
+    empty_center = Partition.coordinate_split(1, 0, 2)
+    cases.append(assemble_sigma(make_generic_pmf(3, seed=6), empty_center))
+    assert cases[-1].n_b == 0
+    for sp in cases:
+        sr = schur_complement(sp, rank_tol)
+        s_pinv, b_pinv, rank_b, rank_s = reference_schur(sp, rank_tol)
+        assert np.array_equal(sr.s_pinv, s_pinv)
+        assert np.array_equal(sr.b_pinv, b_pinv)
+        assert sr.rank_b == rank_b
+        assert sr.rank_s == rank_s
+
+
+def test_center_cutoff_is_anchored_to_the_scale_of_sigma(split111):
+    # 1e-17 is far above eps times the center block's own scale, but below
+    # eps times max|sigma|, so it counts as zero
+    sp = SigmaPartition(np.diag([1e-17, 1.0, 1.0, 1.0, 1.0]), build_index_sets(split111))
+    sr = schur_complement(sp)
+    assert sr.rank_b == 0
+    assert np.array_equal(sr.b_pinv, np.zeros((1, 1)))
+    assert pinv_sym(sp.b_block)[1] == 1
