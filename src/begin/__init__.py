@@ -53,6 +53,7 @@ from .graph import (
     BeginGraph,
     EdgeList,
     GraphNode,
+    NodeList,
     build_graph,
     export_graph,
     graph_from_json,
@@ -86,6 +87,7 @@ from .quantize import (
     source_from_json,
 )
 from .schur import (
+    CenterBlocks,
     OmegaMatrix,
     SchurResult,
     SigmaPartition,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -139,6 +140,29 @@ class MaskSpan:
         """All elements sorted ascending by integer value."""
         return [Mask(int(v), self.width) for v in np.sort(self.member_bits())]
 
+    def split(self, bits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Write each mask as rest XOR member, member in the span.
+
+        rest has the pivot bit of every basis mask cleared, so it is the same
+        for all masks of one coset and 0 exactly on the span; member is
+        member_bits()[key].  Returns (rest, key) as int64 arrays.
+        """
+        rest = np.array(bits, dtype=np.int64).reshape(-1)
+        key = np.zeros_like(rest)
+        for b in self.basis:
+            # the basis is reduced, so no other basis mask touches this pivot
+            bit = (rest >> (b.bits.bit_length() - 1)) & 1
+            rest ^= bit * b.bits
+            key = (key << 1) | bit
+        return rest, key
+
+    def complement_in(self, other: "MaskSpan") -> "MaskSpan":
+        """The rests (see split) of other's members: a span that meets this
+        one only in 0 and, with it, spans everything other does."""
+        rest, _ = self.split([b.bits for b in other.basis])
+        rows = _echelon_basis(int(v) for v in rest)
+        return MaskSpan(tuple(Mask(r, self.width) for r in rows), self.width)
+
 
 def span_generate(gens: Sequence[Mask], width: Optional[int] = None) -> MaskSpan:
     """Reduced echelon span of the given masks; {0} for an empty list."""
@@ -201,17 +225,54 @@ class Partition:
         if union_dim < 1:
             raise ValueError("the union of the generator spans must be nondegenerate")
 
-    @property
+    # the generator spans are computed on first read and kept; they are not
+    # fields, so equality and hashing see only the generators
+
+    @cached_property
     def a_span(self) -> "MaskSpan":
         return span_generate(self.a_gens, width=self.p)
 
-    @property
+    @cached_property
     def b_span(self) -> "MaskSpan":
         return span_generate(self.b_gens, width=self.p)
 
-    @property
+    @cached_property
     def c_span(self) -> "MaskSpan":
         return span_generate(self.c_gens, width=self.p)
+
+    @cached_property
+    def wing_complements(self) -> tuple["MaskSpan", "MaskSpan"]:
+        """Complements of span(B) in span(A,B) and in span(B,C).
+
+        Every left wing mask is alpha XOR beta for a unique nonzero alpha of
+        the first and beta of span(B) (alpha is its rest, MaskSpan.split),
+        and likewise on the right; the two meet only in 0 unless the wings
+        overlap.
+        """
+        span_b = self.b_span
+        return span_b.complement_in(self.a_span), span_b.complement_in(self.c_span)
+
+    @cached_property
+    def wing_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(beta, alpha) per wing mask of build_index_sets, left wing then
+        right, when the wings do not overlap.
+
+        beta is the member_bits index of the mask's part in span(B); alpha
+        indexes its rest among the complement characters: the nonzero
+        members, in member_bits order, of the left complement and then of
+        the right one (wing_complements).
+        """
+        labels = build_index_sets(self)
+        a_comp, c_comp = self.wing_complements
+        rest_l, key_l = self.b_span.split([m.bits for m in labels.l_set])
+        rest_r, key_r = self.b_span.split([m.bits for m in labels.r_set])
+        beta = np.concatenate([key_l, key_r]).astype(np.int32)
+        alpha = np.concatenate(
+            [a_comp.split(rest_l)[1] - 1, c_comp.split(rest_r)[1] + (1 << a_comp.dim) - 2]
+        ).astype(np.int32)
+        beta.flags.writeable = False
+        alpha.flags.writeable = False
+        return beta, alpha
 
     @classmethod
     def coordinate_split(cls, r: int, s: int, t: int) -> "Partition":
@@ -238,7 +299,7 @@ class IndexSets:
     width: int
     part: Optional[Partition] = field(default=None, compare=False)
 
-    @property
+    @cached_property
     def overlap(self) -> tuple[Mask, ...]:
         """Masks present in both wings (derived-feature partitions only)."""
         shared = set(self.l_set) & set(self.r_set)
@@ -251,10 +312,9 @@ class IndexSets:
 def build_index_sets(partition: Partition) -> IndexSets:
     """Index sets ordered (center, left wing, right wing), each ascending."""
     p = partition.p
-    span_b = span_generate(partition.b_gens, width=p)
     span_ab = span_generate(partition.a_gens + partition.b_gens, width=p)
     span_bc = span_generate(partition.b_gens + partition.c_gens, width=p)
-    in_b = set(int(v) for v in span_b.member_bits())
+    in_b = set(int(v) for v in partition.b_span.member_bits())
     b_set = sorted(v for v in in_b if v != 0)
     l_set = sorted(int(v) for v in span_ab.member_bits() if int(v) not in in_b)
     r_set = sorted(int(v) for v in span_bc.member_bits() if int(v) not in in_b)

@@ -17,7 +17,15 @@ import numpy as np
 from .bitgroup import IndexSets, Mask, Partition, build_index_sets, span_generate
 from .distribution import Pmf, interaction_cov, moments_from_pmf
 from .graph import build_graph, separates
-from .schur import SchurResult, SigmaPartition, pinv_sym, sb_inverse, schur_complement
+from .hadamard import fwht
+from .schur import (
+    CenterBlocks,
+    SchurResult,
+    SigmaPartition,
+    pinv_sym,
+    sb_inverse,
+    schur_complement,
+)
 
 __all__ = [
     "Partition",
@@ -104,17 +112,6 @@ class FactorizationWitness:
         return self.ok
 
 
-def assemble_sigma(pmf: Pmf, part: Partition) -> SigmaPartition:
-    """Interaction covariance over the ordered index sets of the partition."""
-    if pmf.p != part.p:
-        raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
-    labels = build_index_sets(part)
-    masks = labels.all_masks()
-    sigma = interaction_cov(pmf, masks, masks)
-    sigma = (sigma + sigma.T) / 2.0
-    return SigmaPartition(sigma=sigma, labels=labels)
-
-
 def _parity_keys(
     cells: np.ndarray, gens_bits: Sequence[int], prefix: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -173,6 +170,88 @@ class _ConfigTable:
         return out
 
 
+def assemble_sigma(
+    pmf: Pmf, part: Partition, center: Optional[_ConfigTable] = None
+) -> SigmaPartition:
+    """Interaction covariance over the ordered index sets of the partition.
+
+    When the wings do not overlap, the result also carries the wing Schur
+    complement split by center configuration (CenterBlocks).  center, the
+    pmf's table over the center basis, is built here unless the caller
+    already has it.
+    """
+    if pmf.p != part.p:
+        raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
+    labels = build_index_sets(part)
+    masks = labels.all_masks()
+    # exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
+    sigma = interaction_cov(pmf, masks, masks)
+    if center is None:
+        center = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis])
+    blocks = _center_blocks(center, part, labels)
+    return SigmaPartition(sigma=sigma, labels=labels, blocks=blocks)
+
+
+def _center_blocks(
+    center: _ConfigTable, part: Partition, labels: IndexSets
+) -> Optional[CenterBlocks]:
+    """Per center configuration b, 2^s p_b Cov(complement characters | b).
+
+    Given b every center character is a constant sign, so a wing mask
+    alpha XOR beta covaries as its complement character alpha times that
+    sign.  The moments come from the mass table over (b, a, c), a and c the
+    configurations of the two complements' bases, by one Walsh transform
+    along (a, c).  None when the wings overlap: a mask in both has no
+    single place.
+    """
+    if labels.overlap:
+        return None
+    a_comp, c_comp = part.wing_complements
+    ra, rc = a_comp.dim, c_comp.dim
+    joint = center.refine([m.bits for m in a_comp.basis + c_comp.basis])
+    configs = center.mass.size
+    table = fwht(joint.mass.reshape(configs, -1).T).T
+    # character (i of the left complement, j of the right) sits at i << rc | j
+    chars = np.concatenate([np.arange(1, 1 << ra) << rc, np.arange(1, 1 << rc)])
+    mass, moments = table[:, :1, None], table[:, chars]
+    # a zero-mass configuration has all-zero moments, and its block stays 0
+    centering = moments[:, :, None] * moments[:, None, :]
+    np.divide(centering, mass, out=centering, where=mass > 0.0)
+    stack = (table[:, chars[:, None] ^ chars[None, :]] - centering) * configs
+    beta, alpha = part.wing_split
+    return CenterBlocks(
+        stack=stack,
+        mass=table[:, 0],
+        rank=_block_ranks(joint.positive.reshape(configs, 1 << ra, 1 << rc)),
+        beta=beta,
+        alpha=alpha,
+    )
+
+
+def _block_ranks(support: np.ndarray) -> np.ndarray:
+    """Rank of each center block, counted from the (b, a, c) support.
+
+    At a positive-mass b the complement characters span the functions
+    f(a) + g(c) restricted to the (a, c) pairs of positive mass; that space
+    has dimension n_a + n_c - comps, with comps the connected components of
+    the bipartite a-c support graph, and covariance drops the constants.
+    """
+    n_a = support.shape[1]
+    # a nodes joined through a shared c node, closed under path doubling: a
+    # component holds at most n_a a nodes, so n_a - 1 hops reach across it
+    edges = support.astype(np.float64)
+    reach = edges @ edges.transpose(0, 2, 1) > 0.0
+    for _ in range(max(n_a - 2, 0).bit_length()):
+        hops = reach.astype(np.float64)
+        reach = hops @ hops > 0.0
+    # an a node of positive mass reaches itself; each component is counted
+    # once, at its first a node
+    has_a = reach.diagonal(axis1=1, axis2=2)
+    comps = (has_a & (reach.argmax(axis=2) == np.arange(n_a))).sum(axis=1)
+    n_c = support.any(axis=1).sum(axis=1)
+    return has_a.sum(axis=1) + n_c - comps - has_a.any(axis=1)
+
+
 def _cond_table_residual(
     center: _ConfigTable, targets_bits: Sequence[int], other_basis: Sequence[int]
 ) -> float:
@@ -191,12 +270,20 @@ def _cond_table_residual(
 def _belief_residual(
     center: _ConfigTable, part: Partition, labels: IndexSets
 ) -> float:
-    """Criterion over both wings: wing interactions forget the far block."""
+    """Criterion over both wings: wing interactions forget the far block.
+
+    A wing target alpha XOR beta, beta in the center span, has exactly the
+    conditional means of its rest alpha up to a sign that is constant on
+    each center configuration, so only the distinct rests are evaluated.
+    """
     c_basis = [m.bits for m in part.c_span.basis]
     a_basis = [m.bits for m in part.a_span.basis]
-    left = _cond_table_residual(center, [m.bits for m in labels.l_set], c_basis)
-    right = _cond_table_residual(center, [m.bits for m in labels.r_set], a_basis)
-    return max(left, right)
+    a_comp, c_comp = part.wing_complements
+    left, right = a_comp.member_bits()[1:], c_comp.member_bits()[1:]
+    return max(
+        _cond_table_residual(center, left, c_basis),
+        _cond_table_residual(center, right, a_basis),
+    )
 
 
 def _factorization_witness(
@@ -225,7 +312,8 @@ def test_ci(
     Schur complement; the other three criteria are computed as cross-checks
     and reported in the criteria map.
     """
-    sp = assemble_sigma(pmf, part)
+    center = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis])
+    sp = assemble_sigma(pmf, part, center=center)
     sr = schur_complement(sp, rank_tol)
     om = sb_inverse(sp, sr)
 
@@ -235,7 +323,6 @@ def test_ci(
     max_s = float(np.abs(s_off).max()) if s_off.size else 0.0
     max_omega = float(np.abs(omega_off).max()) if omega_off.size else 0.0
 
-    center = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis])
     belief_residual = _belief_residual(center, part, sp.labels)
     fact = _factorization_witness(sp, sr, tol)
 

@@ -19,6 +19,7 @@ from .schur import OmegaMatrix
 
 __all__ = [
     "GraphNode",
+    "NodeList",
     "EdgeList",
     "BeginGraph",
     "build_graph",
@@ -39,6 +40,67 @@ class GraphNode:
     def __post_init__(self) -> None:
         if self.wing not in ("B", "L", "R"):
             raise ValueError(f"wing must be B, L, or R, got {self.wing!r}")
+
+
+class NodeList:
+    """Read-only sequence of GraphNodes whose wings are held as an array.
+
+    Iterates, indexes, measures and compares equal like the tuple of nodes
+    it stands for.  A graph built from index sets makes its nodes, with
+    their display labels, only when they are first read: a verdict needs
+    only the wings.
+    """
+
+    __slots__ = ("wings", "_index_sets", "_nodes")
+
+    def __init__(self, nodes: Iterable[GraphNode]) -> None:
+        nodes = tuple(nodes)
+        self._set(np.array([node.wing for node in nodes], dtype="<U1"), None, nodes)
+
+    @classmethod
+    def of_index_sets(cls, labels: IndexSets) -> "NodeList":
+        """Center, left and right wing masks in order, labelled on first read."""
+        out = cls.__new__(cls)
+        counts = (len(labels.b_set), len(labels.l_set), len(labels.r_set))
+        out._set(np.repeat(np.array(["B", "L", "R"]), counts), labels, None)
+        return out
+
+    def _set(self, wings: np.ndarray, labels: Optional[IndexSets], nodes) -> None:
+        wings.flags.writeable = False
+        object.__setattr__(self, "wings", wings)
+        object.__setattr__(self, "_index_sets", labels)
+        object.__setattr__(self, "_nodes", nodes)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("NodeList is read-only")
+
+    @property
+    def _tuple(self) -> Tuple[GraphNode, ...]:
+        if self._nodes is None:
+            object.__setattr__(self, "_nodes", _labelled_nodes(self._index_sets))
+        return self._nodes
+
+    def __len__(self) -> int:
+        return int(self.wings.shape[0])
+
+    def __iter__(self) -> Iterator[GraphNode]:
+        return iter(self._tuple)
+
+    def __getitem__(self, index):
+        return self._tuple[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NodeList):
+            return self._tuple == other._tuple
+        if isinstance(other, tuple):
+            return self._tuple == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple)
+
+    def __repr__(self) -> str:
+        return f"NodeList({self._tuple!r})"
 
 
 Edge = Tuple[int, int, float]
@@ -108,15 +170,18 @@ class EdgeList:
 class BeginGraph:
     """Thresholded adjacency of the block inverse, wing-annotated.
 
-    edges may be given as any iterable of (i, j, weight) triples; it is
-    stored as an EdgeList.
+    nodes may be given as any iterable of GraphNodes and edges as any
+    iterable of (i, j, weight) triples; they are stored as a NodeList and
+    an EdgeList.
     """
 
-    nodes: Tuple[GraphNode, ...]
+    nodes: NodeList
     edges: EdgeList
     tol: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.nodes, NodeList):
+            object.__setattr__(self, "nodes", NodeList(self.nodes))
         edges = self.edges
         if not isinstance(edges, EdgeList):
             edges = EdgeList.from_triples(edges)
@@ -156,6 +221,15 @@ def _mask_label(mask: Mask, names: Dict[int, str]) -> str:
     return "*".join(names[j] for j in mask.coords())
 
 
+def _labelled_nodes(labels: IndexSets) -> Tuple[GraphNode, ...]:
+    names = _coordinate_names(labels.part, labels.width)
+    nodes: List[GraphNode] = []
+    for wing, masks in zip("BLR", (labels.b_set, labels.l_set, labels.r_set)):
+        for mk in masks:
+            nodes.append(GraphNode(mask=mk, wing=wing, label=_mask_label(mk, names)))
+    return tuple(nodes)
+
+
 def build_graph(omega: OmegaMatrix, labels: IndexSets, tol: float) -> BeginGraph:
     """Threshold the block inverse into an undirected wing-labeled graph."""
     counts = (len(labels.b_set), len(labels.l_set), len(labels.r_set))
@@ -164,15 +238,10 @@ def build_graph(omega: OmegaMatrix, labels: IndexSets, tol: float) -> BeginGraph
         raise ValueError(
             f"omega shape {omega.omega.shape} does not match {n} labeled masks"
         )
-    names = _coordinate_names(labels.part, labels.width)
-    nodes: List[GraphNode] = []
-    for wing, masks in zip("BLR", (labels.b_set, labels.l_set, labels.r_set)):
-        for mk in masks:
-            nodes.append(GraphNode(mask=mk, wing=wing, label=_mask_label(mk, names)))
     mat = omega.omega
     rows, cols = np.nonzero(np.triu(np.abs(mat) > tol, 1))
     edges = EdgeList(rows, cols, mat[rows, cols])
-    return BeginGraph(nodes=tuple(nodes), edges=edges, tol=tol)
+    return BeginGraph(nodes=NodeList.of_index_sets(labels), edges=edges, tol=tol)
 
 
 def separates(g: BeginGraph) -> bool:
@@ -182,7 +251,7 @@ def separates(g: BeginGraph) -> bool:
     wing to the right one that avoids the center must cross a left-right
     edge somewhere; separation is the absence of such an edge.
     """
-    wings = np.array([node.wing for node in g.nodes], dtype="<U1")
+    wings = g.nodes.wings
     a, b = wings[g.edges.rows], wings[g.edges.cols]
     return not ((a != b) & (a != "B") & (b != "B")).any()
 

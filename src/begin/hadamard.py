@@ -26,25 +26,33 @@ __all__ = [
 _DENSE_ORDER_CAP = 12
 
 
-def _as_symbol(y: Sequence[float]) -> tuple[np.ndarray, int]:
+def _as_symbol(y: Sequence[float], stacked: bool = False) -> tuple[np.ndarray, int]:
+    """y as float64 with a first axis of length 2^p, and p; stacked admits
+    further axes after the first."""
     arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
+    n = arr.shape[0] if arr.ndim else 0
+    if (arr.ndim != 1 and not stacked) or n == 0 or n & (n - 1):
         raise ValueError(f"expected a vector of length 2^p, got shape {arr.shape}")
-    return arr, arr.size.bit_length() - 1
+    return arr, n.bit_length() - 1
 
 
 def fwht(y: Sequence[float]) -> np.ndarray:
-    """Walsh-Hadamard transform, butterfly recursion, O(p 2^p) arithmetic."""
-    arr, _ = _as_symbol(y)
+    """Walsh-Hadamard transform, butterfly recursion, O(p 2^p) arithmetic.
+
+    An array of more than one dimension is transformed along its first
+    axis, which must have length 2^p: each trailing index is a separate
+    vector.
+    """
+    arr, _ = _as_symbol(y, stacked=True)
     out = arr.copy()
-    n = out.size
+    n = out.shape[0]
     h = 1
     while h < n:
-        blocks = out.reshape(-1, 2 * h)
+        blocks = out.reshape(n // (2 * h), 2 * h, *out.shape[1:])
         top = blocks[:, :h].copy()
-        bot = blocks[:, h:].copy()
-        blocks[:, :h] = top + bot
-        blocks[:, h:] = top - bot
+        bot = blocks[:, h:]
+        blocks[:, :h] += bot
+        np.subtract(top, bot, out=bot)
         h *= 2
     return out
 

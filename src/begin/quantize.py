@@ -37,7 +37,9 @@ __all__ = [
 
 # full-event enumeration walks all 2^n subsets per side
 _EXACT_ATOM_CAP = 12
-_EXACT_SUBSET_CAP = 4096
+# delta_curve's (2^d)^3 float64 joint table; 128 MiB admits d <= 8, the
+# depth bound QuantConfig's bit cap gives quantize
+_JOINT_TABLE_BYTE_LIMIT = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -451,19 +453,23 @@ def delta_curve(
         raise ValueError(f"unknown mode {mode!r}")
     if constants is None:
         constants = source.measured_constants()
-    points = []
+    # each depth's joint table holds (2^d)^3 float64 cells, so every depth
+    # is checked before any table is built
     for d in depths:
-        # the joint table holds (2^d)^3 cells, so refuse before building it
         cells = 1 << d
-        if cells > _EXACT_SUBSET_CAP:
+        table_bytes = 8 * cells**3
+        if table_bytes > _JOINT_TABLE_BYTE_LIMIT:
             raise ValueError(
-                f"depth {d} gives {cells} cells per variable, beyond the "
-                f"{_EXACT_SUBSET_CAP}-cell cap on the joint table in every mode"
+                f"depth {d} needs a {table_bytes}-byte joint table, beyond the "
+                f"{_JOINT_TABLE_BYTE_LIMIT}-byte limit in every mode"
             )
         if mode == "exact" and cells > _EXACT_ATOM_CAP:
             raise ValueError(
                 f"exact mode needs <= {_EXACT_ATOM_CAP} atoms per side, got {cells}"
             )
+    points = []
+    for d in depths:
+        cells = 1 << d
         want_exact = mode in ("exact", "auto") and cells <= _EXACT_ATOM_CAP
         table = source.joint_table(d)
         nu, nw = table.shape[0], table.shape[2]

@@ -219,3 +219,77 @@ def test_partition_json_rejects_non_integer_width():
             partition_from_json(f'{{"p": {p}, "A": ["100"], "B": ["010"], "C": ["001"]}}')
     part = partition_from_json('{"p": 3, "A": ["100"], "B": ["010"], "C": ["001"]}')
     assert part == Partition.coordinate_split(1, 1, 1)
+
+
+def test_repeated_verdicts_keep_the_generator_spans(monkeypatch):
+    import begin.bitgroup as bitgroup
+    from begin import make_generic_pmf, test_ci
+
+    part = Partition(
+        5, (Mask(0b10001, 5),), (Mask(0b01100, 5), Mask(0b00110, 5)), (Mask(0b00011, 5),)
+    )
+    pmf = make_generic_pmf(5, seed=2)
+    calls = []
+    real = bitgroup.span_generate
+    monkeypatch.setattr(
+        bitgroup, "span_generate", lambda gens, **k: calls.append(tuple(gens)) or real(gens, **k)
+    )
+    test_ci(pmf, part)
+    assert {part.a_gens, part.b_gens, part.c_gens} <= set(calls)
+    calls.clear()
+    for _ in range(3):
+        test_ci(pmf, part)
+    # only the union spans of the index sets are formed per verdict
+    assert calls == [part.a_gens + part.b_gens, part.b_gens + part.c_gens] * 3
+
+
+def test_cached_spans_leave_equality_and_hashing_unchanged():
+    gens = ((Mask(0b1000, 4),), (Mask(0b0110, 4),), (Mask(0b0001, 4),))
+    read, fresh = Partition(4, *gens), Partition(4, *gens)
+    assert read.a_span == span_generate(gens[0])
+    assert read.c_span == span_generate(gens[2])
+    build_index_sets(read)
+    assert read.b_span is read.b_span
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert {read: 1}[fresh] == 1
+    assert read != Partition(4, gens[0], gens[1], (Mask(0b0011, 4),))
+
+
+@seed(3)
+@given(
+    basis=st.lists(mask_bits.filter(bool), max_size=4),
+    masks=st.lists(mask_bits, max_size=12),
+)
+def test_split_writes_each_mask_as_rest_xor_member(basis, masks):
+    span = span_generate([Mask(b, WIDTH) for b in basis], width=WIDTH)
+    rest, key = span.split(masks)
+    members = span.member_bits()
+    pivots = sum(1 << (b.bits.bit_length() - 1) for b in span.basis)
+    for m, r, k in zip(masks, rest.tolist(), key.tolist()):
+        assert r ^ int(members[k]) == m
+        assert r & pivots == 0
+        assert (r == 0) == (Mask(m, WIDTH) in span)
+    other = span_generate([Mask(m, WIDTH) for m in masks if m], width=WIDTH)
+    comp = span.complement_in(other)
+    for mk in comp.basis:
+        assert mk.bits & pivots == 0
+    joined = span_generate(list(span.basis) + list(comp.basis), width=WIDTH)
+    assert joined.dim == span.dim + comp.dim
+    assert all(mk in joined for mk in other.basis)
+
+
+def test_wing_split_indexes_the_block_layout(parity_feature_case):
+    _, part = parity_feature_case
+    for p in (part, Partition.coordinate_split(2, 3, 1)):
+        labels = build_index_sets(p)
+        a_comp, c_comp = p.wing_complements
+        chars = [int(v) for v in a_comp.member_bits()[1:]] + [
+            int(v) for v in c_comp.member_bits()[1:]
+        ]
+        center = p.b_span.member_bits()
+        beta, alpha = p.wing_split
+        wing = labels.l_set + labels.r_set
+        assert [center[b] ^ chars[a] for b, a in zip(beta, alpha)] == [m.bits for m in wing]
+        with pytest.raises(ValueError):
+            beta[0] = 0

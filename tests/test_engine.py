@@ -7,6 +7,7 @@ from begin import (
     Pmf,
     assemble_sigma,
     belief_coefficients,
+    build_index_sets,
     fwht,
     make_ci_pmf,
     make_generic_pmf,
@@ -324,3 +325,75 @@ def test_support_b_counts_positive_mass_center_configurations():
         assert v.rank_b == expected - 1
         thinned += expected < 8
     assert thinned > 0
+
+
+def reference_belief_residual(center, part, labels):
+    # the belief route before it evaluated only complement representatives:
+    # one pair of conditional-mean tables per wing mask
+    from begin.engine import _cond_table_residual
+
+    c_basis = [m.bits for m in part.c_span.basis]
+    a_basis = [m.bits for m in part.a_span.basis]
+    left = _cond_table_residual(center, [m.bits for m in labels.l_set], c_basis)
+    right = _cond_table_residual(center, [m.bits for m in labels.r_set], a_basis)
+    return max(left, right)
+
+
+def belief_cases():
+    rng = np.random.default_rng(61)
+    cases = []
+    for r, s, t in ((1, 1, 1), (2, 2, 2), (2, 3, 1), (1, 0, 2), (3, 2, 2)):
+        part = Partition.coordinate_split(r, s, t)
+        for k in range(4):
+            cases.append((make_ci_pmf(r, s, t, seed=k, zero_prob=0.3), part))
+            cases.append((make_generic_pmf(r + s + t, seed=k, zero_fraction=0.25), part))
+    while len(cases) < 100:
+        p = int(rng.integers(3, 7))
+        gens = [
+            tuple(Mask(int(rng.integers(1, 1 << p)), p) for _ in range(int(rng.integers(lo, 3))))
+            for lo in (1, 0, 1)
+        ]
+        try:
+            part = Partition(p, *gens)
+        except ValueError:
+            continue
+        cases.append((make_generic_pmf(p, seed=len(cases), zero_fraction=0.3), part))
+    return cases
+
+
+def test_belief_on_complement_representatives_is_bitwise_the_all_targets_loop(
+    monkeypatch,
+):
+    from begin.engine import _belief_residual, _ConfigTable
+
+    calls = []
+    real = _ConfigTable.cond_mean
+    monkeypatch.setattr(
+        _ConfigTable, "cond_mean", lambda self, v: calls.append(1) or real(self, v)
+    )
+    overlapping = 0
+    for pmf, part in belief_cases():
+        labels = build_index_sets(part)
+        overlapping += bool(labels.overlap)
+        center = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis])
+        expected = reference_belief_residual(center, part, labels)
+        calls.clear()
+        assert _belief_residual(center, part, labels) == expected
+        a_comp, c_comp = part.wing_complements
+        k = (1 << a_comp.dim) + (1 << c_comp.dim) - 2
+        assert len(calls) <= 2 * k
+        assert decide_ci(pmf, part).belief_residual == expected
+    assert overlapping
+
+
+def test_belief_route_evaluates_few_targets_at_a_wide_split(monkeypatch):
+    from begin.engine import _ConfigTable
+
+    calls = []
+    real = _ConfigTable.cond_mean
+    monkeypatch.setattr(
+        _ConfigTable, "cond_mean", lambda self, v: calls.append(1) or real(self, v)
+    )
+    # 2 + 6 + 2 coordinates: 3 complement characters per wing, not 192 masks
+    decide_ci(make_generic_pmf(10, seed=3), Partition.coordinate_split(2, 6, 2))
+    assert len(calls) == 12

@@ -25,6 +25,7 @@ from begin import (
     schur_complement,
     separates,
 )
+from begin import test_ci as decide_ci
 
 
 def graph_of(pmf, part, tol=1e-8):
@@ -438,3 +439,52 @@ def test_overlapping_wing_partitions_match_reference():
         ref = reference_edges(om.omega, g.tol)
         assert g.edges == ref
         assert separates(g) == reference_separates(g.nodes, ref)
+
+
+def eager_nodes(labels):
+    # build_graph's node loop before labels were made on first read
+    from begin.graph import _coordinate_names, _mask_label
+
+    names = _coordinate_names(labels.part, labels.width)
+    return tuple(
+        GraphNode(mask=mk, wing=wing, label=_mask_label(mk, names))
+        for wing, masks in zip("BLR", (labels.b_set, labels.l_set, labels.r_set))
+        for mk in masks
+    )
+
+
+def test_verdicts_make_no_node_labels(monkeypatch):
+    import begin.graph as graph_module
+
+    def refuse(labels):
+        raise AssertionError("node labels built")
+
+    monkeypatch.setattr(graph_module, "_labelled_nodes", refuse)
+    part = Partition.coordinate_split(2, 2, 1)
+    assert decide_ci(make_ci_pmf(2, 2, 1, seed=4), part).criteria["separation"]
+    g = graph_of(make_generic_pmf(5, seed=4), part)
+    assert len(g.nodes) == 19 and not separates(g)
+    with pytest.raises(AssertionError, match="node labels built"):
+        g.nodes[0]
+
+
+def test_lazy_nodes_equal_eager_ones():
+    for part, pmf in (
+        (Partition.coordinate_split(1, 2, 2), make_generic_pmf(5, seed=1)),
+        (
+            Partition(4, (Mask(0b1001, 4),), (Mask(0b0110, 4),), (Mask(0b0011, 4),)),
+            make_generic_pmf(4, seed=2),
+        ),
+    ):
+        g = graph_of(pmf, part)
+        eager = eager_nodes(build_index_sets(part))
+        assert g.nodes == eager and eager == tuple(g.nodes)
+        assert g.nodes.wings.tolist() == [node.wing for node in eager]
+        explicit = BeginGraph(nodes=eager, edges=tuple(g.edges), tol=g.tol)
+        assert explicit == graph_of(pmf, part) and g == explicit
+        assert hash(explicit) == hash(graph_of(pmf, part))
+        assert export_graph(explicit, "json") == export_graph(graph_of(pmf, part), "json")
+        assert export_graph(explicit, "dot") == export_graph(graph_of(pmf, part), "dot")
+        assert g.nodes[1:3] == eager[1:3] and list(g.nodes) == list(eager)
+    with pytest.raises(AttributeError):
+        g.nodes.wings = None

@@ -1,0 +1,201 @@
+"""The block-prism Schur path against the dense path and the oracle.
+
+With disjoint wings and no explicit rank_tol, schur_complement reads S+ and
+rank(S) off one small block per center configuration; the dense path stays
+as the reference and as the fallback.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
+
+from begin import (
+    CenterBlocks,
+    Mask,
+    Partition,
+    SigmaPartition,
+    assemble_sigma,
+    build_index_sets,
+    make_ci_pmf,
+    make_generic_pmf,
+    oracle_ci,
+    sb_inverse,
+    schur_complement,
+)
+from begin import test_ci as decide_ci
+
+RELATIVE_GAP = 1e-8
+
+
+def pmf_for(p, draw):
+    """A ci pmf over a random coordinate split of p, or a generic one."""
+    pmf_seed = draw(st.integers(0, 2**31 - 1))
+    zeros = draw(st.sampled_from([0.0, 0.3]))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, p - 1))
+        s = draw(st.integers(0, p - r - 1))
+        return make_ci_pmf(r, s, p - r - s, seed=pmf_seed, zero_prob=zeros)
+    return make_generic_pmf(p, seed=pmf_seed, zero_fraction=zeros)
+
+
+@st.composite
+def split_cases(draw):
+    r = draw(st.integers(0, 3))
+    t = draw(st.integers(0 if r else 1, 3))
+    s = draw(st.integers(0, 7 - r - t))
+    part = Partition.coordinate_split(r, s, t)
+    return pmf_for(part.p, draw), part
+
+
+@st.composite
+def parity_cases(draw):
+    p = draw(st.integers(3, 6))
+    nonzero = st.integers(1, (1 << p) - 1).map(lambda bits: Mask(bits, p))
+    gens = [draw(st.lists(nonzero, min_size=lo, max_size=2)) for lo in (1, 0, 1)]
+    try:
+        part = Partition(p, *gens)
+    except ValueError:
+        assume(False)
+    assume(not build_index_sets(part).overlap)
+    return pmf_for(p, draw), part
+
+
+def complement_chars(part):
+    a_comp, c_comp = part.wing_complements
+    return (1 << a_comp.dim) + (1 << c_comp.dim) - 2
+
+
+def check_prism_against_dense_and_oracle(pmf, part):
+    sp = assemble_sigma(pmf, part)
+    assert sp.blocks is not None
+    prism = schur_complement(sp)
+    dense = schur_complement(SigmaPartition(sp.sigma, sp.labels))
+    assert (prism.path, dense.path) == ("prism", "dense")
+    assert prism.rank_s == dense.rank_s
+    assert np.array_equal(prism.b_pinv, dense.b_pinv)
+    assert prism.rank_b == dense.rank_b
+    assert np.array_equal(prism.s, dense.s)
+    assert np.array_equal(prism.s_pinv, prism.s_pinv.T)
+    scale = float(np.abs(dense.s_pinv).max()) if dense.s_pinv.size else 0.0
+    gap = float(np.abs(prism.s_pinv - dense.s_pinv).max()) if scale else 0.0
+    assert gap <= RELATIVE_GAP * scale
+    assert sb_inverse(sp, prism).sigma_residual <= 1e-8
+    assert decide_ci(pmf, part).is_ci == oracle_ci(pmf, part).is_ci
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(case=split_cases())
+def test_prism_matches_dense_and_oracle_on_coordinate_splits(case):
+    check_prism_against_dense_and_oracle(*case)
+
+
+@seed(12)
+@settings(max_examples=60, deadline=None)
+@given(case=parity_cases())
+def test_prism_matches_dense_and_oracle_on_parity_partitions(case):
+    check_prism_against_dense_and_oracle(*case)
+
+
+def test_prism_verdict_decomposes_no_matrix_larger_than_its_blocks(monkeypatch):
+    sizes = []
+    real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def eigh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    def eigvalsh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    parity = Partition(
+        5, (Mask(0b11000, 5),), (Mask(0b01100, 5), Mask(0b00110, 5)), (Mask(0b00011, 5),)
+    )
+    cases = [
+        (make_ci_pmf(2, 3, 2, seed=5, zero_prob=0.3), Partition.coordinate_split(2, 3, 2)),
+        (make_generic_pmf(7, seed=5), Partition.coordinate_split(1, 4, 2)),
+        (make_generic_pmf(6, seed=8, zero_fraction=0.25), Partition.coordinate_split(3, 2, 1)),
+        (make_generic_pmf(5, seed=9), parity),
+    ]
+    for pmf, part in cases:
+        labels = build_index_sets(part)
+        n = len(labels.all_masks())
+        bound = max(len(labels.b_set), complement_chars(part))
+        assert bound < n - len(labels.b_set)
+        sizes.clear()
+        decide_ci(pmf, part)
+        assert sizes and max(sizes) <= bound
+
+
+def test_dense_path_remains_for_overlap_rank_tol_and_hand_built_sigma():
+    overlap = Partition(3, (Mask(0b110, 3),), (Mask(0b100, 3),), (Mask(0b010, 3),))
+    assert build_index_sets(overlap).overlap
+    sp = assemble_sigma(make_generic_pmf(3, seed=2), overlap)
+    assert sp.blocks is None
+    sr = schur_complement(sp)
+    assert (sr.path, sr.rank_source) == ("dense", ("threshold", "additivity"))
+
+    sp = assemble_sigma(make_generic_pmf(5, seed=3), Partition.coordinate_split(2, 1, 2))
+    sr = schur_complement(sp)
+    assert (sr.path, sr.rank_source) == ("prism", ("threshold", "structure"))
+    sr = schur_complement(sp, rank_tol=1e-10)
+    assert (sr.path, sr.rank_source) == ("dense", ("threshold", "threshold"))
+    sr = schur_complement(SigmaPartition(sp.sigma, sp.labels))
+    assert (sr.path, sr.rank_source) == ("dense", ("threshold", "additivity"))
+
+
+def test_block_path_defers_the_spectrum_of_sigma_to_first_read():
+    sp = assemble_sigma(make_generic_pmf(5, seed=4), Partition.coordinate_split(1, 2, 2))
+    assert "eigenvalues" not in vars(sp)
+    vals = sp.eigenvalues
+    assert np.array_equal(vals, np.linalg.eigvalsh((sp.sigma + sp.sigma.T) / 2.0))
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+    assert "eigenvalues" in vars(SigmaPartition(sp.sigma, sp.labels))
+
+
+def test_center_blocks_refuse_negative_spectra_and_masses():
+    index = np.zeros(2, dtype=np.int64)
+    good = dict(
+        stack=np.eye(2)[None], mass=np.ones(1), rank=np.array([2]), beta=index, alpha=index
+    )
+    CenterBlocks(**good)
+    with pytest.raises(ValueError, match="center configuration block has eigenvalue"):
+        CenterBlocks(**{**good, "stack": -np.eye(2)[None]})
+    with pytest.raises(ValueError, match="center configuration mass"):
+        CenterBlocks(**{**good, "mass": -np.ones(1)})
+    with pytest.raises(ValueError, match="stack"):
+        CenterBlocks(**{**good, "rank": np.array([2, 2])})
+
+
+def test_block_ranks_count_the_support_graph():
+    # one center configuration, a in {0,1}, c in {0,1}: a path a0-c0-a1
+    # (comps 1) gives 2 + 1 - 1 - 1 = 1; a perfect matching a0-c0, a1-c1
+    # (comps 2) gives 2 + 2 - 2 - 1 = 1; the full square gives 2
+    from begin.engine import _block_ranks
+
+    support = np.array(
+        [
+            [[True, False], [True, False]],
+            [[True, False], [False, True]],
+            [[True, True], [True, True]],
+            [[False, False], [False, False]],
+        ]
+    )
+    assert _block_ranks(support).tolist() == [1, 1, 2, 0]
+
+
+def test_ci_pmfs_give_exact_wing_zeros_and_agreeing_routes():
+    # (2,3,2) seed 34 is a pmf on which the dense pseudoinverse left
+    # wing-to-wing noise of 4e-8 in Omega, above tol, so separation
+    # disagreed with the other three routes
+    cases = [(2, 3, 2, 34)] + [(r, s, t, k) for r, s, t in ((1, 1, 1), (2, 2, 2)) for k in range(10)]
+    for r, s, t, k in cases:
+        part = Partition.coordinate_split(r, s, t)
+        verdict = decide_ci(make_ci_pmf(r, s, t, seed=k, zero_prob=0.3), part)
+        assert all(verdict.criteria.values()), (r, s, t, k)
+        assert verdict.max_offblock_omega <= verdict.tol

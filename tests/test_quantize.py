@@ -190,8 +190,26 @@ def test_delta_depth_cap_is_checked_before_the_joint_table(monkeypatch):
 
     monkeypatch.setattr(SmoothSource, "joint_table", refuse)
     for mode in ("rect", "upper", "auto", "exact"):
-        with pytest.raises(ValueError, match="4096-cell cap on the joint table"):
+        with pytest.raises(
+            ValueError,
+            match="depth 13 needs a 4398046511104-byte joint table, "
+            "beyond the 134217728-byte limit",
+        ):
             delta_curve(linear_source(), [13], mode=mode)
+
+
+def test_delta_admits_joint_tables_up_to_the_byte_limit(monkeypatch):
+    # depth 7 is a 16 MiB table and runs; 9 (1 GiB) and 12 (512 GiB) are
+    # refused before any table is built
+    assert len(delta_curve(linear_source(), [7], mode="upper").points) == 1
+
+    def refuse(self, d):
+        raise AssertionError(f"joint table built at depth {d}")
+
+    monkeypatch.setattr(SmoothSource, "joint_table", refuse)
+    for d, size in ((9, 1 << 30), (12, 1 << 39)):
+        with pytest.raises(ValueError, match=f"depth {d} needs a {size}-byte"):
+            delta_curve(linear_source(), [1, d], mode="rect")
 
 
 def test_delta_point_tier_ordering_enforced():
