@@ -246,8 +246,7 @@ class Partition:
 
         Every left wing mask is alpha XOR beta for a unique nonzero alpha of
         the first and beta of span(B) (alpha is its rest, MaskSpan.split),
-        and likewise on the right; the two meet only in 0 unless the wings
-        overlap.
+        and likewise on the right; a mask in both wings has its rest in both.
         """
         span_b = self.b_span
         return span_b.complement_in(self.a_span), span_b.complement_in(self.c_span)
@@ -255,7 +254,7 @@ class Partition:
     @cached_property
     def wing_split(self) -> tuple[np.ndarray, np.ndarray]:
         """(beta, alpha) per wing mask of build_index_sets, left wing then
-        right, when the wings do not overlap.
+        right.
 
         beta is the member_bits index of the mask's part in span(B); alpha
         indexes its rest among the complement characters: the nonzero

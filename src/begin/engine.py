@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitgroup import IndexSets, Mask, Partition, build_index_sets, span_generate
+from .bitgroup import Mask, Partition, build_index_sets, span_generate
 from .distribution import Pmf, interaction_cov, moments_from_pmf
 from .graph import build_graph, separates
 from .hadamard import fwht
@@ -22,6 +22,7 @@ from .schur import (
     CenterBlocks,
     SchurResult,
     SigmaPartition,
+    _schur_parts,
     pinv_sym,
     sb_inverse,
     schur_complement,
@@ -112,21 +113,6 @@ class FactorizationWitness:
         return self.ok
 
 
-def _parity_keys(
-    cells: np.ndarray, gens_bits: Sequence[int], prefix: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Configuration index of each cell over the given parity generators.
-
-    Starting from prefix, the keys over a first generator list, gives the
-    keys over that list followed by gens_bits: prefix * 2^len(gens_bits) +
-    the keys over gens_bits alone.
-    """
-    keys = np.zeros(cells.shape, dtype=np.int64) if prefix is None else prefix
-    for g in gens_bits:
-        keys = (keys << 1) | (np.bitwise_count(cells & g) & 1)
-    return keys
-
-
 def _chi(cells: np.ndarray, bits: int) -> np.ndarray:
     """The +-1 interaction of a mask on each cell."""
     return 1.0 - 2.0 * (np.bitwise_count(cells & bits) & 1)
@@ -148,16 +134,13 @@ class _ConfigTable:
 
     @classmethod
     def of(cls, pmf: Pmf, gens_bits: Sequence[int]) -> "_ConfigTable":
+        """The table over the parities of gens_bits, the first generator's
+        parity the most significant bit of a configuration's index."""
         cells = pmf.support
-        keys = _parity_keys(cells, gens_bits)
+        keys = np.zeros(cells.shape, dtype=np.int64)
+        for g in gens_bits:
+            keys = (keys << 1) | (np.bitwise_count(cells & g) & 1)
         return cls(cells, pmf.probs[cells], keys, 1 << len(gens_bits))
-
-    def refine(self, gens_bits: Sequence[int]) -> "_ConfigTable":
-        """The table over this one's generators followed by gens_bits."""
-        keys = _parity_keys(self.cells, gens_bits, self.keys)
-        return _ConfigTable(
-            self.cells, self.probs, keys, self.mass.size << len(gens_bits)
-        )
 
     def cond_mean(self, values: np.ndarray) -> np.ndarray:
         """E[values | configuration], zero on zero-mass configurations."""
@@ -171,14 +154,12 @@ class _ConfigTable:
 
 
 def assemble_sigma(
-    pmf: Pmf, part: Partition, center: Optional[_ConfigTable] = None
+    pmf: Pmf, part: Partition, joint: Optional[_ConfigTable] = None
 ) -> SigmaPartition:
-    """Interaction covariance over the ordered index sets of the partition.
-
-    When the wings do not overlap, the result also carries the wing Schur
-    complement split by center configuration (CenterBlocks).  center, the
-    pmf's table over the center basis, is built here unless the caller
-    already has it.
+    """Interaction covariance over the ordered index sets of the partition,
+    with the wing Schur complement split by center configuration
+    (CenterBlocks).  joint, the pmf's (b, a, c) table (_wing_table), is
+    built here unless the caller already has it.
     """
     if pmf.p != part.p:
         raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
@@ -186,30 +167,31 @@ def assemble_sigma(
     masks = labels.all_masks()
     # exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
     sigma = interaction_cov(pmf, masks, masks)
-    if center is None:
-        center = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis])
-    blocks = _center_blocks(center, part, labels)
-    return SigmaPartition(sigma=sigma, labels=labels, blocks=blocks)
+    if joint is None:
+        joint = _wing_table(pmf, part)
+    return SigmaPartition(sigma=sigma, labels=labels, blocks=_center_blocks(joint, part))
 
 
-def _center_blocks(
-    center: _ConfigTable, part: Partition, labels: IndexSets
-) -> Optional[CenterBlocks]:
+def _wing_table(pmf: Pmf, part: Partition) -> _ConfigTable:
+    """The pmf's mass over (b, a, c): the configurations of the center basis,
+    then of the bases of the left and the right complement (wing_complements).
+    """
+    a_comp, c_comp = part.wing_complements
+    gens = part.b_span.basis + a_comp.basis + c_comp.basis
+    return _ConfigTable.of(pmf, [m.bits for m in gens])
+
+
+def _center_blocks(joint: _ConfigTable, part: Partition) -> CenterBlocks:
     """Per center configuration b, 2^s p_b Cov(complement characters | b).
 
     Given b every center character is a constant sign, so a wing mask
     alpha XOR beta covaries as its complement character alpha times that
-    sign.  The moments come from the mass table over (b, a, c), a and c the
-    configurations of the two complements' bases, by one Walsh transform
-    along (a, c).  None when the wings overlap: a mask in both has no
-    single place.
+    sign.  The moments come from the (b, a, c) mass table by one Walsh
+    transform along (a, c).
     """
-    if labels.overlap:
-        return None
     a_comp, c_comp = part.wing_complements
     ra, rc = a_comp.dim, c_comp.dim
-    joint = center.refine([m.bits for m in a_comp.basis + c_comp.basis])
-    configs = center.mass.size
+    configs = 1 << part.b_span.dim
     table = fwht(joint.mass.reshape(configs, -1).T).T
     # character (i of the left complement, j of the right) sits at i << rc | j
     chars = np.concatenate([np.arange(1, 1 << ra) << rc, np.arange(1, 1 << rc)])
@@ -252,38 +234,36 @@ def _block_ranks(support: np.ndarray) -> np.ndarray:
     return has_a.sum(axis=1) + n_c - comps - has_a.any(axis=1)
 
 
-def _cond_table_residual(
-    center: _ConfigTable, targets_bits: Sequence[int], other_basis: Sequence[int]
-) -> float:
-    """Worst gap between E[X_t | center, other] and E[X_t | center]."""
-    joint = center.refine(other_basis)
-    pos = joint.positive
-    parent = (np.arange(joint.mass.size) >> len(other_basis))[pos]
-    worst = 0.0
-    for t in targets_bits:
-        chi = _chi(center.cells, t)
-        gap = np.abs(joint.cond_mean(chi)[pos] - center.cond_mean(chi)[parent])
-        worst = max(worst, float(gap.max()))
-    return worst
-
-
-def _belief_residual(
-    center: _ConfigTable, part: Partition, labels: IndexSets
-) -> float:
+def _belief_residual(joint: _ConfigTable, part: Partition) -> float:
     """Criterion over both wings: wing interactions forget the far block.
 
     A wing target alpha XOR beta, beta in the center span, has exactly the
     conditional means of its rest alpha up to a sign that is constant on
-    each center configuration, so only the distinct rests are evaluated.
+    each center configuration, so only the complement characters are
+    evaluated.  Given b, the right complement's configuration c carries
+    what C's own configuration does (with the center, both span <B,C>), so
+    the left characters compare E[chi_alpha | b, c] with E[chi_alpha | b],
+    both read off the (b, a, c) mass table, and the right ones mirror this.
     """
-    c_basis = [m.bits for m in part.c_span.basis]
-    a_basis = [m.bits for m in part.a_span.basis]
     a_comp, c_comp = part.wing_complements
-    left, right = a_comp.member_bits()[1:], c_comp.member_bits()[1:]
-    return max(
-        _cond_table_residual(center, left, c_basis),
-        _cond_table_residual(center, right, a_basis),
+    mass = joint.mass.reshape(-1, 1 << a_comp.dim, 1 << c_comp.dim)
+    return max(_forget_gap(mass), _forget_gap(mass.transpose(0, 2, 1)))
+
+
+def _forget_gap(mass: np.ndarray) -> float:
+    """Worst |E[chi_alpha | b, c] - E[chi_alpha | b]| over the nonzero
+    characters alpha of the a axis of a (b, a, c) mass table and the
+    positive-mass (b, c)."""
+    # moments[alpha, b, c] = sum over a of chi_alpha(a) mass[b, a, c]
+    moments = fwht(mass.transpose(1, 0, 2))
+    b_moments = moments.sum(axis=2, keepdims=True)
+    positive = moments[:1] > 0.0
+    given_bc = np.divide(moments[1:], moments[:1], out=np.zeros_like(moments[1:]), where=positive)
+    given_b = np.divide(
+        b_moments[1:], b_moments[:1], out=np.zeros_like(b_moments[1:]), where=b_moments[:1] > 0.0
     )
+    gap = np.where(positive, np.abs(given_bc - given_b), 0.0)
+    return float(gap.max(initial=0.0))
 
 
 def _factorization_witness(
@@ -312,8 +292,8 @@ def test_ci(
     Schur complement; the other three criteria are computed as cross-checks
     and reported in the criteria map.
     """
-    center = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis])
-    sp = assemble_sigma(pmf, part, center=center)
+    joint = _wing_table(pmf, part)
+    sp = assemble_sigma(pmf, part, joint)
     sr = schur_complement(sp, rank_tol)
     om = sb_inverse(sp, sr)
 
@@ -323,7 +303,7 @@ def test_ci(
     max_s = float(np.abs(s_off).max()) if s_off.size else 0.0
     max_omega = float(np.abs(omega_off).max()) if omega_off.size else 0.0
 
-    belief_residual = _belief_residual(center, part, sp.labels)
+    belief_residual = _belief_residual(joint, part)
     fact = _factorization_witness(sp, sr, tol)
 
     graph = build_graph(om, sp.labels, tol)
@@ -344,7 +324,7 @@ def test_ci(
         belief_residual=belief_residual,
         criteria=criteria,
         rank_b=sr.rank_b,
-        support_b=int(center.positive.sum()),
+        support_b=int((sp.blocks.mass > 0.0).sum()),
         tol=tol,
         degenerate_wings=not (sp.labels.l_set and sp.labels.r_set),
         wing_overlap=len(sp.labels.overlap),
@@ -401,9 +381,8 @@ def belief_coefficients(
 
     other = part.c_span.basis if condition_on == "C" else part.a_span.basis
     fit_residual = _fitted_gap(center, chi_t, fitted_cells)
-    residual = _fitted_gap(
-        center.refine([mk.bits for mk in other]), chi_t, fitted_cells
-    )
+    joint = _ConfigTable.of(pmf, [mk.bits for mk in span_b.basis + other])
+    residual = _fitted_gap(joint, chi_t, fitted_cells)
     members = tuple(Mask(int(v), part.p) for v in lam)
     return BeliefCoefficients(
         target=target,
@@ -471,19 +450,11 @@ def subset_offblock(
     equivalence in both directions; this is the probe used to exhibit that.
     """
     labels = build_index_sets(part)
-    trimmed = IndexSets(
-        b_set=tuple(subset),
-        l_set=labels.l_set,
-        r_set=labels.r_set,
-        width=labels.width,
-        part=part,
-    )
-    masks = trimmed.all_masks()
-    sigma = interaction_cov(pmf, masks, masks)
-    sp = SigmaPartition(sigma=(sigma + sigma.T) / 2.0, labels=trimmed)
-    sr = schur_complement(sp, rank_tol)
-    n_l = sp.n_l
-    off = sr.s[:n_l, n_l:]
+    masks = tuple(subset) + labels.l_set + labels.r_set
+    # a subset of the center is not a group, so S has no center blocks
+    s = _schur_parts(interaction_cov(pmf, masks, masks), len(subset), rank_tol)[3]
+    n_l = len(labels.l_set)
+    off = s[:n_l, n_l:]
     return float(np.abs(off).max()) if off.size else 0.0
 
 

@@ -2,10 +2,10 @@
 
 Pseudoinverses go through a symmetric eigendecomposition; the generalized
 Schur complement and its block inverse keep exact structural symmetry so
-downstream equality checks can be bit-for-bit.  When the wing Schur
-complement comes split into one small block per center configuration
-(CenterBlocks), its pseudoinverse and rank are read off the blocks and the
-Walsh transform, and only the blocks are decomposed.
+downstream equality checks can be bit-for-bit.  The wing Schur complement
+comes split into one small block per center configuration (CenterBlocks):
+its pseudoinverse and rank are read off the blocks and the Walsh transform,
+and only the center block and the per-configuration blocks are decomposed.
 """
 
 from __future__ import annotations
@@ -41,41 +41,27 @@ def _require_symmetric(a: np.ndarray, tol: float = _SYM_TOL) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
-def _kept(vals: np.ndarray, rank_tol: Optional[float], anchor: float) -> np.ndarray:
-    """Which eigenvalues of a symmetric matrix count as nonzero.
+def _pinv_eigh(
+    arr: np.ndarray, rank_tol: Optional[float] = None, anchor: float = 0.0
+) -> Tuple[np.ndarray, int]:
+    """Pseudoinverse through one eigendecomposition, and how many eigenvalues
+    it inverted.
 
     The cutoff is rank_tol * max|eigenvalue|, or by default dim * binary64
     epsilon times the larger of max|eigenvalue| and anchor; anchor raises
     the floor for matrices whose entries were formed by cancellation at a
     larger scale than their own spectrum.
     """
-    scale = float(np.abs(vals).max()) if vals.size else 0.0
-    if rank_tol is None:
-        cutoff = vals.size * np.finfo(np.float64).eps * max(scale, anchor)
-    else:
-        cutoff = rank_tol * scale
-    return np.abs(vals) > cutoff
-
-
-def _pinv_eigh(
-    arr: np.ndarray,
-    rank_tol: Optional[float] = None,
-    anchor: float = 0.0,
-    rank: Optional[int] = None,
-) -> Tuple[np.ndarray, int]:
-    """Pseudoinverse through one eigendecomposition, and how many eigenvalues
-    it inverted: those above the _kept cutoff, or with rank given (known
-    from structure rather than from a noise threshold) the top rank of them.
-    """
     n = arr.shape[0]
     if n == 0:
         return arr.copy().reshape(0, 0), 0
     vals, vecs = np.linalg.eigh((arr + arr.T) / 2.0)
-    if rank is None:
-        keep = _kept(vals, rank_tol, anchor)
+    scale = float(np.abs(vals).max())
+    if rank_tol is None:
+        cutoff = n * np.finfo(np.float64).eps * max(scale, anchor)
     else:
-        # eigh returns the eigenvalues in ascending order
-        keep = np.arange(n) >= n - rank
+        cutoff = rank_tol * scale
+    keep = np.abs(vals) > cutoff
     inv_vals = np.zeros_like(vals)
     inv_vals[keep] = 1.0 / vals[keep]
     pinv = (vecs * inv_vals) @ vecs.T
@@ -106,13 +92,16 @@ class CenterBlocks:
     where stack[b] = 2^s p_b Cov(complement characters | b).  S is an
     orthogonal conjugate of the block diagonal of the stack, so its
     spectrum is the union of the block spectra and its pseudoinverse has
-    the same form with each block inverted.
+    the same form with each block inverted.  This holds for overlapping
+    wings too: a mask in both wings has one (beta, alpha) per wing, its
+    character counted once among the left complement's and once among the
+    right's.
 
     beta[i] and alpha[i] give wing position i's center member (member_bits
     order) and complement character; rank[b] is the rank of stack[b],
     counted from the support rather than from eigenvalues.  The stack's
-    eigendecomposition (values ascending per block, vectors) is run once,
-    here, and checked for positivity.
+    eigendecomposition (values ascending per block, vectors, both
+    read-only) is run once, here, and checked for positivity.
     """
 
     stack: np.ndarray
@@ -134,16 +123,26 @@ class CenterBlocks:
             raise ValueError(
                 f"center configuration block has eigenvalue {float(vals.min())}, not PSD"
             )
+        vals.flags.writeable = False
+        vecs.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "vectors", vecs)
 
-    def s_pinv(self) -> np.ndarray:
-        """Pseudoinverse of S in wing order: the top rank[b] eigenvalues of
-        each block inverted, transformed back along the configurations."""
+    def s_pinv(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, int]:
+        """Pseudoinverse of S in wing order, and the rank of S.
+
+        The top rank[b] eigenvalues of each block are inverted and
+        transformed back along the configurations.  With rank_tol, only
+        those of them above rank_tol * max|block eigenvalue| are kept: the
+        spectrum of S is the union of the block spectra, so this is the
+        cutoff rank_tol * max|eigenvalue of S|.
+        """
         vals, vecs = self.values, self.vectors
         configs, k = vals.shape
         # eigh returns each block's eigenvalues in ascending order
         keep = np.arange(k) >= k - self.rank[:, None]
+        if rank_tol is not None and vals.size:
+            keep &= np.abs(vals) > rank_tol * float(np.abs(vals).max())
         inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
         pinv = (vecs * inv_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
         # symmetrized and scaled by 2^-s in one exact power-of-two product
@@ -153,26 +152,23 @@ class CenterBlocks:
         index *= k * k
         index += (self.alpha * k)[:, None]
         index += self.alpha[None, :]
-        return walsh[index]
+        return walsh[index], int(keep.sum())
 
 
 @dataclass(frozen=True)
 class SigmaPartition:
     """Interaction covariance over masks ordered center, left wing, right wing.
 
-    Without blocks the constructor checks that sigma is positive
-    semidefinite with one eigvalsh of sigma and keeps that spectrum as
-    eigenvalues.  With blocks (the wing Schur complement split by center
-    configuration, which must describe this sigma) the check is made on the
-    blocks instead: sigma is PSD exactly when the center masses are >= 0,
-    the wing rows lie in the row space of the center block (checked by
-    sb_inverse) and every block is PSD.  eigenvalues is then computed on
-    first read.
+    blocks is the wing Schur complement split by center configuration and
+    must describe this sigma.  sigma is then positive semidefinite exactly
+    when the center masses are >= 0, the wing rows lie in the row space of
+    the center block (checked by sb_inverse) and every block is PSD
+    (checked by CenterBlocks).
     """
 
     sigma: np.ndarray
     labels: IndexSets
-    blocks: Optional[CenterBlocks] = field(default=None, repr=False, compare=False)
+    blocks: CenterBlocks = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.sigma, dtype=np.float64)
@@ -187,21 +183,8 @@ class SigmaPartition:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "sigma", arr)
-        if self.blocks is not None:
-            if self.blocks.beta.shape != (expected - len(self.labels.b_set),):
-                raise ValueError("center blocks do not index the wings of sigma")
-            return
-        vals = self.eigenvalues
-        if vals.size and float(vals.min()) < _PSD_TOL:
-            raise ValueError(f"sigma has eigenvalue {float(vals.min())}, not PSD")
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending spectrum of sigma, read-only."""
-        arr = self.sigma
-        vals = np.linalg.eigvalsh((arr + arr.T) / 2.0) if arr.size else np.zeros(0)
-        vals.flags.writeable = False
-        return vals
+        if self.blocks.beta.shape != (expected - len(self.labels.b_set),):
+            raise ValueError("center blocks do not index the wings of sigma")
 
     @property
     def n_b(self) -> int:
@@ -231,13 +214,7 @@ class SigmaPartition:
 
 @dataclass(frozen=True)
 class SchurResult:
-    """Generalized Schur complement of the center block, plus row-space data.
-
-    path is "prism" when s_pinv and rank_s came from center blocks, else
-    "dense"; rank_source says how (rank_b, rank_s) were found: "threshold"
-    (eigenvalue cutoff), "additivity" (rank of sigma minus rank_b) or
-    "structure" (support counts of the blocks).
-    """
+    """Generalized Schur complement of the center block, plus row-space data."""
 
     s: np.ndarray
     s_pinv: np.ndarray
@@ -246,8 +223,6 @@ class SchurResult:
     residual: float
     rank_s: int
     b_pinv: np.ndarray
-    path: str = field(default="dense", compare=False)
-    rank_source: Tuple[str, str] = field(default=("threshold", "additivity"), compare=False)
 
 
 @dataclass(frozen=True)
@@ -272,6 +247,25 @@ class OmegaMatrix:
         return float(np.abs(sigma @ self.omega @ sigma - sigma).max())
 
 
+def _schur_parts(
+    sigma: np.ndarray, n_b: int, rank_tol: Optional[float]
+) -> Tuple[np.ndarray, int, np.ndarray, np.ndarray, float]:
+    """B+, rank(B), M = F' B+, S = D - M F and the row-space residual
+    max |F' - M B| of sigma split after its first n_b rows and columns.
+
+    The default rank cutoff for the center block B is anchored to max|sigma|.
+    """
+    b = sigma[:n_b, :n_b]
+    f = sigma[:n_b, n_b:]
+    anchor = float(np.abs(sigma).max()) if sigma.size else 0.0
+    b_pinv, rank_b = _pinv_eigh(b, rank_tol, anchor)
+    m = f.T @ b_pinv
+    s = sigma[n_b:, n_b:] - m @ f
+    s = (s + s.T) / 2.0
+    residual = float(np.abs(f.T - m @ b).max()) if f.size else 0.0
+    return b_pinv, rank_b, m, s, residual
+
+
 def schur_complement(
     sp: SigmaPartition, rank_tol: Optional[float] = None
 ) -> SchurResult:
@@ -280,36 +274,15 @@ def schur_complement(
     residual = max |sigma[wings, center] - M @ B|, which vanishes for any
     covariance because wing rows lie in the row space of the center block.
 
-    The default rank cutoff for the center block is anchored to max|sigma|.
-    The rank of S is not thresholded at all: with center blocks it is their
-    structural rank and S+ is assembled from the blocks' pseudoinverses;
-    otherwise it comes from the additivity identity rank(S) = rank(sigma) -
-    rank(B), which holds for any positive semidefinite partitioned matrix.
-    The subtraction forming S cancels entries at the scale of sigma, so S's
-    small eigenvalues carry no usable scale information and a threshold
-    there is unreliable.  An explicit rank_tol thresholds both B and S.
+    S+ and rank(S) come from the center blocks: the structural rank of
+    each block, and with rank_tol also the cutoff rank_tol * max|eigenvalue
+    of S| (CenterBlocks.s_pinv).  The dense S is never decomposed: the
+    subtraction forming it cancels entries at the scale of sigma, so its
+    small eigenvalues carry no usable scale information.  rank_tol also
+    thresholds B.
     """
-    b = sp.b_block
-    f = sp.f_block
-    d = sp.wing_block
-    anchor = float(np.abs(sp.sigma).max()) if sp.sigma.size else 0.0
-    b_pinv, rank_b = _pinv_eigh(b, rank_tol, anchor)
-    m = f.T @ b_pinv
-    s = d - m @ f if sp.n_b else d.copy()
-    s = (s + s.T) / 2.0
-    residual = float(np.abs(f.T - m @ b).max()) if f.size else 0.0
-    path = "dense"
-    if rank_tol is not None:
-        s_pinv, rank_s = _pinv_eigh(s, rank_tol, anchor)
-        source = "threshold"
-    elif sp.blocks is not None:
-        s_pinv, rank_s = sp.blocks.s_pinv(), int(sp.blocks.rank.sum())
-        path, source = "prism", "structure"
-    else:
-        rank_sigma = int(_kept(sp.eigenvalues, None, 0.0).sum())
-        rank_s = max(rank_sigma - rank_b, 0)
-        s_pinv, _ = _pinv_eigh(s, rank=rank_s)
-        source = "additivity"
+    b_pinv, rank_b, m, s, residual = _schur_parts(sp.sigma, sp.n_b, rank_tol)
+    s_pinv, rank_s = sp.blocks.s_pinv(rank_tol)
     return SchurResult(
         s=s,
         s_pinv=s_pinv,
@@ -318,8 +291,6 @@ def schur_complement(
         residual=residual,
         rank_s=rank_s,
         b_pinv=b_pinv,
-        path=path,
-        rank_source=("threshold", source),
     )
 
 

@@ -281,7 +281,9 @@ def test_split_writes_each_mask_as_rest_xor_member(basis, masks):
 
 def test_wing_split_indexes_the_block_layout(parity_feature_case):
     _, part = parity_feature_case
-    for p in (part, Partition.coordinate_split(2, 3, 1)):
+    overlap = Partition(3, (Mask(0b110, 3),), (Mask(0b010, 3),), (Mask(0b100, 3),))
+    assert build_index_sets(overlap).overlap
+    for p in (part, Partition.coordinate_split(2, 3, 1), overlap):
         labels = build_index_sets(p)
         a_comp, c_comp = p.wing_complements
         chars = [int(v) for v in a_comp.member_bits()[1:]] + [

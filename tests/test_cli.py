@@ -55,6 +55,18 @@ def test_verdict_exit_codes(tmp_path, part111_file, capsys):
     assert payload["max_offblock_S"] == 1.0
 
 
+def test_rank_tol_keeps_a_zero_schur_complement_separated(tmp_path, part111_file, capsys):
+    # this pmf's Schur complement is 0 up to rounding; a rank_tol relative to
+    # its own spectrum inverted the noise, and separation said not CI
+    ci = tmp_path / "ci.csv"
+    assert main(["random", "--mode", "ci", "--dims", "1,1,1", "--seed", "170",
+                 "--zero-prob", "0.3", "--out", str(ci)]) == 0
+    assert main(["test", str(ci), "--partition", part111_file, "--rank-tol", "1e-10"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["criteria"]["separation"] is True
+    assert payload["max_offblock_Omega"] <= payload["tol"]
+
+
 def test_verdict_payload_matches_library(tmp_path, part111_file, capsys):
     ci = tmp_path / "ci.csv"
     main(["random", "--mode", "ci", "--dims", "1,1,1", "--seed", "5",

@@ -327,15 +327,30 @@ def test_support_b_counts_positive_mass_center_configurations():
     assert thinned > 0
 
 
-def reference_belief_residual(center, part, labels):
-    # the belief route before it evaluated only complement representatives:
-    # one pair of conditional-mean tables per wing mask
-    from begin.engine import _cond_table_residual
+def reference_belief_residual(pmf, part, labels):
+    # the belief route before it evaluated only complement representatives
+    # and read them off the (b, a, c) table: one pair of conditional-mean
+    # tables per wing mask, given the center and the far block's own basis
+    from begin.engine import _chi, _ConfigTable
+
+    b_basis = [m.bits for m in part.b_span.basis]
+    center = _ConfigTable.of(pmf, b_basis)
+
+    def cond_table_residual(targets_bits, other_basis):
+        joint = _ConfigTable.of(pmf, b_basis + other_basis)
+        pos = joint.positive
+        parent = (np.arange(joint.mass.size) >> len(other_basis))[pos]
+        worst = 0.0
+        for t in targets_bits:
+            chi = _chi(center.cells, t)
+            gap = np.abs(joint.cond_mean(chi)[pos] - center.cond_mean(chi)[parent])
+            worst = max(worst, float(gap.max()))
+        return worst
 
     c_basis = [m.bits for m in part.c_span.basis]
     a_basis = [m.bits for m in part.a_span.basis]
-    left = _cond_table_residual(center, [m.bits for m in labels.l_set], c_basis)
-    right = _cond_table_residual(center, [m.bits for m in labels.r_set], a_basis)
+    left = cond_table_residual([m.bits for m in labels.l_set], c_basis)
+    right = cond_table_residual([m.bits for m in labels.r_set], a_basis)
     return max(left, right)
 
 
@@ -358,42 +373,37 @@ def belief_cases():
         except ValueError:
             continue
         cases.append((make_generic_pmf(p, seed=len(cases), zero_fraction=0.3), part))
+    # a wide split: 3 complement characters per wing, 192 wing masks
+    cases.append((make_generic_pmf(10, seed=3), Partition.coordinate_split(2, 6, 2)))
     return cases
 
 
-def test_belief_on_complement_representatives_is_bitwise_the_all_targets_loop(
-    monkeypatch,
-):
-    from begin.engine import _belief_residual, _ConfigTable
+def test_belief_on_complement_representatives_is_bitwise_the_all_targets_loop():
+    from begin.engine import _belief_residual, _wing_table
 
-    calls = []
-    real = _ConfigTable.cond_mean
-    monkeypatch.setattr(
-        _ConfigTable, "cond_mean", lambda self, v: calls.append(1) or real(self, v)
-    )
     overlapping = 0
     for pmf, part in belief_cases():
         labels = build_index_sets(part)
         overlapping += bool(labels.overlap)
-        center = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis])
-        expected = reference_belief_residual(center, part, labels)
-        calls.clear()
-        assert _belief_residual(center, part, labels) == expected
-        a_comp, c_comp = part.wing_complements
-        k = (1 << a_comp.dim) + (1 << c_comp.dim) - 2
-        assert len(calls) <= 2 * k
+        expected = reference_belief_residual(pmf, part, labels)
+        assert _belief_residual(_wing_table(pmf, part), part) == expected
         assert decide_ci(pmf, part).belief_residual == expected
     assert overlapping
 
 
 def test_belief_route_evaluates_few_targets_at_a_wide_split(monkeypatch):
-    from begin.engine import _ConfigTable
+    import begin.engine as engine
 
-    calls = []
-    real = _ConfigTable.cond_mean
+    calls, tables = [], []
+    real_mean, real_gap = engine._ConfigTable.cond_mean, engine._forget_gap
     monkeypatch.setattr(
-        _ConfigTable, "cond_mean", lambda self, v: calls.append(1) or real(self, v)
+        engine._ConfigTable, "cond_mean", lambda self, v: calls.append(1) or real_mean(self, v)
     )
-    # 2 + 6 + 2 coordinates: 3 complement characters per wing, not 192 masks
+    monkeypatch.setattr(
+        engine, "_forget_gap", lambda mass: tables.append(mass.shape) or real_gap(mass)
+    )
+    # 2 + 6 + 2 coordinates: one (b, a, c) table read once per wing, 3
+    # complement characters per wing, not 192 masks nor a pass per target
     decide_ci(make_generic_pmf(10, seed=3), Partition.coordinate_split(2, 6, 2))
-    assert len(calls) == 12
+    assert calls == []
+    assert tables == [(64, 4, 4), (64, 4, 4)]

@@ -1,8 +1,9 @@
-"""The block-prism Schur path against the dense path and the oracle.
+"""The block-prism Schur path against the dense reference and the oracle.
 
-With disjoint wings and no explicit rank_tol, schur_complement reads S+ and
-rank(S) off one small block per center configuration; the dense path stays
-as the reference and as the fallback.
+For every partition, overlapping wings included, and with or without an
+explicit rank_tol, schur_complement reads S+ and rank(S) off one small block
+per center configuration; the dense routes it replaced live on in
+tests/dense_reference.py.
 """
 
 import numpy as np
@@ -25,7 +26,11 @@ from begin import (
 )
 from begin import test_ci as decide_ci
 
+from dense_reference import reference_schur
+
 RELATIVE_GAP = 1e-8
+RANK_TOLS = (None, 1e-10)
+OVERLAP = Partition(3, (Mask(0b110, 3),), (Mask(0b100, 3),), (Mask(0b010, 3),))
 
 
 def pmf_for(p, draw):
@@ -57,7 +62,6 @@ def parity_cases(draw):
         part = Partition(p, *gens)
     except ValueError:
         assume(False)
-    assume(not build_index_sets(part).overlap)
     return pmf_for(p, draw), part
 
 
@@ -68,20 +72,28 @@ def complement_chars(part):
 
 def check_prism_against_dense_and_oracle(pmf, part):
     sp = assemble_sigma(pmf, part)
-    assert sp.blocks is not None
-    prism = schur_complement(sp)
-    dense = schur_complement(SigmaPartition(sp.sigma, sp.labels))
-    assert (prism.path, dense.path) == ("prism", "dense")
-    assert prism.rank_s == dense.rank_s
-    assert np.array_equal(prism.b_pinv, dense.b_pinv)
-    assert prism.rank_b == dense.rank_b
-    assert np.array_equal(prism.s, dense.s)
-    assert np.array_equal(prism.s_pinv, prism.s_pinv.T)
-    scale = float(np.abs(dense.s_pinv).max()) if dense.s_pinv.size else 0.0
-    gap = float(np.abs(prism.s_pinv - dense.s_pinv).max()) if scale else 0.0
-    assert gap <= RELATIVE_GAP * scale
-    assert sb_inverse(sp, prism).sigma_residual <= 1e-8
-    assert decide_ci(pmf, part).is_ci == oracle_ci(pmf, part).is_ci
+    expected = oracle_ci(pmf, part).is_ci
+    for rank_tol in RANK_TOLS:
+        prism = schur_complement(sp, rank_tol)
+        dense = reference_schur(sp, rank_tol)
+        assert np.array_equal(prism.s, dense.s)
+        assert np.array_equal(prism.b_pinv, dense.b_pinv)
+        assert prism.rank_b == dense.rank_b
+        assert np.array_equal(prism.s_pinv, prism.s_pinv.T)
+        if rank_tol is not None and not sp.blocks.rank.any():
+            # S is 0: a threshold relative to S's own largest eigenvalue
+            # keeps rounding noise, which the dense route inverted
+            assert prism.rank_s == 0 and not prism.s_pinv.any()
+            assert np.abs(dense.s).max(initial=0.0) <= 1e-12
+        else:
+            assert prism.rank_s == dense.rank_s
+            scale = float(np.abs(dense.s_pinv).max()) if dense.s_pinv.size else 0.0
+            gap = float(np.abs(prism.s_pinv - dense.s_pinv).max()) if scale else 0.0
+            assert gap <= RELATIVE_GAP * scale
+        assert sb_inverse(sp, prism).sigma_residual <= 1e-8
+        verdict = decide_ci(pmf, part, rank_tol=rank_tol)
+        assert verdict.is_ci == expected
+        assert set(verdict.criteria.values()) == {expected}
 
 
 @seed(11)
@@ -115,47 +127,66 @@ def test_prism_verdict_decomposes_no_matrix_larger_than_its_blocks(monkeypatch):
     parity = Partition(
         5, (Mask(0b11000, 5),), (Mask(0b01100, 5), Mask(0b00110, 5)), (Mask(0b00011, 5),)
     )
+    overlap = Partition(
+        5,
+        (Mask(0b11000, 5), Mask(0b00110, 5)),
+        (Mask(0b01100, 5),),
+        (Mask(0b00110, 5), Mask(0b00011, 5)),
+    )
     cases = [
         (make_ci_pmf(2, 3, 2, seed=5, zero_prob=0.3), Partition.coordinate_split(2, 3, 2)),
         (make_generic_pmf(7, seed=5), Partition.coordinate_split(1, 4, 2)),
         (make_generic_pmf(6, seed=8, zero_fraction=0.25), Partition.coordinate_split(3, 2, 1)),
         (make_generic_pmf(5, seed=9), parity),
+        (make_generic_pmf(3, seed=2), OVERLAP),
+        (make_generic_pmf(5, seed=10, zero_fraction=0.25), overlap),
     ]
     for pmf, part in cases:
         labels = build_index_sets(part)
         n = len(labels.all_masks())
         bound = max(len(labels.b_set), complement_chars(part))
         assert bound < n - len(labels.b_set)
-        sizes.clear()
-        decide_ci(pmf, part)
-        assert sizes and max(sizes) <= bound
+        for rank_tol in RANK_TOLS:
+            sizes.clear()
+            decide_ci(pmf, part, rank_tol=rank_tol)
+            assert sizes and max(sizes) <= bound
+    assert all(build_index_sets(part).overlap for _, part in cases[-2:])
 
 
-def test_dense_path_remains_for_overlap_rank_tol_and_hand_built_sigma():
-    overlap = Partition(3, (Mask(0b110, 3),), (Mask(0b100, 3),), (Mask(0b010, 3),))
-    assert build_index_sets(overlap).overlap
-    sp = assemble_sigma(make_generic_pmf(3, seed=2), overlap)
-    assert sp.blocks is None
-    sr = schur_complement(sp)
-    assert (sr.path, sr.rank_source) == ("dense", ("threshold", "additivity"))
-
-    sp = assemble_sigma(make_generic_pmf(5, seed=3), Partition.coordinate_split(2, 1, 2))
-    sr = schur_complement(sp)
-    assert (sr.path, sr.rank_source) == ("prism", ("threshold", "structure"))
-    sr = schur_complement(sp, rank_tol=1e-10)
-    assert (sr.path, sr.rank_source) == ("dense", ("threshold", "threshold"))
-    sr = schur_complement(SigmaPartition(sp.sigma, sp.labels))
-    assert (sr.path, sr.rank_source) == ("dense", ("threshold", "additivity"))
+def test_one_schur_route_for_overlap_rank_tol_and_every_sigma_partition():
+    assert build_index_sets(OVERLAP).overlap
+    split = Partition.coordinate_split(2, 1, 2)
+    for pmf, part in ((make_generic_pmf(3, seed=2), OVERLAP), (make_generic_pmf(5, seed=3), split)):
+        sp = assemble_sigma(pmf, part)
+        for rank_tol in RANK_TOLS:
+            sr = schur_complement(sp, rank_tol)
+            s_pinv, rank_s = sp.blocks.s_pinv(rank_tol)
+            assert np.array_equal(sr.s_pinv, s_pinv)
+            assert sr.rank_s == rank_s
+    with pytest.raises(TypeError):
+        SigmaPartition(sp.sigma, sp.labels)
 
 
-def test_block_path_defers_the_spectrum_of_sigma_to_first_read():
-    sp = assemble_sigma(make_generic_pmf(5, seed=4), Partition.coordinate_split(1, 2, 2))
-    assert "eigenvalues" not in vars(sp)
-    vals = sp.eigenvalues
-    assert np.array_equal(vals, np.linalg.eigvalsh((sp.sigma + sp.sigma.T) / 2.0))
-    with pytest.raises(ValueError):
-        vals[0] = 1.0
-    assert "eigenvalues" in vars(SigmaPartition(sp.sigma, sp.labels))
+def test_rank_tol_keeps_block_eigenvalues_above_the_cut_of_the_whole_spectrum():
+    # two configurations of two characters, wing positions (beta, alpha) =
+    # (0,0), (1,0), (0,1), (1,1); block 1 has structural rank 1, so its
+    # eigenvalue 3e-10 is dropped at any rank_tol
+    blocks = CenterBlocks(
+        stack=np.stack([np.diag([4.0, 1e-11]), np.diag([2.0, 3e-10])]),
+        mass=np.ones(2),
+        rank=np.array([2, 1]),
+        beta=np.array([0, 1, 0, 1]),
+        alpha=np.array([0, 0, 1, 1]),
+    )
+    assert blocks.s_pinv()[1] == 3
+    assert blocks.s_pinv(1e-12)[1] == 3
+    s_pinv, rank = blocks.s_pinv(1e-10)
+    # the cut is 1e-10 * 4, across both blocks: 1e-11 goes, so only 4 and 2
+    # are inverted, and 2^-1 fwht_b([1/4, 1/2]) = [3/8, -1/8] on character 0
+    assert rank == 2
+    expected = np.zeros((4, 4))
+    expected[:2, :2] = [[0.375, -0.125], [-0.125, 0.375]]
+    assert np.array_equal(s_pinv, expected)
 
 
 def test_center_blocks_refuse_negative_spectra_and_masses():
@@ -187,6 +218,18 @@ def test_block_ranks_count_the_support_graph():
         ]
     )
     assert _block_ranks(support).tolist() == [1, 1, 2, 0]
+
+
+def test_rank_tol_inverts_no_rounding_noise_of_a_zero_schur_complement():
+    # every block of this CI pmf's stack is 0, so S is 0 up to rounding; a
+    # threshold on S relative to its own largest eigenvalue inverted that
+    # noise into wing entries of Omega near 2e15, and separation said not CI
+    part = Partition.coordinate_split(1, 1, 1)
+    pmf = make_ci_pmf(1, 1, 1, seed=170, zero_prob=0.3)
+    assert oracle_ci(pmf, part).is_ci
+    verdict = decide_ci(pmf, part, rank_tol=1e-10)
+    assert all(verdict.criteria.values())
+    assert verdict.max_offblock_omega <= verdict.tol
 
 
 def test_ci_pmfs_give_exact_wing_zeros_and_agreeing_routes():

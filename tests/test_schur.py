@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from begin import (
+    CenterBlocks,
     Partition,
     SchurResult,
     SigmaPartition,
     assemble_sigma,
     build_index_sets,
+    fwht,
     make_ci_pmf,
     make_generic_pmf,
     pinv_sym,
     sb_inverse,
     schur_complement,
 )
+
+from dense_reference import reference_pinv_eigh, reference_schur
 
 PENROSE_TOL = 1e-8
 
@@ -72,16 +76,33 @@ def test_pinv_output_is_exactly_symmetric():
     assert np.abs(ap - ap.T).max() == 0.0
 
 
-def test_sigma_partition_validation(split111):
+def blocks_of(s, part):
+    """Center blocks whose wing Schur complement is s, which must have the
+    group form s[i, j] = table[beta_i ^ beta_j][alpha_i, alpha_j]."""
+    beta, alpha = part.wing_split
+    a_comp, c_comp = part.wing_complements
+    k = (1 << a_comp.dim) + (1 << c_comp.dim) - 2
+    table = np.zeros((1 << part.b_span.dim, k, k))
+    table[np.bitwise_xor.outer(beta, beta), alpha[:, None], alpha[None, :]] = s
+    stack = fwht(table)
+    rank = np.array([np.linalg.matrix_rank(block) for block in stack])
+    return CenterBlocks(stack=stack, mass=np.ones(len(stack)), rank=rank, beta=beta, alpha=alpha)
+
+
+def test_sigma_partition_validation(halves_pmf, split111):
     labels = build_index_sets(split111)
+    blocks = assemble_sigma(halves_pmf, split111).blocks
     with pytest.raises(ValueError):
-        SigmaPartition(np.eye(4), labels)  # needs 5x5
+        SigmaPartition(np.eye(4), labels, blocks)  # needs 5x5
     bad = np.eye(5)
     bad[0, 1] = 1e-6
     with pytest.raises(ValueError):
-        SigmaPartition(bad, labels)
-    with pytest.raises(ValueError):
-        SigmaPartition(-np.eye(5), labels)
+        SigmaPartition(bad, labels, blocks)
+    other = assemble_sigma(make_generic_pmf(4, seed=1), Partition.coordinate_split(1, 1, 2))
+    with pytest.raises(ValueError, match="do not index the wings"):
+        SigmaPartition(np.eye(5), labels, other.blocks)
+    with pytest.raises(TypeError):
+        SigmaPartition(np.eye(5), labels)
 
 
 def test_schur_kills_conditional_halves_coupling(halves_pmf, split111):
@@ -103,7 +124,7 @@ def test_schur_with_identity_center_and_zero_coupling(split111):
     labels = build_index_sets(split111)
     sigma = np.eye(5)
     sigma[1, 2] = sigma[2, 1] = 0.5  # inside the left wing
-    sp = SigmaPartition(sigma, labels)
+    sp = SigmaPartition(sigma, labels, blocks_of(sigma[1:, 1:], split111))
     sr = schur_complement(sp)
     np.testing.assert_array_equal(sr.s, sigma[1:, 1:])
     assert sr.rank_b == 1 and sr.residual == 0.0
@@ -191,8 +212,7 @@ def test_rowspace_and_sandwich_identities_across_pmf_mix():
 
 
 def reference_rank(arr):
-    # the fresh decomposition schur_complement ran before the PSD check's
-    # eigenvalues were kept
+    # a fresh decomposition of sigma
     vals = np.linalg.eigvalsh((arr + arr.T) / 2.0)
     scale = float(np.abs(vals).max())
     return int((np.abs(vals) > arr.shape[0] * np.finfo(np.float64).eps * scale).sum())
@@ -216,8 +236,8 @@ def corpus_mix(count, seed):
 
 def test_rank_from_stored_eigenvalues_matches_fresh_decomposition():
     for sp in corpus_mix(60, 41):
-        fresh = np.linalg.eigvalsh((sp.sigma + sp.sigma.T) / 2.0)
-        assert np.array_equal(sp.eigenvalues, fresh)
+        fresh = np.linalg.eigh(sp.blocks.stack)[0]
+        assert np.array_equal(sp.blocks.values, fresh)
         sr = schur_complement(sp)
         assert sr.rank_b + sr.rank_s == reference_rank(sp.sigma)
         assert sr.rank_s == max(reference_rank(sp.sigma) - sr.rank_b, 0)
@@ -225,10 +245,12 @@ def test_rank_from_stored_eigenvalues_matches_fresh_decomposition():
 
 
 def test_stored_eigenvalues_are_read_only(halves_pmf, split111):
-    sp = assemble_sigma(halves_pmf, split111)
-    assert sp.eigenvalues.shape == (5,)
+    blocks = assemble_sigma(halves_pmf, split111).blocks
+    assert blocks.values.shape == (2, 2)
     with pytest.raises(ValueError):
-        sp.eigenvalues[0] = 1.0
+        blocks.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        blocks.vectors[0, 0, 0] = 1.0
 
 
 def test_sigma_residual_is_lazy_and_equals_eager_formula():
@@ -239,67 +261,6 @@ def test_sigma_residual_is_lazy_and_equals_eager_formula():
         eager = float(np.abs(sigma @ om.omega @ sigma - sigma).max())
         assert om.sigma_residual == eager
         assert vars(om)["sigma_residual"] == eager
-
-
-# The three eigen helpers schur.py had before they were folded into one,
-# kept verbatim as references: the folded helper must reproduce them bit
-# for bit.
-
-
-def reference_pinv_eigh(arr, rank_tol, anchor):
-    n = arr.shape[0]
-    if n == 0:
-        return arr.copy().reshape(0, 0), 0
-    vals, vecs = np.linalg.eigh((arr + arr.T) / 2.0)
-    scale = float(np.abs(vals).max())
-    if rank_tol is None:
-        cutoff = n * np.finfo(np.float64).eps * max(scale, anchor)
-    else:
-        cutoff = rank_tol * scale
-    keep = np.abs(vals) > cutoff
-    inv_vals = np.zeros_like(vals)
-    inv_vals[keep] = 1.0 / vals[keep]
-    pinv = (vecs * inv_vals) @ vecs.T
-    return (pinv + pinv.T) / 2.0, int(keep.sum())
-
-
-def reference_pinv_top(arr, rank):
-    n = arr.shape[0]
-    if n == 0:
-        return arr.copy().reshape(0, 0)
-    vals, vecs = np.linalg.eigh((arr + arr.T) / 2.0)
-    inv_vals = np.zeros_like(vals)
-    if rank > 0:
-        top = np.argsort(vals)[-rank:]
-        inv_vals[top] = 1.0 / vals[top]
-    pinv = (vecs * inv_vals) @ vecs.T
-    return (pinv + pinv.T) / 2.0
-
-
-def reference_rank_eigh(vals, rank_tol):
-    n = vals.shape[0]
-    if n == 0:
-        return 0
-    scale = float(np.abs(vals).max())
-    if rank_tol is None:
-        rank_tol = n * np.finfo(np.float64).eps
-    return int((np.abs(vals) > rank_tol * scale).sum())
-
-
-def reference_schur(sp, rank_tol):
-    # schur_complement's arithmetic with the reference helpers plugged in
-    b, f, d = sp.b_block, sp.f_block, sp.wing_block
-    anchor = float(np.abs(sp.sigma).max()) if sp.sigma.size else 0.0
-    b_pinv, rank_b = reference_pinv_eigh(b, rank_tol, anchor)
-    m = f.T @ b_pinv
-    s = d - m @ f if sp.n_b else d.copy()
-    s = (s + s.T) / 2.0
-    if rank_tol is None:
-        rank_s = max(reference_rank_eigh(sp.eigenvalues, None) - rank_b, 0)
-        s_pinv = reference_pinv_top(s, rank_s)
-    else:
-        s_pinv, rank_s = reference_pinv_eigh(s, rank_tol, anchor)
-    return s_pinv, b_pinv, rank_b, rank_s
 
 
 def assert_pinv_matches_reference(a, rank_tol):
@@ -330,24 +291,21 @@ def test_schur_complement_is_bitwise_the_reference_helpers(rank_tol):
     cases.append(assemble_sigma(make_generic_pmf(3, seed=6), empty_center))
     assert cases[-1].n_b == 0
     for sp in cases:
-        # the reference helpers are the dense path, which a SigmaPartition
-        # without center blocks takes
-        dense = schur_complement(SigmaPartition(sp.sigma, sp.labels), rank_tol)
-        s_pinv, b_pinv, rank_b, rank_s = reference_schur(sp, rank_tol)
-        assert np.array_equal(dense.s_pinv, s_pinv)
-        assert np.array_equal(dense.b_pinv, b_pinv)
-        assert dense.rank_b == rank_b
-        assert dense.rank_s == rank_s
+        # S, B+ and rank(B) are the dense arithmetic; S+ comes from the center
+        # blocks, and tests/test_prism.py holds it to the dense one
+        dense = reference_schur(sp, rank_tol)
         sr = schur_complement(sp, rank_tol)
-        assert np.array_equal(sr.b_pinv, b_pinv)
-        assert sr.rank_b == rank_b
-        assert sr.rank_s == rank_s
+        assert np.array_equal(sr.s, dense.s)
+        assert np.array_equal(sr.b_pinv, dense.b_pinv)
+        assert sr.rank_b == dense.rank_b
+        assert sr.rank_s == dense.rank_s
 
 
 def test_center_cutoff_is_anchored_to_the_scale_of_sigma(split111):
     # 1e-17 is far above eps times the center block's own scale, but below
     # eps times max|sigma|, so it counts as zero
-    sp = SigmaPartition(np.diag([1e-17, 1.0, 1.0, 1.0, 1.0]), build_index_sets(split111))
+    sigma = np.diag([1e-17, 1.0, 1.0, 1.0, 1.0])
+    sp = SigmaPartition(sigma, build_index_sets(split111), blocks_of(sigma[1:, 1:], split111))
     sr = schur_complement(sp)
     assert sr.rank_b == 0
     assert np.array_equal(sr.b_pinv, np.zeros((1, 1)))
