@@ -2,8 +2,9 @@
 
 Cells are indexed by bit patterns with X_1 most significant and bit j = 1
 meaning X_j = -1, so cell 0 is the all-(+1) corner.  The generators round
-probabilities to dyadic rationals (denominator 2^14 per conditional factor),
-which keeps every oracle identity exact in binary64.
+probabilities to dyadic rationals (denominator 2^14 per conditional factor,
+more for tables with over 2^14 positive cells), which keeps every oracle
+identity exact in binary64.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
 # denominator exponent for dyadic rounding: three factors of 2^-14 still
 # multiply exactly inside a binary64 mantissa
 DYADIC_BITS = 14
+# bits beyond log2(positive cells) once a table outgrows 2^DYADIC_BITS of them
+_DYADIC_HEADROOM = 8
 
 
 @dataclass(frozen=True)
@@ -131,13 +134,26 @@ def interaction_cov(
     return m[np.bitwise_xor.outer(rows, cols)] - np.outer(m[rows], m[cols])
 
 
-def _dyadic_probs(weights: np.ndarray, bits: int = DYADIC_BITS) -> np.ndarray:
+def _dyadic_bits(positive: int) -> int:
+    """Denominator exponent for a table with this many positive cells.
+
+    Every positive cell gets at least one count, so more than 2^bits of them
+    cannot sum to 1; past 2^DYADIC_BITS the exponent grows with the count.
+    """
+    if positive <= 1 << DYADIC_BITS:
+        return DYADIC_BITS
+    return (positive - 1).bit_length() + _DYADIC_HEADROOM
+
+
+def _dyadic_probs(weights: np.ndarray) -> np.ndarray:
     """Round nonnegative weights to exact probabilities k/2^bits.
 
-    Largest-remainder apportionment; strictly positive weights keep strictly
-    positive counts so the rounding never manufactures new zeros.
+    bits is _dyadic_bits of the positive count.  Largest-remainder
+    apportionment; strictly positive weights keep strictly positive counts
+    so the rounding never manufactures new zeros.
     """
     w = np.asarray(weights, dtype=np.float64)
+    bits = _dyadic_bits(int(np.count_nonzero(w > 0)))
     total = w.sum()
     if not total > 0.0:
         raise ValueError("weights must have positive sum")
@@ -192,9 +208,11 @@ def make_ci_pmf(
     na, nb, nc = 1 << r, 1 << s, 1 << t
     pb = _dirichlet_table(rng, nb, alpha, zero_prob)
     probs = np.zeros(na * nb * nc)
+    positive = np.count_nonzero(pb)
     for b in range(nb):
         pa = _dirichlet_table(rng, na, alpha, zero_prob)
         pc = _dirichlet_table(rng, nc, alpha, zero_prob)
+        positive = max(positive, np.count_nonzero(pa), np.count_nonzero(pc))
         if pb[b] == 0.0:
             continue
         block = pb[b] * np.outer(pa, pc)
@@ -209,7 +227,7 @@ def make_ci_pmf(
         "seed": seed,
         "zero_prob": zero_prob,
         "alpha": alpha,
-        "denom_bits": DYADIC_BITS,
+        "denom_bits": _dyadic_bits(int(positive)),
     }
     return Pmf(r + s + t, probs, meta=meta)
 
@@ -232,7 +250,7 @@ def make_generic_pmf(p: int, seed: int, zero_fraction: float = 0.0) -> Pmf:
         "p": p,
         "seed": seed,
         "zero_fraction": zero_fraction,
-        "denom_bits": DYADIC_BITS,
+        "denom_bits": _dyadic_bits(n - n_zero),
     }
     return Pmf(p, probs, meta=meta)
 

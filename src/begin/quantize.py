@@ -38,7 +38,8 @@ __all__ = [
 # full-event enumeration walks all 2^n subsets per side
 _EXACT_ATOM_CAP = 12
 # delta_curve's (2^d)^3 float64 joint table; 128 MiB admits d <= 8, the
-# depth bound QuantConfig's bit cap gives quantize
+# depth bound QuantConfig's bit cap gives quantize.  A grid's atom table is
+# held to the same limit.
 _JOINT_TABLE_BYTE_LIMIT = 1 << 27
 
 
@@ -122,6 +123,13 @@ class GridSource:
         for depth in (self.v_depth, self.u_depth, self.w_depth):
             if not 0 <= depth <= WIDTH_CAP:
                 raise ValueError(f"bad grid depth {depth}")
+        atom_bytes = 8 << (self.u_depth + self.v_depth + self.w_depth)
+        if atom_bytes > _JOINT_TABLE_BYTE_LIMIT:
+            raise ValueError(
+                f"grid depths u={self.u_depth}, v={self.v_depth}, w={self.w_depth} "
+                f"need a {atom_bytes}-byte atom table, beyond the "
+                f"{_JOINT_TABLE_BYTE_LIMIT}-byte limit"
+            )
         nv, nu, nw = 1 << self.v_depth, 1 << self.u_depth, 1 << self.w_depth
         vp = np.asarray(self.v_probs, dtype=np.float64).reshape(nv)
         _check_pmf_vector("v_probs", vp)
@@ -156,12 +164,16 @@ class GridSource:
         )
 
     def joint_table(self, d: int) -> np.ndarray:
-        """Exact joint of (U_d, V_d, W_d) cells; dyadic inputs stay exact."""
+        """Exact joint of (U_d, V_d, W_d) cells; dyadic inputs stay exact.
+
+        Each axis is refined or merged on its own.  The merging axes go
+        first, so no intermediate outgrows the atom table or the result.
+        """
         table = self._atom_table()
-        fu = _depth_map(d, self.u_depth)
-        fv = _depth_map(d, self.v_depth)
-        fw = _depth_map(d, self.w_depth)
-        return np.einsum("ia,jb,kc,abc->ijk", fu, fv, fw, table)
+        depths = (self.u_depth, self.v_depth, self.w_depth)
+        for axis in sorted(range(3), key=lambda ax: d >= depths[ax]):
+            table = _to_depth(table, axis, depths[axis], d)
+        return table
 
     def measured_constants(self) -> Optional[Tuple[float, float, float]]:
         if None in (self.alpha, self.l_u, self.l_w):
@@ -169,22 +181,21 @@ class GridSource:
         return (self.alpha, self.l_u, self.l_w)
 
 
-def _depth_map(d: int, atom_depth: int) -> np.ndarray:
-    """Mass-split matrix from atoms to depth-d cells.
+def _to_depth(table: np.ndarray, axis: int, atom_depth: int, d: int) -> np.ndarray:
+    """Atom masses along one axis to depth-d cell masses.
 
-    Entry (cell, atom) = conditional probability of the cell given the atom,
-    with the coordinate uniform inside its atom; every entry is a power of
-    two or zero.
+    A coordinate is uniform inside its atom, so refining splits each atom
+    evenly over its 2^(d - atom_depth) cells (exact: a power-of-two
+    scaling), and merging sums each run of 2^(atom_depth - d) atoms.
     """
-    n_cell, n_atom = 1 << d, 1 << atom_depth
-    f = np.zeros((n_cell, n_atom))
     if d >= atom_depth:
         split = 1 << (d - atom_depth)
-        f[np.arange(n_cell), np.arange(n_cell) >> (d - atom_depth)] = 1.0 / split
-    else:
-        merge = 1 << (atom_depth - d)
-        f[np.arange(n_atom) >> (atom_depth - d), np.arange(n_atom)] = 1.0
-    return f
+        out = np.repeat(table, split, axis=axis)
+        out /= split
+        return out
+    shape = list(table.shape)
+    shape[axis : axis + 1] = [1 << d, 1 << (atom_depth - d)]
+    return table.reshape(shape).sum(axis=axis + 1)
 
 
 @dataclass(frozen=True)
@@ -240,12 +251,16 @@ class SmoothSource:
         rho = self.v_probs / atom_width
         cell_edges = -1.0 + 2.0 ** (1 - d) * np.arange(nv_cell + 1)
         atom_edges = -1.0 + atom_width * np.arange((1 << self.v_depth) + 1)
+        # cell j meets one atom when d >= v_depth, else a run of 2^(v_depth - d)
+        shift = d - self.v_depth
         for j in range(nv_cell):
-            for a in range(1 << self.v_depth):
+            if shift >= 0:
+                atoms = range(j >> shift, (j >> shift) + 1)
+            else:
+                atoms = range(j << -shift, (j + 1) << -shift)
+            for a in atoms:
                 lo = max(cell_edges[j], atom_edges[a])
                 hi = min(cell_edges[j + 1], atom_edges[a + 1])
-                if hi <= lo:
-                    continue
                 j0 = hi - lo
                 j1 = (hi * hi - lo * lo) / 2.0
                 j2 = (hi**3 - lo**3) / 3.0

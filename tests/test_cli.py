@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from begin import (
+    GridSource,
     Mask,
     Partition,
     Pmf,
@@ -246,6 +247,14 @@ def test_random_modes_are_deterministic(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
+def test_random_generic_past_2_to_the_14_cells(tmp_path):
+    out = tmp_path / "wide.csv"
+    assert main(["random", "--mode", "generic", "--dims", "16", "--seed", "1",
+                 "--out", str(out)]) == 0
+    pmf = read_pmf_csv(str(out))
+    assert pmf.p == 16 and pmf.probs.sum() == 1.0
+
+
 def test_random_argument_validation(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["random", "--mode", "ci", "--dims", "2", "--out", str(out)]) == 2
@@ -341,3 +350,21 @@ def test_inputs_wider_than_the_cap_exit_two_before_allocating(
     wide_samples.write_text(",".join(["1"] * 40) + "\n" + ",".join(["-1"] * 40) + "\n")
     assert main(["test", str(wide_samples), "--partition", part111_file]) == 2
     assert capsys.readouterr().err == "error: 40 sample columns exceed the 24-bit cap\n"
+
+
+def test_grid_atom_tables_past_the_byte_limit_exit_two(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("atom table built")
+
+    monkeypatch.setattr(GridSource, "_atom_table", refuse)
+    src = tmp_path / "deep.json"
+    src.write_text(json.dumps({
+        "kind": "grid", "v_depth": 10, "u_depth": 10, "w_depth": 10,
+        "v_probs": [1.0], "u_given_v": [[1.0]], "w_given_v": [[1.0]],
+    }))
+    for cmd in ("delta", "quantize"):
+        assert main([cmd, str(src), "--depths", "1..2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid depths u=10, v=10, w=10 need a 8589934592-byte atom table, "
+            "beyond the 134217728-byte limit\n"
+        )

@@ -20,6 +20,7 @@ from begin import (
     write_pmf_csv,
     write_samples_csv,
 )
+from begin.distribution import _dyadic_bits
 from conftest import cell_index
 
 
@@ -154,6 +155,46 @@ def test_generic_constructor_properties():
 
     with pytest.raises(ValueError):
         make_generic_pmf(3, seed=1, zero_fraction=1.0)
+
+
+def test_dyadic_bits_grow_only_past_2_to_the_14_positive_cells():
+    assert [_dyadic_bits(n) for n in (1, 2, 1 << 14)] == [14, 14, 14]
+    # ceil(log2(positive cells)) + 8 above that
+    assert _dyadic_bits((1 << 14) + 1) == 23
+    assert _dyadic_bits(1 << 15) == 23
+    assert _dyadic_bits(1 << 20) == 28
+    pmf = make_generic_pmf(14, seed=1)
+    assert pmf.meta["denom_bits"] == 14
+    scaled = pmf.probs * (1 << 14)
+    assert np.array_equal(scaled, np.round(scaled))
+
+
+@pytest.mark.parametrize("p", [15, 16, 20])
+def test_generic_pmfs_past_2_to_the_14_cells_sum_to_one(p):
+    for zero_fraction in (0.0, 0.3):
+        pmf = make_generic_pmf(p, seed=1, zero_fraction=zero_fraction)
+        assert pmf.probs.sum() == 1.0
+        bits = pmf.meta["denom_bits"]
+        assert bits == (pmf.support_size - 1).bit_length() + 8
+        scaled = pmf.probs * 2.0**bits
+        assert np.array_equal(scaled, np.round(scaled))
+
+
+@pytest.mark.parametrize("dims, bits", [((15, 1, 0), 23), ((18, 1, 1), 26)])
+def test_ci_pmfs_with_tables_past_2_to_the_14_cells_sum_to_one(dims, bits):
+    r, s, t = dims
+    pmf = make_ci_pmf(r, s, t, seed=1)
+    assert pmf.probs.sum() == 1.0
+    assert pmf.meta["denom_bits"] == bits
+    # p(a, b, c) = p(b) p(a|b) p(c|b), read off the table itself
+    table = pmf.probs.reshape(1 << r, 1 << s, 1 << t)
+    p_b = table.sum(axis=(0, 2))
+    for b in range(1 << s):
+        joint = table[:, b, :]
+        np.testing.assert_allclose(
+            joint * p_b[b], np.outer(joint.sum(axis=1), joint.sum(axis=0)),
+            rtol=0, atol=1e-18,
+        )
 
 
 def test_cycle_model_examples():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from begin import (
     DeltaPoint,
@@ -13,6 +15,11 @@ from begin import (
     quantized_partition,
     quantized_pmf,
     source_from_json,
+)
+from begin.distribution import _dyadic_probs
+from dense_reference import (
+    reference_grid_joint_table,
+    reference_smooth_joint_table,
 )
 
 
@@ -112,6 +119,133 @@ def test_grid_source_pmf_is_exactly_dyadic():
     scaled = pmf.probs * 256
     assert np.array_equal(scaled, np.round(scaled))
     assert pmf.probs.sum() == 1.0
+
+
+def _pmf_rows(rng, rows, size, dyadic):
+    weights = rng.random((rows, size)) * (rng.random((rows, size)) >= 0.3)
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    if dyadic:
+        return np.array([_dyadic_probs(row) for row in weights])
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def grid_cases(draw):
+    u, v, w = (draw(st.integers(0, 4)) for _ in range(3))
+    d = draw(st.integers(0, 6))
+    # the reference einsum runs 8^d * 2^(u+v+w) products; 2^27 is ~0.1 s
+    assume(3 * d + u + v + w <= 27)
+    dyadic = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nu, nv, nw = 1 << u, 1 << v, 1 << w
+    spec = dict(v_depth=v, v_probs=_pmf_rows(rng, 1, nv, dyadic)[0],
+                u_depth=u, w_depth=w)
+    if draw(st.booleans()):
+        spec["u_given_v"] = _pmf_rows(rng, nv, nu, dyadic)
+        spec["w_given_v"] = _pmf_rows(rng, nv, nw, dyadic)
+    else:
+        spec["uw_given_v"] = _pmf_rows(rng, nv, nu * nw, dyadic)
+    return GridSource(**spec), d, dyadic
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=grid_cases())
+def test_grid_joint_table_matches_the_dense_depth_maps(case):
+    source, d, dyadic = case
+    got = source.joint_table(d)
+    want = reference_grid_joint_table(source, d)
+    assert got.shape == want.shape == (1 << d,) * 3
+    if dyadic or d >= source.max_depth:
+        # refining only scales by powers of two; dyadic sums are exact in
+        # any order
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_grid_joint_table_needs_no_four_way_einsum(monkeypatch):
+    # the dense depth maps cost 8^d * 2^(u+v+w) products: about 8 s here
+    einsum = np.einsum
+
+    def at_most_three(subscripts, *operands, **kwargs):
+        if len(operands) > 3:
+            raise AssertionError(f"{len(operands)}-operand einsum {subscripts!r}")
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", at_most_three)
+    rng = np.random.default_rng(5)
+    source = GridSource(
+        v_depth=5,
+        v_probs=_pmf_rows(rng, 1, 32, True)[0],
+        u_depth=5,
+        w_depth=5,
+        u_given_v=_pmf_rows(rng, 32, 32, True),
+        w_given_v=_pmf_rows(rng, 32, 32, True),
+    )
+    table = source.joint_table(5)
+    assert table.tobytes() == source._atom_table().tobytes()
+
+
+def test_grid_joint_table_merges_before_it_refines(monkeypatch):
+    # U's 2^12 atoms become 2^6 cells before V and W are split, so no
+    # intermediate outgrows the 2^18-cell result; splitting first would
+    # pass through 2^24 cells
+    sizes = []
+    repeat = np.repeat
+
+    def recording(a, repeats, axis=None):
+        out = repeat(a, repeats, axis=axis)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "repeat", recording)
+    source = GridSource(
+        v_depth=0,
+        v_probs=[1.0],
+        u_depth=12,
+        w_depth=0,
+        uw_given_v=np.full((1, 4096, 1), 1.0 / 4096),
+    )
+    table = source.joint_table(6)
+    assert table.shape == (64, 64, 64)
+    assert max(sizes) == 1 << 18
+    assert np.all(table == 2.0**-18)
+
+
+def test_grid_atom_tables_past_the_byte_limit_are_refused(monkeypatch):
+    def refuse(self):
+        raise AssertionError("atom table built")
+
+    monkeypatch.setattr(GridSource, "_atom_table", refuse)
+    tiny = dict(v_probs=[1.0], u_given_v=[[1.0]], w_given_v=[[1.0]])
+    with pytest.raises(
+        ValueError,
+        match="grid depths u=10, v=10, w=10 need a 8589934592-byte atom table, "
+        "beyond the 134217728-byte limit",
+    ):
+        GridSource(v_depth=10, u_depth=10, w_depth=10, **tiny)
+    with pytest.raises(ValueError, match="need a 268435456-byte atom table"):
+        GridSource(v_depth=9, u_depth=8, w_depth=8, **tiny)
+    # 2^24 atoms is exactly the limit: admitted, then the tiny arrays fail
+    # to reshape
+    with pytest.raises(ValueError) as exc:
+        GridSource(v_depth=8, u_depth=8, w_depth=8, **tiny)
+    assert "atom table" not in str(exc.value)
+
+
+@pytest.mark.parametrize("v_depth", [0, 1, 2, 3, 4])
+def test_smooth_joint_table_matches_the_all_pairs_loop(v_depth):
+    rng = np.random.default_rng(v_depth)
+    nv = 1 << v_depth
+    source = SmoothSource(
+        v_depth=v_depth,
+        v_probs=_pmf_rows(rng, 1, nv, False)[0],
+        u_mean=rng.uniform(-0.5, 0.5, size=(nv, 2)),
+        w_mean=rng.uniform(-0.5, 0.5, size=(nv, 2)),
+    )
+    for d in range(7):
+        got = source.joint_table(d)
+        assert got.tobytes() == reference_smooth_joint_table(source, d).tobytes()
 
 
 def test_grid_scan_turns_exact_at_grid_depth():
