@@ -34,6 +34,12 @@ __all__ = [
     "read_samples_csv",
 ]
 
+# largest dense float64 table a call may allocate: 128 MiB admits
+# delta_curve's (2^d)^3 joint table up to d = 8 (the depth bound
+# QuantConfig's bit cap gives quantize), a grid source's atom table and the
+# n x n sigma of a partition with n <= 4096 masks
+_BYTE_LIMIT = 1 << 27
+
 # denominator exponent for dyadic rounding: three factors of 2^-14 still
 # multiply exactly inside a binary64 mantissa
 DYADIC_BITS = 14
@@ -131,7 +137,9 @@ def interaction_cov(
     cols = np.array([mk.bits for mk in col_masks], dtype=np.int64).reshape(-1)
     if rows.size == 0 or cols.size == 0:
         return np.zeros((rows.size, cols.size))
-    return m[np.bitwise_xor.outer(rows, cols)] - np.outer(m[rows], m[cols])
+    cov = m[np.bitwise_xor.outer(rows, cols)]
+    cov -= np.outer(m[rows], m[cols])
+    return cov
 
 
 def _dyadic_bits(positive: int) -> int:

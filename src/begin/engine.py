@@ -15,13 +15,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bitgroup import Mask, Partition, build_index_sets, span_generate
-from .distribution import Pmf, interaction_cov, moments_from_pmf
+from .distribution import _BYTE_LIMIT, Pmf, interaction_cov, moments_from_pmf
 from .graph import build_graph, separates
 from .hadamard import fwht
 from .schur import (
     CenterBlocks,
     SchurResult,
     SigmaPartition,
+    _max_abs,
     _schur_parts,
     pinv_sym,
     sb_inverse,
@@ -165,6 +166,12 @@ def assemble_sigma(
         raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
     labels = build_index_sets(part)
     masks = labels.all_masks()
+    sigma_bytes = 8 * len(masks) ** 2
+    if sigma_bytes > _BYTE_LIMIT:
+        raise ValueError(
+            f"sigma over n = {len(masks)} masks needs {sigma_bytes} bytes, "
+            f"beyond the {_BYTE_LIMIT}-byte limit"
+        )
     # exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
     sigma = interaction_cov(pmf, masks, masks)
     if joint is None:
@@ -274,7 +281,7 @@ def _factorization_witness(
     m1 = sr.m[:n_l, :]
     m2 = sr.m[n_l:, :]
     rhs = m1 @ sp.b_block @ m2.T if n_b else np.zeros_like(lhs)
-    gap = float(np.abs(lhs - rhs).max()) if lhs.size else 0.0
+    gap = _max_abs(lhs - rhs)
     return FactorizationWitness(
         ok=gap <= tol, m1=m1, m2=m2, lhs=lhs, rhs=rhs, gap=gap
     )
@@ -300,8 +307,8 @@ def test_ci(
     n_l = sp.n_l
     s_off = sr.s[:n_l, n_l:]
     omega_off = om.wing_block[:n_l, n_l:]
-    max_s = float(np.abs(s_off).max()) if s_off.size else 0.0
-    max_omega = float(np.abs(omega_off).max()) if omega_off.size else 0.0
+    max_s = _max_abs(s_off)
+    max_omega = _max_abs(omega_off)
 
     belief_residual = _belief_residual(joint, part)
     fact = _factorization_witness(sp, sr, tol)
@@ -455,7 +462,7 @@ def subset_offblock(
     s = _schur_parts(interaction_cov(pmf, masks, masks), len(subset), rank_tol)[3]
     n_l = len(labels.l_set)
     off = s[:n_l, n_l:]
-    return float(np.abs(off).max()) if off.size else 0.0
+    return _max_abs(off)
 
 
 @dataclass(frozen=True)

@@ -42,37 +42,49 @@ class GraphNode:
             raise ValueError(f"wing must be B, L, or R, got {self.wing!r}")
 
 
+_WINGS = "BLR"
+_WING_CODES = np.arange(3, dtype=np.int8)
+_WING_LETTERS = np.array(list(_WINGS))
+
+
 class NodeList:
     """Read-only sequence of GraphNodes whose wings are held as an array.
 
     Iterates, indexes, measures and compares equal like the tuple of nodes
-    it stands for.  A graph built from index sets makes its nodes, with
+    it stands for.  codes holds each node's wing as its index in "BLR"
+    (int8).  A graph built from index sets makes its nodes, with
     their display labels, only when they are first read: a verdict needs
     only the wings.
     """
 
-    __slots__ = ("wings", "_index_sets", "_nodes")
+    __slots__ = ("codes", "_index_sets", "_nodes")
 
     def __init__(self, nodes: Iterable[GraphNode]) -> None:
         nodes = tuple(nodes)
-        self._set(np.array([node.wing for node in nodes], dtype="<U1"), None, nodes)
+        codes = np.array([_WINGS.index(node.wing) for node in nodes], dtype=np.int8)
+        self._set(codes, None, nodes)
 
     @classmethod
     def of_index_sets(cls, labels: IndexSets) -> "NodeList":
         """Center, left and right wing masks in order, labelled on first read."""
         out = cls.__new__(cls)
         counts = (len(labels.b_set), len(labels.l_set), len(labels.r_set))
-        out._set(np.repeat(np.array(["B", "L", "R"]), counts), labels, None)
+        out._set(np.repeat(_WING_CODES, counts), labels, None)
         return out
 
-    def _set(self, wings: np.ndarray, labels: Optional[IndexSets], nodes) -> None:
-        wings.flags.writeable = False
-        object.__setattr__(self, "wings", wings)
+    def _set(self, codes: np.ndarray, labels: Optional[IndexSets], nodes) -> None:
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "_index_sets", labels)
         object.__setattr__(self, "_nodes", nodes)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NodeList is read-only")
+
+    @property
+    def wings(self) -> np.ndarray:
+        """Each node's wing letter."""
+        return _WING_LETTERS[self.codes]
 
     @property
     def _tuple(self) -> Tuple[GraphNode, ...]:
@@ -81,7 +93,7 @@ class NodeList:
         return self._nodes
 
     def __len__(self) -> int:
-        return int(self.wings.shape[0])
+        return int(self.codes.shape[0])
 
     def __iter__(self) -> Iterator[GraphNode]:
         return iter(self._tuple)
@@ -117,11 +129,21 @@ class EdgeList:
     __slots__ = ("rows", "cols", "weights")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> None:
-        arrays = (
+        self._hold(
             np.array(rows, dtype=np.int64),
             np.array(cols, dtype=np.int64),
             np.array(weights, dtype=np.float64),
         )
+
+    @classmethod
+    def _adopt(cls, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> "EdgeList":
+        """Edges over int64, int64 and float64 arrays that the caller made
+        for this list and gives up: they are frozen, not copied."""
+        out = cls.__new__(cls)
+        out._hold(rows, cols, weights)
+        return out
+
+    def _hold(self, *arrays: np.ndarray) -> None:
         if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
             raise ValueError("edge rows, cols and weights must be equal-length vectors")
         for name, arr in zip(self.__slots__, arrays):
@@ -238,9 +260,15 @@ def build_graph(omega: OmegaMatrix, labels: IndexSets, tol: float) -> BeginGraph
         raise ValueError(
             f"omega shape {omega.omega.shape} does not match {n} labeled masks"
         )
-    mat = omega.omega
-    rows, cols = np.nonzero(np.triu(np.abs(mat) > tol, 1))
-    edges = EdgeList(rows, cols, mat[rows, cols])
+    mat = np.asarray(omega.omega, dtype=np.float64)
+    # |entry| > tol over the strict upper triangle, with no |omega| temporary
+    upper = mat > tol
+    upper |= mat < -tol
+    upper &= ~np.tri(n, dtype=bool)
+    # one row-major pass: flat indices give the rows, columns and weights
+    flat = np.flatnonzero(upper)
+    rows, cols = np.divmod(flat, n)
+    edges = EdgeList._adopt(rows, cols, mat.ravel()[flat])
     return BeginGraph(nodes=NodeList.of_index_sets(labels), edges=edges, tol=tol)
 
 
@@ -251,9 +279,9 @@ def separates(g: BeginGraph) -> bool:
     wing to the right one that avoids the center must cross a left-right
     edge somewhere; separation is the absence of such an edge.
     """
-    wings = g.nodes.wings
-    a, b = wings[g.edges.rows], wings[g.edges.cols]
-    return not ((a != b) & (a != "B") & (b != "B")).any()
+    codes = g.nodes.codes
+    # B, L, R are codes 0, 1, 2: only a left-right edge XORs to 3
+    return not ((codes[g.edges.rows] ^ codes[g.edges.cols]) == 3).any()
 
 
 def _dot_quote(text: str) -> str:

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bitgroup import WIDTH_CAP, Partition
-from .distribution import Pmf
+from .distribution import _BYTE_LIMIT, Pmf
 from .engine import CiVerdict, test_ci
 
 __all__ = [
@@ -37,10 +37,6 @@ __all__ = [
 
 # full-event enumeration walks all 2^n subsets per side
 _EXACT_ATOM_CAP = 12
-# delta_curve's (2^d)^3 float64 joint table; 128 MiB admits d <= 8, the
-# depth bound QuantConfig's bit cap gives quantize.  A grid's atom table is
-# held to the same limit.
-_JOINT_TABLE_BYTE_LIMIT = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,15 @@ def _cell_centers(d: int) -> np.ndarray:
     return -1.0 + 2.0 ** (-d) + 2.0 ** (1 - d) * np.arange(1 << d)
 
 
-def _check_pmf_vector(name: str, vec: np.ndarray) -> None:
-    if vec.min() < 0.0 or abs(vec.sum() - 1.0) > 1e-12:
+def _check_pmf_rows(tables: Sequence[Tuple[str, np.ndarray]]) -> None:
+    """Refuse the first row that is not a probability vector, taking row j of
+    every table in turn before row j + 1; all rows are checked in one pass."""
+    bad = np.stack(
+        [(rows.min(axis=1) < 0.0) | (np.abs(rows.sum(axis=1) - 1.0) > 1e-12) for _, rows in tables]
+    )
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))
+        name = tables[int(np.argmax(bad[:, j]))][0]
         raise ValueError(f"{name} must be a probability vector")
 
 
@@ -124,15 +127,15 @@ class GridSource:
             if not 0 <= depth <= WIDTH_CAP:
                 raise ValueError(f"bad grid depth {depth}")
         atom_bytes = 8 << (self.u_depth + self.v_depth + self.w_depth)
-        if atom_bytes > _JOINT_TABLE_BYTE_LIMIT:
+        if atom_bytes > _BYTE_LIMIT:
             raise ValueError(
                 f"grid depths u={self.u_depth}, v={self.v_depth}, w={self.w_depth} "
                 f"need a {atom_bytes}-byte atom table, beyond the "
-                f"{_JOINT_TABLE_BYTE_LIMIT}-byte limit"
+                f"{_BYTE_LIMIT}-byte limit"
             )
         nv, nu, nw = 1 << self.v_depth, 1 << self.u_depth, 1 << self.w_depth
         vp = np.asarray(self.v_probs, dtype=np.float64).reshape(nv)
-        _check_pmf_vector("v_probs", vp)
+        _check_pmf_rows([("v_probs", vp.reshape(1, nv))])
         object.__setattr__(self, "v_probs", vp)
         product_mode = self.u_given_v is not None or self.w_given_v is not None
         if product_mode == (self.uw_given_v is not None):
@@ -140,15 +143,12 @@ class GridSource:
         if product_mode:
             ug = np.asarray(self.u_given_v, dtype=np.float64).reshape(nv, nu)
             wg = np.asarray(self.w_given_v, dtype=np.float64).reshape(nv, nw)
-            for j in range(nv):
-                _check_pmf_vector("u_given_v row", ug[j])
-                _check_pmf_vector("w_given_v row", wg[j])
+            _check_pmf_rows([("u_given_v row", ug), ("w_given_v row", wg)])
             object.__setattr__(self, "u_given_v", ug)
             object.__setattr__(self, "w_given_v", wg)
         else:
             uw = np.asarray(self.uw_given_v, dtype=np.float64).reshape(nv, nu, nw)
-            for j in range(nv):
-                _check_pmf_vector("uw_given_v slice", uw[j].reshape(-1))
+            _check_pmf_rows([("uw_given_v slice", uw.reshape(nv, -1))])
             object.__setattr__(self, "uw_given_v", uw)
 
     @property
@@ -222,7 +222,7 @@ class SmoothSource:
             raise ValueError(f"bad grid depth {self.v_depth}")
         nv = 1 << self.v_depth
         vp = np.asarray(self.v_probs, dtype=np.float64).reshape(nv)
-        _check_pmf_vector("v_probs", vp)
+        _check_pmf_rows([("v_probs", vp.reshape(1, nv))])
         um = np.asarray(self.u_mean, dtype=np.float64).reshape(nv, 2)
         wm = np.asarray(self.w_mean, dtype=np.float64).reshape(nv, 2)
         edges = -1.0 + 2.0 ** (1 - self.v_depth) * np.arange(nv + 1)
@@ -473,10 +473,10 @@ def delta_curve(
     for d in depths:
         cells = 1 << d
         table_bytes = 8 * cells**3
-        if table_bytes > _JOINT_TABLE_BYTE_LIMIT:
+        if table_bytes > _BYTE_LIMIT:
             raise ValueError(
                 f"depth {d} needs a {table_bytes}-byte joint table, beyond the "
-                f"{_JOINT_TABLE_BYTE_LIMIT}-byte limit in every mode"
+                f"{_BYTE_LIMIT}-byte limit in every mode"
             )
         if mode == "exact" and cells > _EXACT_ATOM_CAP:
             raise ValueError(

@@ -34,10 +34,68 @@ _PSD_TOL = -1e-10
 _RESIDUAL_TOL = 1e-8
 
 
+# Edge of the square tiles the symmetric passes go over.  Reading a down
+# its columns costs a cache or TLB miss per entry once a row spans a
+# multiple of 4 KiB (the 1536-mask wing block of a (2,8,2) split); a pair
+# of 128 x 128 float64 tiles (256 KiB) stays in cache while one of them is
+# read transposed.  Up to one tile the plain expressions are used: there
+# the tile loop only adds per-call cost (tools/ab_kernel_branches.py
+# measures each branch on the corpus_small inputs).
+_TILE = 128
+
+
+def _tile_pairs(n: int):
+    """Row and column slices of the square tiles on and above the diagonal."""
+    spans = [slice(i, min(i + _TILE, n)) for i in range(0, n, _TILE)]
+    return [(rows, cols) for k, rows in enumerate(spans) for cols in spans[k:]]
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Overwrite a square float64 array with (a + a.T) / 2, bit for bit,
+    and return it.
+
+    Entry (j, i) is the same floating-point sum as entry (i, j), so each
+    pair of mirrored tiles is summed once, after both are read, and written
+    to both places.
+    """
+    if a.shape[0] <= _TILE:
+        return np.divide(a + a.T, 2.0, out=a)
+    for rows, cols in _tile_pairs(a.shape[0]):
+        half = a[rows, cols] + a[cols, rows].T
+        half /= 2.0
+        a[rows, cols] = half
+        if rows != cols:
+            a[cols, rows] = half.T
+    return a
+
+
+def _asymmetry(a: np.ndarray) -> float:
+    """max |a - a.T| of a square array, tile pair by tile pair (nan if a
+    holds a nan, as the plain expression gives); 0.0 for an empty array."""
+    if a.shape[0] <= _TILE:
+        return float(np.abs(a - a.T).max()) if a.size else 0.0
+    gaps = [
+        np.abs(a[rows, cols] - a[cols, rows].T).max()
+        for rows, cols in _tile_pairs(a.shape[0])
+    ]
+    return float(np.max(gaps))
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| without an |a| temporary; 0.0 for an empty array.
+
+    Equal to float(np.abs(a).max()) for every input: a nan propagates
+    through a.max(), and adding 0.0 turns a -0.0 maximum into abs's 0.0.
+    """
+    if not a.size:
+        return 0.0
+    return max(float(a.max()), -float(a.min())) + 0.0
+
+
 def _require_symmetric(a: np.ndarray, tol: float = _SYM_TOL) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and float(np.abs(a - a.T).max()) > tol:
+    if _asymmetry(a) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
@@ -55,7 +113,7 @@ def _pinv_eigh(
     n = arr.shape[0]
     if n == 0:
         return arr.copy().reshape(0, 0), 0
-    vals, vecs = np.linalg.eigh((arr + arr.T) / 2.0)
+    vals, vecs = np.linalg.eigh(_symmetrize(arr.copy()))
     scale = float(np.abs(vals).max())
     if rank_tol is None:
         cutoff = n * np.finfo(np.float64).eps * max(scale, anchor)
@@ -65,7 +123,7 @@ def _pinv_eigh(
     inv_vals = np.zeros_like(vals)
     inv_vals[keep] = 1.0 / vals[keep]
     pinv = (vecs * inv_vals) @ vecs.T
-    return (pinv + pinv.T) / 2.0, int(keep.sum())
+    return _symmetrize(pinv), int(keep.sum())
 
 
 def pinv_sym(
@@ -257,13 +315,14 @@ def _schur_parts(
     """
     b = sigma[:n_b, :n_b]
     f = sigma[:n_b, n_b:]
-    anchor = float(np.abs(sigma).max()) if sigma.size else 0.0
-    b_pinv, rank_b = _pinv_eigh(b, rank_tol, anchor)
+    b_pinv, rank_b = _pinv_eigh(b, rank_tol, _max_abs(sigma))
     m = f.T @ b_pinv
-    s = sigma[n_b:, n_b:] - m @ f
-    s = (s + s.T) / 2.0
-    residual = float(np.abs(f.T - m @ b).max()) if f.size else 0.0
-    return b_pinv, rank_b, m, s, residual
+    s = m @ f
+    np.subtract(sigma[n_b:, n_b:], s, out=s)
+    _symmetrize(s)
+    gap = m @ b
+    np.subtract(f.T, gap, out=gap)
+    return b_pinv, rank_b, m, s, _max_abs(gap)
 
 
 def schur_complement(
@@ -312,8 +371,8 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> OmegaMatrix:
         k = sr.b_pinv @ sp.f_block
         g = k @ sr.s_pinv
         corner = g @ k.T
-        omega[:n_b, :n_b] = sr.b_pinv + (corner + corner.T) / 2.0
-        omega[:n_b, n_b:] = -g
-        omega[n_b:, :n_b] = -g.T
+        np.add(sr.b_pinv, _symmetrize(corner), out=omega[:n_b, :n_b])
+        np.negative(g, out=omega[:n_b, n_b:])
+        omega[n_b:, :n_b] = omega[:n_b, n_b:].T
     omega[n_b:, n_b:] = sr.s_pinv
     return OmegaMatrix(omega=omega, f=sp.f_block.copy(), n_b=n_b, sigma=sp.sigma)

@@ -368,3 +368,22 @@ def test_grid_atom_tables_past_the_byte_limit_exit_two(tmp_path, capsys, monkeyp
             "error: grid depths u=10, v=10, w=10 need a 8589934592-byte atom table, "
             "beyond the 134217728-byte limit\n"
         )
+
+
+@pytest.mark.parametrize("subcommand", [["test"], ["graph", "--format", "json"]])
+def test_sigma_past_the_byte_limit_exits_two(tmp_path, capsys, monkeypatch, subcommand):
+    import begin.engine as engine_module
+
+    def allocate(*args):
+        raise AssertionError("sigma allocated")
+
+    monkeypatch.setattr(engine_module, "interaction_cov", allocate)
+    part = tmp_path / "part.json"
+    part.write_text(partition_to_json(Partition.coordinate_split(2, 10, 2)))
+    pmf = tmp_path / "p14.csv"
+    assert main(["random", "--mode", "generic", "--dims", "14", "--seed", "3",
+                 "--out", str(pmf)]) == 0
+    code = main([subcommand[0], str(pmf), "--partition", str(part), *subcommand[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n = 7167 masks" in err and "134217728-byte limit" in err

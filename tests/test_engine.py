@@ -407,3 +407,43 @@ def test_belief_route_evaluates_few_targets_at_a_wide_split(monkeypatch):
     decide_ci(make_generic_pmf(10, seed=3), Partition.coordinate_split(2, 6, 2))
     assert calls == []
     assert tables == [(64, 4, 4), (64, 4, 4)]
+
+
+# Byte admission: a partition whose n x n float64 sigma would pass the
+# 128 MiB limit is refused before interaction_cov allocates it.
+
+
+class Allocated(Exception):
+    pass
+
+
+def refuse_to_allocate(monkeypatch):
+    import begin.engine as engine_module
+
+    def allocate(*args):
+        raise Allocated
+
+    monkeypatch.setattr(engine_module, "interaction_cov", allocate)
+
+
+def test_sigma_past_the_byte_limit_is_refused_before_allocation(monkeypatch):
+    from begin.distribution import _BYTE_LIMIT
+
+    refuse_to_allocate(monkeypatch)
+    part = Partition.coordinate_split(2, 10, 2)
+    pmf = make_generic_pmf(14, seed=1)
+    n = 7167
+    assert len(build_index_sets(part).all_masks()) == n and 8 * n * n > _BYTE_LIMIT == 1 << 27
+    message = rf"n = {n} masks needs {8 * n * n} bytes, beyond the {_BYTE_LIMIT}-byte limit"
+    with pytest.raises(ValueError, match=message):
+        assemble_sigma(pmf, part)
+    with pytest.raises(ValueError, match=message):
+        decide_ci(pmf, part)
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 3), (2, 7, 2), (2, 8, 2), (2, 9, 2)])
+def test_benchmark_and_roadmap_shapes_are_admitted(monkeypatch, shape):
+    refuse_to_allocate(monkeypatch)
+    part = Partition.coordinate_split(*shape)
+    with pytest.raises(Allocated):
+        assemble_sigma(make_generic_pmf(sum(shape), seed=2), part)

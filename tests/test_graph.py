@@ -26,6 +26,7 @@ from begin import (
     separates,
 )
 from begin import test_ci as decide_ci
+from begin.schur import _TILE
 
 
 def graph_of(pmf, part, tol=1e-8):
@@ -488,3 +489,66 @@ def test_lazy_nodes_equal_eager_ones():
         assert g.nodes[1:3] == eager[1:3] and list(g.nodes) == list(eager)
     with pytest.raises(AttributeError):
         g.nodes.wings = None
+
+
+# The one-pass edge extraction and the wing-code separation past one tile of
+# the symmetric passes, and on graphs whose nodes come in any order.
+
+
+@pytest.mark.parametrize("kind, seed", [("ci", 20), ("generic", 21)])
+def test_build_graph_matches_the_reference_loop_past_one_tile(kind, seed):
+    part = Partition.coordinate_split(1, 6, 1)
+    om, g = case_graph(part, kind, seed)
+    assert om.omega.shape[0] > _TILE
+    ref = reference_edges(om.omega, g.tol)
+    assert g.edges == ref and len(g.edges) == len(ref)
+    assert g.edges.rows.dtype == np.int64 and g.edges.weights.dtype == np.float64
+    assert separates(g) == reference_separates(g.nodes, ref)
+
+
+def test_build_graph_thresholds_like_abs_on_a_sparse_matrix_past_one_tile():
+    part = Partition.coordinate_split(1, 6, 1)
+    labels = build_index_sets(part)
+    n = len(labels.all_masks())
+    rng = np.random.default_rng(5)
+    values = np.array([0.0, -0.0, 1e-8, -1e-8, 2e-8, -0.4, 0.7])
+    mat = values[rng.integers(values.size, size=(n, n))]
+    n_b = len(labels.b_set)
+    om = OmegaMatrix(omega=mat, f=np.zeros((n_b, n - n_b)), n_b=n_b, sigma=np.zeros((n, n)))
+    for tol in (1e-8, 0.5):
+        g = build_graph(om, labels, tol)
+        assert n > _TILE and g.edges == reference_edges(mat, tol)
+
+
+def shuffled_json(text, rng):
+    """The JSON export with its nodes permuted and its edges renumbered."""
+    obj = json.loads(text)
+    perm = rng.permutation(len(obj["nodes"]))
+    nodes = [None] * len(perm)
+    for old, new in enumerate(perm):
+        nodes[new] = obj["nodes"][old]
+    edges = [[int(min(perm[i], perm[j])), int(max(perm[i], perm[j])), w] for i, j, w in obj["edges"]]
+    rng.shuffle(edges)
+    obj["nodes"], obj["edges"] = nodes, edges
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("part, kind, seed", REFERENCE_CASES)
+def test_separation_matches_reference_on_shuffled_json_graphs(part, kind, seed):
+    _, g = case_graph(part, kind, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        loaded = graph_from_json(shuffled_json(export_graph(g, "json"), rng))
+        assert loaded.nodes.codes.tolist() == ["BLR".index(w) for w in loaded.nodes.wings]
+        assert separates(loaded) == separates(g)
+        assert separates(loaded) == reference_separates(loaded.nodes, tuple(loaded.edges))
+
+
+def test_edge_list_constructor_copies_the_callers_arrays():
+    rows, cols = np.array([0, 1]), np.array([2, 2])
+    weights = np.array([0.5, -0.25])
+    edges = EdgeList(rows, cols, weights)
+    rows[0], cols[0], weights[0] = 1, 1, 9.0
+    assert edges == ((0, 2, 0.5), (1, 2, -0.25))
+    assert rows.flags.writeable and cols.flags.writeable and weights.flags.writeable
+    assert not (edges.rows.flags.writeable or edges.weights.flags.writeable)

@@ -436,3 +436,96 @@ def test_source_json_round_trip():
     assert grid.measured_constants() == (1.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         source_from_json('{"kind":"fancy"}')
+
+
+# GridSource checks all conditional rows in one pass; the per-row loop it
+# ran before is the reference for which row, and so which message, fails.
+
+
+def reference_check_pmf_vector(name, vec):
+    if vec.min() < 0.0 or abs(vec.sum() - 1.0) > 1e-12:
+        raise ValueError(f"{name} must be a probability vector")
+
+
+def reference_row_checks(nv, nu, nw, u_given_v=None, w_given_v=None, uw_given_v=None):
+    if uw_given_v is None:
+        ug = np.asarray(u_given_v, dtype=np.float64).reshape(nv, nu)
+        wg = np.asarray(w_given_v, dtype=np.float64).reshape(nv, nw)
+        for j in range(nv):
+            reference_check_pmf_vector("u_given_v row", ug[j])
+            reference_check_pmf_vector("w_given_v row", wg[j])
+    else:
+        uw = np.asarray(uw_given_v, dtype=np.float64).reshape(nv, nu, nw)
+        for j in range(nv):
+            reference_check_pmf_vector("uw_given_v slice", uw[j].reshape(-1))
+
+
+def message_of(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def damaged_rows(rng, rows, cols):
+    table = rng.random((rows, cols))
+    table /= table.sum(axis=1, keepdims=True)
+    for j in rng.choice(rows, size=int(rng.integers(0, min(rows, 3) + 1)), replace=False):
+        kind = int(rng.integers(5))
+        if kind == 0:  # a negative entry, the row still summing to 1
+            table[j, 0] -= 0.5
+            table[j, -1] += 0.5
+        elif kind == 1:  # sum off by about 2e-12: refused
+            table[j, 0] += 2e-12
+        elif kind == 2:  # sum off by about 4e-13: admitted
+            table[j, 0] += 4e-13
+        elif kind == 3:  # a nan passes both comparisons, as it always has
+            table[j, 0] = np.nan
+        else:
+            table[j] = 0.0
+    return table
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_grid_row_checks_refuse_the_row_the_loop_refused(seed):
+    rng = np.random.default_rng(seed)
+    v_depth, u_depth, w_depth = (int(d) for d in rng.integers(0, 4, size=3))
+    nv, nu, nw = 1 << v_depth, 1 << u_depth, 1 << w_depth
+    common = dict(v_depth=v_depth, v_probs=np.full(nv, 1.0 / nv), u_depth=u_depth, w_depth=w_depth)
+    product = dict(u_given_v=damaged_rows(rng, nv, nu), w_given_v=damaged_rows(rng, nv, nw))
+    full = dict(uw_given_v=damaged_rows(rng, nv, nu * nw))
+    for tables in (product, full):
+        expected = message_of(lambda: reference_row_checks(nv, nu, nw, **tables))
+        assert message_of(lambda: GridSource(**common, **tables)) == expected
+
+
+def test_grid_row_checks_take_u_row_before_w_row():
+    half = [[0.5, 0.5]] * 4
+    bad_u, bad_w = [row[:] for row in half], [row[:] for row in half]
+    bad_u[2] = [0.5, 0.6]
+    bad_w[1] = [-0.5, 1.5]
+    kwargs = dict(v_depth=2, v_probs=[0.25] * 4, u_depth=1, w_depth=1)
+    with pytest.raises(ValueError, match="^w_given_v row must be a probability vector$"):
+        GridSource(**kwargs, u_given_v=bad_u, w_given_v=bad_w)
+    bad_u[1] = [0.5, 0.6]
+    with pytest.raises(ValueError, match="^u_given_v row must be a probability vector$"):
+        GridSource(**kwargs, u_given_v=bad_u, w_given_v=bad_w)
+
+
+def test_grid_rows_are_checked_in_one_pass(monkeypatch):
+    import begin.quantize as quantize_module
+
+    calls = []
+    real = quantize_module._check_pmf_rows
+    monkeypatch.setattr(
+        quantize_module, "_check_pmf_rows", lambda tables: calls.append(len(tables)) or real(tables)
+    )
+    nv = 1 << 16
+    source = GridSource(
+        v_depth=16, v_probs=np.full(nv, 1.0 / nv), u_depth=1, w_depth=1,
+        u_given_v=np.full((nv, 2), 0.5), w_given_v=np.full((nv, 2), 0.5),
+    )
+    assert source.u_given_v.shape == (nv, 2)
+    # v_probs, then both conditional tables together
+    assert calls == [1, 2]

@@ -15,6 +15,7 @@ from begin import (
     sb_inverse,
     schur_complement,
 )
+from begin.schur import _TILE, _asymmetry, _max_abs, _require_symmetric, _symmetrize
 
 from dense_reference import reference_pinv_eigh, reference_schur
 
@@ -310,3 +311,89 @@ def test_center_cutoff_is_anchored_to_the_scale_of_sigma(split111):
     assert sr.rank_b == 0
     assert np.array_equal(sr.b_pinv, np.zeros((1, 1)))
     assert pinv_sym(sp.b_block)[1] == 1
+
+
+# The tiled symmetric passes against the plain expressions they replace.
+
+TILED_SIZES = [0, 1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3, 1536]
+
+
+def tiled_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a[rng.random((n, n)) < 0.05] = -0.0
+    return a, a + a.T
+
+
+@pytest.mark.parametrize("n", TILED_SIZES)
+def test_symmetrize_is_bitwise_the_plain_expression(n):
+    for a in tiled_inputs(n, n):
+        plain = (a + a.T) / 2.0
+        tiled = a.copy()
+        assert _symmetrize(tiled) is tiled
+        assert tiled.shape == plain.shape and tiled.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("n", TILED_SIZES)
+def test_asymmetry_and_max_abs_are_the_plain_reductions(n):
+    for a in tiled_inputs(n, 100 + n):
+        if n:
+            assert _asymmetry(a) == float(np.abs(a - a.T).max())
+            assert _max_abs(a) == float(np.abs(a).max())
+        else:
+            assert _asymmetry(a) == 0.0 and _max_abs(a) == 0.0
+    assert _asymmetry(tiled_inputs(n, 7)[1]) == 0.0
+
+
+def test_max_abs_keeps_the_sign_of_zero_and_nan_of_abs():
+    for a in (np.array([-0.0, -0.0]), np.array([0.0, -0.0]), np.array([[-0.0]])):
+        assert str(_max_abs(a)) == str(float(np.abs(a).max())) == "0.0"
+    assert np.isnan(_max_abs(np.array([1.0, np.nan, -3.0])))
+    assert _max_abs(np.array([1.0, -3.0])) == 3.0
+
+
+def test_asymmetry_propagates_nan_like_the_plain_check():
+    a = np.eye(2 * _TILE + 3)
+    a[1, 2 * _TILE + 1] = np.nan
+    assert np.isnan(_asymmetry(a)) and np.isnan(np.abs(a - a.T).max())
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_symmetry_check_passes_at_the_tolerance_and_raises_above_it(tol):
+    # the gap sits in an off-diagonal tile pair, as far from the corner as a
+    # tile allows
+    n = 2 * _TILE + 3
+    i, j = 5, n - 2
+    a = np.eye(n)
+    a[i, j] = tol
+    assert float(np.abs(a - a.T).max()) == tol
+    _require_symmetric(a, tol)
+    _require_symmetric(a.T.copy(), tol)
+    a[i, j] = np.nextafter(tol, 1.0)
+    with pytest.raises(ValueError, match="not symmetric within tolerance"):
+        _require_symmetric(a, tol)
+    with pytest.raises(ValueError, match="not symmetric within tolerance"):
+        _require_symmetric(a.T.copy(), tol)
+
+
+def test_pinv_sym_symmetry_check_uses_the_tiled_gap():
+    n = _TILE + 1
+    a = np.eye(n)
+    a[0, n - 1] = 1e-10
+    assert pinv_sym(a)[1] == n
+    a[0, n - 1] = np.nextafter(1e-10, 1.0)
+    with pytest.raises(ValueError, match="not symmetric within tolerance"):
+        pinv_sym(a)
+
+
+def test_sigma_partition_check_keeps_its_tolerance_past_one_tile():
+    part = Partition.coordinate_split(1, 6, 1)
+    sp = assemble_sigma(make_generic_pmf(8, seed=3), part)
+    n = sp.sigma.shape[0]
+    assert n > _TILE
+    sigma = sp.sigma.copy()
+    sigma[3, n - 1], sigma[n - 1, 3] = 1e-12, 0.0
+    assert SigmaPartition(sigma, sp.labels, sp.blocks).sigma[3, n - 1] == 1e-12
+    sigma[3, n - 1] = np.nextafter(1e-12, 1.0)
+    with pytest.raises(ValueError, match="not symmetric within tolerance"):
+        SigmaPartition(sigma, sp.labels, sp.blocks)
