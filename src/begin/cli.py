@@ -14,6 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._textrows import format_rows
 from .bitgroup import Mask, partition_from_json
 from .distribution import (
     Pmf,
@@ -27,7 +28,7 @@ from .distribution import (
     write_pmf_csv,
 )
 from .engine import assemble_sigma, test_ci
-from .graph import build_graph, export_graph
+from .graph import _require_tolerance, build_graph, export_graph
 from .hadamard import fwht, prism
 from .quantize import delta_curve, quantized_ci_scan, source_from_json
 from .schur import pinv_sym, sb_inverse, schur_complement
@@ -142,16 +143,26 @@ def _sniff_pmf_file(path: str) -> bool:
 
 
 def _read_vector(path: str) -> np.ndarray:
-    vals = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals.extend(float(v) for v in line.split(","))
-    if not vals:
+        # lines end at "\n" alone, as when iterating the file: splitlines()
+        # would also end them at \x0c, \x85 and other boundaries
+        lines = [
+            line for line in map(str.strip, fh.read().split("\n"))
+            if line and not line.startswith("#")
+        ]
+    if not lines:
         raise ValueError(f"{path} has no numeric entries")
-    return np.array(vals, dtype=np.float64)
+    tokens = ",".join(lines).split(",")
+    return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+
+
+def _read_pmf(path: str) -> Pmf:
+    """read_pmf_csv, saying on stderr when the file's sum was rescaled to 1."""
+    pmf = read_pmf_csv(path)
+    total = pmf.meta.get("renormalised_from")
+    if total is not None:
+        sys.stderr.write(f"warning: {path} sums to {total}; rescaled to sum to 1\n")
+    return pmf
 
 
 def cmd_test(args: argparse.Namespace) -> int:
@@ -161,7 +172,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     if empirical:
         pmf = pmf_from_samples(read_samples_csv(args.input))
     else:
-        pmf = read_pmf_csv(args.input)
+        pmf = _read_pmf(args.input)
     tol = args.assert_tol if (empirical and args.assert_tol is not None) else args.tol
     verdict = test_ci(pmf, part, tol=tol, rank_tol=args.rank_tol)
     payload = verdict.to_json_dict()
@@ -179,7 +190,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     with open(args.partition) as fh:
         part = partition_from_json(fh.read())
-    pmf = read_pmf_csv(args.input)
+    pmf = _read_pmf(args.input)
     sp = assemble_sigma(pmf, part)
     sr = schur_complement(sp, args.rank_tol)
     om = sb_inverse(sp, sr)
@@ -195,7 +206,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    pmf = read_pmf_csv(args.input)
+    pmf = _read_pmf(args.input)
     if pmf.p > _RANK_WIDTH_CAP:
         raise ValueError(f"rank report capped at p <= {_RANK_WIDTH_CAP}")
     masks = [Mask(v, pmf.p) for v in range(1, 1 << pmf.p)]
@@ -210,15 +221,15 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def _format_matrix(mat: np.ndarray, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([[float(v) for v in row] for row in mat]) + "\n"
-    lines = [",".join(f"{v:.17g}" for v in row) for row in mat]
-    return "\n".join(lines) + "\n"
+        return json.dumps(mat.tolist()) + "\n"
+    row = ",".join(["%.17g"] * mat.shape[1]) + "\n"
+    return "".join(format_rows(row, *mat.T))
 
 
 def _format_vector(vec: np.ndarray, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([float(v) for v in vec]) + "\n"
-    return "\n".join(f"{v:.17g}" for v in vec) + "\n"
+        return json.dumps(vec.tolist()) + "\n"
+    return "".join(format_rows("%.17g\n", vec))
 
 
 def cmd_prism(args: argparse.Namespace) -> int:
@@ -302,6 +313,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("tol", "assert_tol", "rank_tol"):
+            value = getattr(args, name, None)
+            if value is not None:
+                _require_tolerance("--" + name.replace("_", "-"), value)
         return _DISPATCH[args.subcommand](args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

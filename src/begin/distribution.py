@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._textrows import format_rows
 from .bitgroup import WIDTH_CAP, Mask
 from .hadamard import fwht
 
@@ -296,15 +298,27 @@ def write_pmf_csv(pmf: Pmf, path: str) -> None:
     Probabilities are printed with 17 significant digits, which round-trips
     binary64 exactly.
     """
+    cells = pmf.support
+    # a pattern is its high bits' signs then its low bits', each looked up in
+    # a table of at most 2^12 patterns, "+" for a clear bit and "-" for a set one
+    low = pmf.p // 2
+    high_signs = np.array(_sign_patterns(pmf.p - low), dtype=object)
+    low_signs = np.array(_sign_patterns(low), dtype=object)
     with open(path, "w", newline="") as fh:
         for key in sorted(pmf.meta):
             fh.write(f"# {key}: {pmf.meta[key]}\n")
         fh.write("bits,prob\n")
-        for cell in pmf.support:
-            pattern = "".join(
-                "-" if (cell >> (pmf.p - 1 - j)) & 1 else "+" for j in range(pmf.p)
-            )
-            fh.write(f"{pattern},{pmf.probs[cell]:.17g}\n")
+        for chunk in format_rows(
+            "%s%s,%.17g\n",
+            (high_signs, cells >> low), (low_signs, cells & ((1 << low) - 1)),
+            pmf.probs[cells],
+        ):
+            fh.write(chunk)
+
+
+def _sign_patterns(bits: int) -> list[str]:
+    """Every bits-wide pattern over {+,-}, X_1 leftmost, in cell order."""
+    return ["".join(signs) for signs in itertools.product("+-", repeat=bits)]
 
 
 def _parse_bits(text: str) -> tuple[int, int]:
@@ -323,7 +337,11 @@ def _parse_bits(text: str) -> tuple[int, int]:
 
 
 def read_pmf_csv(path: str) -> Pmf:
-    """Load the pmf CSV format; missing cells mean probability zero."""
+    """Load the pmf CSV format; missing cells mean probability zero.
+
+    A table whose sum lies within 1e-9 of 1 but not within 1e-12 is rescaled
+    to sum to 1, and meta["renormalised_from"] records repr of its sum.
+    """
     meta: dict = {}
     rows: list[tuple[int, float]] = []
     width: Optional[int] = None
@@ -362,6 +380,7 @@ def read_pmf_csv(path: str) -> Pmf:
         raise ValueError(f"pmf file sums to {total!r}")
     if abs(total - 1.0) > 1e-12:
         probs = probs / total
+        meta["renormalised_from"] = repr(float(total))
     return Pmf(width, probs, meta=meta)
 
 

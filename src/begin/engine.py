@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitgroup import Mask, Partition, build_index_sets, span_generate
 from .distribution import _BYTE_LIMIT, Pmf, interaction_cov, moments_from_pmf
-from .graph import build_graph, separates
+from .graph import _require_tolerance, build_graph, separates
 from .hadamard import fwht
 from .schur import (
     CenterBlocks,
@@ -297,8 +297,12 @@ def test_ci(
 
     The primary verdict thresholds the wing off-block of the generalized
     Schur complement; the other three criteria are computed as cross-checks
-    and reported in the criteria map.
+    and reported in the criteria map.  A negative or non-finite tol or
+    rank_tol is refused.
     """
+    _require_tolerance("tol", tol)
+    if rank_tol is not None:
+        _require_tolerance("rank_tol", rank_tol)
     joint = _wing_table(pmf, part)
     sp = assemble_sigma(pmf, part, joint)
     sr = schur_complement(sp, rank_tol)

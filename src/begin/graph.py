@@ -9,11 +9,13 @@ verdict.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ._textrows import format_rows
 from .bitgroup import IndexSets, Mask, Partition
 from .schur import OmegaMatrix
 
@@ -202,6 +204,7 @@ class BeginGraph:
     tol: float
 
     def __post_init__(self) -> None:
+        _require_tolerance("tol", self.tol)
         if not isinstance(self.nodes, NodeList):
             object.__setattr__(self, "nodes", NodeList(self.nodes))
         edges = self.edges
@@ -211,13 +214,32 @@ class BeginGraph:
         n = len(self.nodes)
         rows, cols, weights = edges.rows, edges.cols, edges.weights
         bad_index = (rows < 0) | (rows >= cols) | (cols >= n)
-        bad = bad_index | (np.abs(weights) <= self.tol)
+        finite = np.isfinite(weights)
+        bad = bad_index | ~finite | (np.abs(weights) <= self.tol)
         if bad.any():
             k = int(np.argmax(bad))
             i, j, w = edges[k]
             if bad_index[k]:
                 raise ValueError(f"bad edge ({i},{j}) for {n} nodes")
+            if not finite[k]:
+                raise ValueError(f"edge ({i},{j}) weight {w} is not finite")
             raise ValueError(f"edge ({i},{j}) weight {w} inside tolerance")
+
+    @classmethod
+    def _adopt(cls, nodes: NodeList, edges: EdgeList, tol: float) -> "BeginGraph":
+        """A graph over nodes, edges and a tolerance the caller made valid
+        together, as build_graph does: they are not checked again."""
+        out = cls.__new__(cls)
+        for name, value in (("nodes", nodes), ("edges", edges), ("tol", tol)):
+            object.__setattr__(out, name, value)
+        return out
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    """Refuse a negative or non-finite tolerance: -1 would make every pair an
+    edge, and NaN or infinity none."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def _coordinate_names(part: Optional[Partition], width: int) -> Dict[int, str]:
@@ -254,6 +276,7 @@ def _labelled_nodes(labels: IndexSets) -> Tuple[GraphNode, ...]:
 
 def build_graph(omega: OmegaMatrix, labels: IndexSets, tol: float) -> BeginGraph:
     """Threshold the block inverse into an undirected wing-labeled graph."""
+    _require_tolerance("tol", tol)
     counts = (len(labels.b_set), len(labels.l_set), len(labels.r_set))
     n = sum(counts)
     if omega.omega.shape != (n, n):
@@ -269,7 +292,7 @@ def build_graph(omega: OmegaMatrix, labels: IndexSets, tol: float) -> BeginGraph
     flat = np.flatnonzero(upper)
     rows, cols = np.divmod(flat, n)
     edges = EdgeList._adopt(rows, cols, mat.ravel()[flat])
-    return BeginGraph(nodes=NodeList.of_index_sets(labels), edges=edges, tol=tol)
+    return BeginGraph._adopt(NodeList.of_index_sets(labels), edges, tol)
 
 
 def separates(g: BeginGraph) -> bool:
@@ -298,8 +321,36 @@ def export_graph(g: BeginGraph, format: str) -> str:
     raise ValueError(f"unknown format {format!r}; use dot or json")
 
 
+def _node_text(n: int, prefix: str) -> np.ndarray:
+    """prefix + str(i) for every node index i, looked up per edge: copying a
+    string costs less than printing an int."""
+    return np.array([f"{prefix}{i}" for i in range(n)], dtype=object)
+
+
+# the text of every "%.3f" pen width a table lookup gives: widths lie in [0.5, 3]
+_PEN_TEXT = np.array([f"{k // 1000}.{k % 1000:03d}" for k in range(3001)], dtype=object)
+
+
+def _pen_text(pen: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A (table, index) column giving "%.3f" % v for each pen width v.
+
+    fl(1000 v) lies within 2^-41 of the exact 1000 v for v < 4, so where it is
+    more than 1e-6 from a half-integer both round to the same thousandth,
+    whose text _PEN_TEXT holds.  The rest, near-ties and inf, are formatted
+    by "%.3f" itself and appended to the table.
+    """
+    thousandths = pen * 1000.0
+    k = np.rint(thousandths)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        clear = (np.abs(thousandths - k) < 0.5 - 1e-6) & (k <= 3000)
+    index = np.where(clear, k, 0.0).astype(np.int64)
+    unclear = np.flatnonzero(~clear)
+    index[unclear] = _PEN_TEXT.size + np.arange(unclear.size)
+    extra = np.array(["%.3f" % v for v in pen[unclear].tolist()], dtype=object)
+    return np.concatenate([_PEN_TEXT, extra]), index
+
+
 def _export_dot(g: BeginGraph) -> str:
-    max_w = max((abs(w) for _, _, w in g.edges), default=1.0)
     lines = ["graph begin {", "  node [shape=ellipse];"]
     for wing in ("L", "B", "R"):
         lines.append(f"  subgraph cluster_{wing} {{")
@@ -308,24 +359,41 @@ def _export_dot(g: BeginGraph) -> str:
             if node.wing == wing:
                 lines.append(f"    n{i} [label={_dot_quote(node.label)}];")
         lines.append("  }")
-    for i, j, w in g.edges:
-        pen = 0.5 + 2.5 * abs(w) / max_w
-        lines.append(f'  n{i} -- n{j} [weight="{w:.17g}", penwidth="{pen:.3f}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = g.edges
+    size = np.abs(edges.weights)
+    max_w = float(size.max()) if size.size else 1.0
+    # 0.5 + 2.5 * |w| / max_w, the per-edge float operations in their order;
+    # a weight past 7e307 gives inf, as the Python float product did
+    with np.errstate(over="ignore"):
+        pen = 0.5 + 2.5 * size / max_w
+    names = _node_text(len(g.nodes), "n")
+    body = format_rows(
+        '  %s -- %s [weight="%.17g", penwidth="%s"];\n',
+        (names, edges.rows), (names, edges.cols), edges.weights, _pen_text(pen),
+    )
+    # one join, so no partial copy of the whole text is ever made
+    return "".join(["\n".join(lines), "\n", *body, "}\n"])
 
 
 def _export_json(g: BeginGraph) -> str:
-    obj = {
-        "width": g.nodes[0].mask.width if g.nodes else 0,
-        "tol": g.tol,
-        "nodes": [
-            {"bits": node.mask.to_string(), "wing": node.wing, "label": node.label}
-            for node in g.nodes
-        ],
-        "edges": [[i, j, w] for i, j, w in g.edges],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    nodes = [
+        {"bits": node.mask.to_string(), "wing": node.wing, "label": node.label}
+        for node in g.nodes
+    ]
+    edges = g.edges
+    # finite weights (BeginGraph refuses others), whose repr is json's
+    ids = _node_text(len(g.nodes), "")
+    listed = list(format_rows(",[%s,%s,%r]", (ids, edges.rows), (ids, edges.cols), edges.weights))
+    if listed:
+        listed[0] = listed[0][1:]
+    width = g.nodes[0].mask.width if g.nodes else 0
+    # the keys in sort_keys order, with the separators of the whole-object
+    # dump, in one join
+    return "".join([
+        '{"edges":[', *listed,
+        '],"nodes":', json.dumps(nodes, sort_keys=True, separators=(",", ":")),
+        ',"tol":', json.dumps(g.tol), ',"width":', json.dumps(width), "}\n",
+    ])
 
 
 def graph_from_json(text: str) -> BeginGraph:

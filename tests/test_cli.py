@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from begin import (
     GridSource,
@@ -11,16 +13,24 @@ from begin import (
     draw_samples,
     fwht,
     make_ci_pmf,
+    make_generic_pmf,
     partition_to_json,
     prism,
     read_pmf_csv,
     write_pmf_csv,
     write_samples_csv,
 )
-from begin.cli import main
+from begin._textrows import CHUNK_ROWS
+from begin.cli import _format_matrix, _format_vector, _read_vector, main
 from begin.engine import test_ci as decide_ci
 
 from conftest import cell_index, random_chain_pmf
+from test_graph import (
+    reference_format_matrix,
+    reference_format_vector,
+    reference_read_vector,
+    reference_write_pmf_csv,
+)
 
 
 @pytest.fixture()
@@ -387,3 +397,172 @@ def test_sigma_past_the_byte_limit_exits_two(tmp_path, capsys, monkeypatch, subc
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "n = 7167 masks" in err and "134217728-byte limit" in err
+
+
+def outcome(read, path):
+    """The values a reader returns, or the type and message it raises."""
+    try:
+        return read(path).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+VECTOR_TEXTS = [
+    "# comment\n1, 0.25\n\n  \n0.5 ,  -2e-3\n# tail\n",
+    "1\r\n2\r\n\r\n3\r4",
+    "1_0\n2_5.5\n",
+    "1,\x0c2\n",
+    "1\x0c,2\x0c\n\x0c\n",
+    "1\x85,2\n3 \n",
+    "\t# indented comment\n 7 \n",
+    "1\n2,x\n3\n",
+    "1\n2,,3\n",
+    "1_\n",
+    "nan,inf,-inf,-0.0\n",
+    "",
+    "\n\n# only comments\n",
+    "4",
+]
+
+
+@pytest.mark.parametrize("text", VECTOR_TEXTS)
+def test_read_vector_matches_the_reference_reader(tmp_path, text):
+    path = tmp_path / "v.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    got, want = outcome(_read_vector, str(path)), outcome(reference_read_vector, str(path))
+    assert repr(got) == repr(want)
+
+
+@seed(11)
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(st.sampled_from(["1", "2.5", "-", "e", "_", ",", " ", "#", "\n", "\r",
+                                      "\x0c", "\x85", "\t", "x", "nan"]), max_size=30).map("".join))
+def test_read_vector_matches_the_reference_reader_on_any_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("vec") / "v.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    got, want = outcome(_read_vector, str(path)), outcome(reference_read_vector, str(path))
+    assert repr(got) == repr(want)
+
+
+@seed(12)
+@settings(max_examples=20, deadline=None)
+@given(
+    size=st.sampled_from([1, 2, 3, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]),
+    data_seed=st.integers(0, 2**32 - 1),
+    picked=st.lists(st.floats(), max_size=4),
+)
+def test_vector_writers_match_the_reference_byte_for_byte(size, data_seed, picked):
+    rng = np.random.default_rng(data_seed)
+    vec = rng.standard_normal(size) * 10.0 ** rng.uniform(-320, 300, size)
+    vec[: len(picked)] = picked[:size]
+    for fmt in ("csv", "json"):
+        assert _format_vector(vec, fmt) == reference_format_vector(vec, fmt)
+
+
+@seed(13)
+@settings(max_examples=12, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (2, 3), (4, 4), (CHUNK_ROWS, 1), (CHUNK_ROWS + 1, 2)]),
+    data_seed=st.integers(0, 2**32 - 1),
+    picked=st.lists(st.floats(), max_size=4),
+)
+def test_matrix_writers_match_the_reference_byte_for_byte(shape, data_seed, picked):
+    rng = np.random.default_rng(data_seed)
+    mat = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 300, shape)
+    mat.flat[: len(picked)] = picked
+    for fmt in ("csv", "json"):
+        assert _format_matrix(mat, fmt) == reference_format_matrix(mat, fmt)
+
+
+@seed(14)
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 10),
+    data_seed=st.integers(0, 2**32 - 1),
+    zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
+    meta=st.dictionaries(st.sampled_from(["seed", "note", "generator"]),
+                         st.text(alphabet="ab1 ", max_size=5), max_size=2),
+)
+def test_pmf_writer_matches_the_reference_byte_for_byte(
+    tmp_path_factory, p, data_seed, zero_fraction, meta
+):
+    pmf = make_generic_pmf(p, seed=data_seed, zero_fraction=zero_fraction)
+    pmf = Pmf(pmf.p, pmf.probs, meta=meta)
+    folder = tmp_path_factory.mktemp("pmf")
+    write_pmf_csv(pmf, str(folder / "bulk.csv"))
+    reference_write_pmf_csv(pmf, str(folder / "ref.csv"))
+    assert (folder / "bulk.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_pmf_writer_matches_the_reference_past_one_chunk(tmp_path, extra):
+    # every cell positive: exactly one chunk of rows, then two
+    p = CHUNK_ROWS.bit_length() - 1 + extra
+    pmf = make_generic_pmf(p, seed=p)
+    assert pmf.support_size == 1 << p
+    write_pmf_csv(pmf, str(tmp_path / "bulk.csv"))
+    reference_write_pmf_csv(pmf, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["test", "{pmf}", "--partition", "{part}", "--tol", "-1"], "--tol", -1.0),
+        (["test", "{pmf}", "--partition", "{part}", "--tol", "nan"], "--tol", "nan"),
+        (["test", "{pmf}", "--partition", "{part}", "--assert-tol", "-0.5"],
+         "--assert-tol", -0.5),
+        (["test", "{pmf}", "--partition", "{part}", "--rank-tol", "inf"], "--rank-tol", "inf"),
+        (["graph", "{pmf}", "--partition", "{part}", "--tol=-1e-9"], "--tol", -1e-9),
+        (["graph", "{pmf}", "--partition", "{part}", "--rank-tol", "-1"], "--rank-tol", -1.0),
+        (["rank", "{pmf}", "--rank-tol", "nan"], "--rank-tol", "nan"),
+        (["quantize", "{missing}", "--depths", "1..2", "--tol=-inf"], "--tol", "-inf"),
+    ],
+)
+def test_bad_tolerance_flags_exit_two(tmp_path, part111_file, capsys, argv, flag, value):
+    pmf = write_xor(tmp_path)
+    missing = str(tmp_path / "absent.json")
+    assert main([a.format(pmf=pmf, part=part111_file, missing=missing) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {flag} must be finite and non-negative, got {float(value)!r}\n"
+    )
+
+
+def test_renormalised_input_is_recorded_and_warned_once(tmp_path, part111_file, capsys):
+    exact = tmp_path / "exact.csv"
+    write_pmf_csv(make_ci_pmf(1, 1, 1, seed=3), str(exact))
+    assert "renormalised_from" not in read_pmf_csv(str(exact)).meta
+    rows = exact.read_text().splitlines()
+    first = rows.index("bits,prob") + 1
+    bits, prob = rows[first].split(",")
+    rows[first] = f"{bits},{float(prob) + 4e-10!r}"
+    off = tmp_path / "off.csv"
+    off.write_text("\n".join(rows) + "\n")
+    probs = np.zeros(8)
+    for row in rows[first:]:
+        bits, prob = row.split(",")
+        probs[int(bits.replace("+", "0").replace("-", "1"), 2)] = float(prob)
+    pmf = read_pmf_csv(str(off))
+    assert pmf.meta["renormalised_from"] == repr(float(probs.sum()))
+    np.testing.assert_array_equal(pmf.probs, probs / probs.sum())
+    warning = f"warning: {off} sums to {pmf.meta['renormalised_from']}; rescaled to sum to 1\n"
+
+    assert main(["test", str(off), "--partition", part111_file]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert json.loads(captured.out) == decide_ci(
+        pmf, Partition.coordinate_split(1, 1, 1)).to_json_dict()
+
+    # the same table, already summing to 1, gives the same stdout and no warning
+    rescaled = tmp_path / "rescaled.csv"
+    write_pmf_csv(Pmf(pmf.p, pmf.probs), str(rescaled))
+    for argv in (["test", "{}", "--partition", part111_file],
+                 ["graph", "{}", "--partition", part111_file], ["rank", "{}"]):
+        main([a.format(off) for a in argv])
+        warned = capsys.readouterr()
+        main([a.format(rescaled) for a in argv])
+        plain = capsys.readouterr()
+        assert warned.err == warning and plain.err == ""
+        assert warned.out == plain.out

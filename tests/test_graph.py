@@ -26,6 +26,8 @@ from begin import (
     separates,
 )
 from begin import test_ci as decide_ci
+from begin._textrows import CHUNK_ROWS
+from begin.graph import _pen_text
 from begin.schur import _TILE
 
 
@@ -298,6 +300,48 @@ def reference_json(nodes, edges, tol):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# The CLI's vector reader and writers and the pmf CSV writer as they were
+# before the bulk % formatting, one f-string or float() call per value.
+
+
+def reference_read_vector(path):
+    vals = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            vals.extend(float(v) for v in line.split(","))
+    if not vals:
+        raise ValueError(f"{path} has no numeric entries")
+    return np.array(vals, dtype=np.float64)
+
+
+def reference_format_matrix(mat, fmt):
+    if fmt == "json":
+        return json.dumps([[float(v) for v in row] for row in mat]) + "\n"
+    lines = [",".join(f"{v:.17g}" for v in row) for row in mat]
+    return "\n".join(lines) + "\n"
+
+
+def reference_format_vector(vec, fmt):
+    if fmt == "json":
+        return json.dumps([float(v) for v in vec]) + "\n"
+    return "\n".join(f"{v:.17g}" for v in vec) + "\n"
+
+
+def reference_write_pmf_csv(pmf, path):
+    with open(path, "w", newline="") as fh:
+        for key in sorted(pmf.meta):
+            fh.write(f"# {key}: {pmf.meta[key]}\n")
+        fh.write("bits,prob\n")
+        for cell in pmf.support:
+            pattern = "".join(
+                "-" if (cell >> (pmf.p - 1 - j)) & 1 else "+" for j in range(pmf.p)
+            )
+            fh.write(f"{pattern},{pmf.probs[cell]:.17g}\n")
+
+
 OVERLAP_PART = Partition(
     3, a_gens=[Mask(0b110, 3)], b_gens=[Mask(0b010, 3)], c_gens=[Mask(0b100, 3)]
 )
@@ -552,3 +596,122 @@ def test_edge_list_constructor_copies_the_callers_arrays():
     assert edges == ((0, 2, 0.5), (1, 2, -0.25))
     assert rows.flags.writeable and cols.flags.writeable and weights.flags.writeable
     assert not (edges.rows.flags.writeable or edges.weights.flags.writeable)
+
+
+# edge counts either side of one % format chunk, and the smallest graphs
+EDGE_COUNTS = [0, 1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Graphs with weights of every finite magnitude, both signs, and
+    subnormals; tol 0 admits every nonzero weight."""
+    m = draw(st.sampled_from(EDGE_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["wide", "subnormal", "unit"]))
+    if kind == "wide":
+        weights = 10.0 ** rng.uniform(-300, 300, m)
+    elif kind == "subnormal":
+        weights = rng.integers(1, 1 << 52, m) * 5e-324
+    else:
+        weights = rng.uniform(0.01, 1.0, m)
+    weights *= rng.choice([-1.0, 1.0], m)
+    picked = draw(st.lists(
+        st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+        | st.floats(min_value=-1.7976931348623157e308, max_value=-5e-324),
+        max_size=min(m, 4),
+    ))
+    weights[: len(picked)] = picked
+    n = 200  # past sqrt(2 (CHUNK_ROWS + 1)), so every edge can be distinct
+    pairs = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    flat = np.sort(rng.choice(pairs, size=m, replace=False))
+    rows, cols = np.divmod(flat, n)
+    wings = rng.choice(list("BLR"), n)
+    nodes = tuple(node(8, i, str(wing), f"N{i}") for i, wing in enumerate(wings))
+    tol = draw(st.sampled_from([0.0, 1e-300])) if kind != "subnormal" else 0.0
+    weights[np.abs(weights) <= tol] = 1.0
+    return BeginGraph(nodes=nodes, edges=EdgeList(rows, cols, weights), tol=tol)
+
+
+@seed(10)
+@settings(max_examples=25, deadline=None)
+@given(g=weighted_graphs())
+def test_bulk_exports_match_the_reference_writers_byte_for_byte(g):
+    triples = tuple(g.edges)
+    assert export_graph(g, "dot") == reference_dot(g.nodes, triples)
+    text = export_graph(g, "json")
+    assert text == reference_json(g.nodes, triples, g.tol)
+    assert graph_from_json(text) == g
+
+
+def test_dot_pen_width_overflows_to_inf_as_the_reference_does():
+    nodes = (node(3, 0b010, "B", "B1"), node(3, 0b100, "L", "A1"), node(3, 0b001, "R", "C1"))
+    g = BeginGraph(nodes=nodes, edges=((0, 1, 1e308), (1, 2, -1.5e308)), tol=1e-8)
+    text = export_graph(g, "dot")
+    assert text == reference_dot(g.nodes, tuple(g.edges))
+    assert 'penwidth="inf"' in text
+
+
+def test_pen_widths_match_percent_format_at_and_near_ties():
+    # odd sixteenths are the only exact ties at three decimals; the floats at
+    # and next to (k + 0.5) / 1000 lie within an ulp of the other midpoints
+    near = (np.arange(500, 3000) + 0.5) / 1000
+    pens = np.concatenate([
+        np.arange(9, 48, 2) / 16, near, np.nextafter(near, 0), np.nextafter(near, 4),
+        np.random.default_rng(5).uniform(0.5, 3.0, 20000),
+        [0.5, 3.0, np.nextafter(3.0, 4), np.inf],
+    ])
+    table, index = _pen_text(pens)
+    assert table[index].tolist() == ["%.3f" % v for v in pens.tolist()]
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+def test_bad_tolerances_are_refused(tol):
+    nodes = (node(3, 0b010, "B", "B1"), node(3, 0b100, "L", "A1"))
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        BeginGraph(nodes=nodes, edges=(), tol=tol)
+    pmf = make_generic_pmf(3, seed=1)
+    part = Partition.coordinate_split(1, 1, 1)
+    sp = assemble_sigma(pmf, part)
+    om = sb_inverse(sp, schur_complement(sp))
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        build_graph(om, sp.labels, tol)
+    with pytest.raises(ValueError, match="^tol must be finite and non-negative"):
+        decide_ci(pmf, part, tol=tol)
+    with pytest.raises(ValueError, match="^rank_tol must be finite and non-negative"):
+        decide_ci(pmf, part, rank_tol=tol)
+
+
+def test_zero_tolerances_are_accepted():
+    pmf = make_generic_pmf(3, seed=1)
+    part = Partition.coordinate_split(1, 1, 1)
+    assert decide_ci(pmf, part, tol=0.0, rank_tol=0.0).tol == 0.0
+    assert graph_of(pmf, part, tol=0).tol == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_edge_weights_are_refused(bad):
+    nodes = (node(3, 0b010, "B", "B1"), node(3, 0b100, "L", "A1"), node(3, 0b001, "R", "C1"))
+    with pytest.raises(ValueError, match=rf"edge \(1,2\) weight {bad} is not finite"):
+        BeginGraph(nodes=nodes, edges=((0, 1, 0.5), (1, 2, bad)), tol=1e-8)
+    good = BeginGraph(nodes=nodes, edges=((0, 1, 0.5), (1, 2, 0.25)), tol=1e-8)
+    # json writes NaN and Infinity, which json.loads reads back as floats
+    text = export_graph(good, "json").replace("0.25", json.dumps(bad))
+    with pytest.raises(ValueError, match="is not finite"):
+        graph_from_json(text)
+
+
+def test_build_graph_skips_the_public_edge_checks(monkeypatch):
+    pmf = make_generic_pmf(4, seed=2)
+    part = Partition.coordinate_split(1, 2, 1)
+    sp = assemble_sigma(pmf, part)
+    om = sb_inverse(sp, schur_complement(sp))
+    public = BeginGraph(nodes=eager_nodes(sp.labels), edges=reference_edges(om.omega, 1e-8),
+                        tol=1e-8)
+
+    def refuse(self):
+        raise AssertionError("edges built by build_graph checked again")
+
+    monkeypatch.setattr(BeginGraph, "__post_init__", refuse)
+    g = build_graph(om, sp.labels, 1e-8)
+    assert g == public and g.tol == 1e-8
