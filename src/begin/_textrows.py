@@ -1,4 +1,4 @@
-"""Bulk text output: one C-level % format per chunk of rows.
+"""Bulk text input and output: one C-level pass per file or chunk of rows.
 
 Formatting each value with its own f-string costs about a microsecond of
 interpreter time per value on top of the float conversion itself; a
@@ -10,11 +10,12 @@ and ".17g" and repr give for Python ints and floats.
 
 from __future__ import annotations
 
-from typing import Iterator
+from operator import methodcaller
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "format_rows"]
+__all__ = ["CHUNK_ROWS", "format_rows", "read_lines", "field_counts"]
 
 # rows per % format: no template or tuple ever spans the whole output, which
 # for a dense graph export runs to millions of edges, and each chunk's
@@ -47,3 +48,21 @@ def _chunk(column, start: int) -> list:
         table, index = column
         return table[index[start:start + CHUNK_ROWS]].tolist()
     return column[start:start + CHUNK_ROWS].tolist()
+
+
+def read_lines(path: str) -> Tuple[List[str], List[str]]:
+    """The "#" comment lines and the data lines of a text file, in order;
+    a reader converts all of its data tokens with one np.fromiter(map(...)).
+
+    Lines end where open()'s universal newlines end them, never at "\\x0c",
+    "\\x85" or the other breaks of str.splitlines(); each is stripped, and
+    blank ones are dropped.
+    """
+    with open(path) as fh:
+        lines = list(filter(None, map(str.strip, fh.read().split("\n"))))
+    return [s for s in lines if s[0] == "#"], [s for s in lines if s[0] != "#"]
+
+
+def field_counts(lines: List[str]) -> np.ndarray:
+    """The number of comma-separated fields on each line."""
+    return np.fromiter(map(methodcaller("count", ","), lines), np.int64, len(lines)) + 1

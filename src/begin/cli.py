@@ -14,10 +14,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._textrows import format_rows
+from ._textrows import format_rows, read_lines
 from .bitgroup import Mask, partition_from_json
 from .distribution import (
     Pmf,
+    _is_pmf_header,
     interaction_cov,
     make_ci_pmf,
     make_generic_pmf,
@@ -47,14 +48,6 @@ def _parse_depths(text: str) -> Tuple[int, ...]:
             raise ValueError(f"empty depth range {text!r}")
         return tuple(range(lo_i, hi_i + 1))
     return (int(text),)
-
-
-def _parse_int_tuple(text: str) -> Tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-def _parse_float_tuple(text: str) -> Tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,15 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("input", metavar="CSV")
     common(p_rank)
 
-    p_prism = sub.add_parser("prism", help="dense group-circulant of a vector")
-    p_prism.add_argument("input", metavar="VEC")
-    p_prism.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_prism.add_argument("--out", default=None, metavar="FILE")
-
-    p_wht = sub.add_parser("wht", help="Walsh transform of a vector")
-    p_wht.add_argument("input", metavar="VEC")
-    p_wht.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_wht.add_argument("--out", default=None, metavar="FILE")
+    for name, text in (("prism", "dense group-circulant of a vector"),
+                       ("wht", "Walsh transform of a vector")):
+        p_vec = sub.add_parser(name, help=text)
+        p_vec.add_argument("input", metavar="VEC")
+        p_vec.add_argument("--format", choices=("csv", "json"), default="csv")
+        p_vec.add_argument("--out", default=None, metavar="FILE")
 
     p_quant = sub.add_parser("quantize", help="per-depth CI verdicts of a source")
     p_quant.add_argument("input", metavar="SOURCE.json")
@@ -132,24 +122,15 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _sniff_pmf_file(path: str) -> bool:
-    """True when the CSV is a pmf table (bits,prob header), else samples."""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            return line.replace(" ", "").startswith("bits,prob")
-    raise ValueError(f"{path} has no data lines")
+    """True when the CSV's first data line is the pmf header, else samples."""
+    _, lines = read_lines(path)
+    if not lines:
+        raise ValueError(f"{path} has no data lines")
+    return _is_pmf_header(lines[0])
 
 
 def _read_vector(path: str) -> np.ndarray:
-    with open(path) as fh:
-        # lines end at "\n" alone, as when iterating the file: splitlines()
-        # would also end them at \x0c, \x85 and other boundaries
-        lines = [
-            line for line in map(str.strip, fh.read().split("\n"))
-            if line and not line.startswith("#")
-        ]
+    _, lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path} has no numeric entries")
     tokens = ",".join(lines).split(",")
@@ -273,8 +254,8 @@ def cmd_delta(args: argparse.Namespace) -> int:
 
 def cmd_random(args: argparse.Namespace) -> int:
     # both lists are parsed whatever the mode, so a malformed one is refused
-    dims = _parse_int_tuple(args.dims) if args.dims else ()
-    thetas = _parse_float_tuple(args.thetas) if args.thetas else ()
+    dims = tuple(map(int, args.dims.split(","))) if args.dims else ()
+    thetas = tuple(map(float, args.thetas.split(","))) if args.thetas else ()
     if args.mode == "ci":
         if len(dims) != 3:
             raise ValueError("ci mode needs --dims R,S,T")

@@ -9,15 +9,14 @@ identity exact in binary64.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from operator import methodcaller
+from typing import Sequence
 
 import numpy as np
 
-from ._textrows import format_rows
+from ._textrows import field_counts, format_rows, read_lines
 from .bitgroup import WIDTH_CAP, Mask
 from .hadamard import fwht
 
@@ -72,7 +71,7 @@ class Pmf:
             raise ValueError(f"negative probability {arr.min()}")
         total = arr.sum()
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(total)!r}, not 1")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
@@ -102,16 +101,10 @@ def pmf_from_samples(data: np.ndarray) -> Pmf:
     n, p = arr.shape
     if p > WIDTH_CAP:
         raise ValueError(f"{p} sample columns exceed the {WIDTH_CAP}-bit cap")
-    cells = _cells_from_signs(arr.astype(np.int64))
+    # cell per row: bit j set iff column j is -1, X_1 most significant
+    cells = (arr.astype(np.int64) < 0) @ (1 << np.arange(p - 1, -1, -1, dtype=np.int64))
     counts = np.bincount(cells, minlength=1 << p)
     return Pmf(p, counts / n, meta={"generator": "empirical", "n": n})
-
-
-def _cells_from_signs(rows: np.ndarray) -> np.ndarray:
-    """Cell index per row: bit j set iff column j is -1, X_1 most significant."""
-    p = rows.shape[1]
-    weights = 1 << np.arange(p - 1, -1, -1, dtype=np.int64)
-    return (rows < 0) @ weights
 
 
 def draw_samples(pmf: Pmf, n: int, seed: int) -> np.ndarray:
@@ -305,15 +298,13 @@ def write_pmf_csv(pmf: Pmf, path: str) -> None:
     high_signs = np.array(_sign_patterns(pmf.p - low), dtype=object)
     low_signs = np.array(_sign_patterns(low), dtype=object)
     with open(path, "w", newline="") as fh:
-        for key in sorted(pmf.meta):
-            fh.write(f"# {key}: {pmf.meta[key]}\n")
+        fh.writelines(f"# {key}: {pmf.meta[key]}\n" for key in sorted(pmf.meta))
         fh.write("bits,prob\n")
-        for chunk in format_rows(
+        fh.writelines(format_rows(
             "%s%s,%.17g\n",
             (high_signs, cells >> low), (low_signs, cells & ((1 << low) - 1)),
             pmf.probs[cells],
-        ):
-            fh.write(chunk)
+        ))
 
 
 def _sign_patterns(bits: int) -> list[str]:
@@ -321,19 +312,15 @@ def _sign_patterns(bits: int) -> list[str]:
     return ["".join(signs) for signs in itertools.product("+-", repeat=bits)]
 
 
-def _parse_bits(text: str) -> tuple[int, int]:
-    """Bit pattern from a {+,-} or {0,1} string; returns (cell, width)."""
-    cell = 0
-    for ch in text:
-        if ch in "+0":
-            cell = cell << 1
-        elif ch in "-1":
-            cell = (cell << 1) | 1
-        else:
-            raise ValueError(f"bad bits string {text!r}")
-    if not text:
-        raise ValueError("empty bits string")
-    return cell, len(text)
+def _is_pmf_header(line: str) -> bool:
+    """The pmf header rule, which the CLI also tells pmf files from sample
+    files by: a data line whose first field, stripped, is "bits"."""
+    return line.partition(",")[0].strip() == "bits"
+
+
+def _first(flags: np.ndarray) -> int:
+    """Index of the first True flag, or len(flags) when none is set."""
+    return int(np.argmax(flags)) if flags.any() else flags.size
 
 
 def read_pmf_csv(path: str) -> Pmf:
@@ -341,43 +328,49 @@ def read_pmf_csv(path: str) -> Pmf:
 
     A table whose sum lies within 1e-9 of 1 but not within 1e-12 is rescaled
     to sum to 1, and meta["renormalised_from"] records repr of its sum.
+    Errors name the first bad row in file order, then a duplicate cell.
     """
-    meta: dict = {}
-    rows: list[tuple[int, float]] = []
-    width: Optional[int] = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if line.strip())
-        for row in reader:
-            if row[0].lstrip().startswith("#"):
-                text = ",".join(row).lstrip()[1:].strip()
-                if ":" in text:
-                    key, _, val = text.partition(":")
-                    meta[key.strip()] = val.strip()
-                continue
-            if row[0] == "bits":
-                continue
-            if len(row) != 2:
-                raise ValueError(f"malformed pmf row: {row!r}")
-            cell, w = _parse_bits(row[0].strip())
-            if width is None:
-                if w > WIDTH_CAP:
-                    raise ValueError(f"{w}-bit cells exceed the {WIDTH_CAP}-bit cap")
-                width = w
-            elif w != width:
-                raise ValueError(f"inconsistent bits width in {row!r}")
-            rows.append((cell, float(row[1])))
-    if width is None:
+    comments, lines = read_lines(path)
+    # "# key: value" comments; each key still follows its line's "#"
+    parts = map(methodcaller("partition", ":"), comments)
+    meta = {key[1:].strip(): val.strip() for key, sep, val in parts if sep}
+    rows = list(itertools.filterfalse(_is_pmf_header, lines))
+    if not rows:
         raise ValueError("pmf file has no data rows")
+    # rows are good up to the first without two fields, then up to the first
+    # whose bits hold a character outside +-01 or differ in width from row 0's
+    two = _first(field_counts(rows) != 2)
+    fields = ",".join(rows[:two]).split(",")
+    bits = list(map(str.strip, fields[0::2]))
+    widths = np.fromiter(map(len, bits), np.int64, two)
+    bad = np.fromiter(map(bool, map(methodcaller("strip", "+-01"), bits)), bool, two)
+    if two:
+        bad |= widths != widths[0]
+        bad[0] |= not 0 < widths[0] <= WIDTH_CAP
+    stop = _first(bad)
+    # a probability float() refuses on an earlier row is reported first
+    values = np.fromiter(map(float, fields[1:2 * stop:2]), np.float64, stop)
+    if stop < len(rows):
+        fields = rows[stop].split(",")
+        text = fields[0].strip()
+        raise ValueError(
+            f"malformed pmf row: {fields!r}" if len(fields) != 2
+            else f"bad bits string {text!r}" if text.strip("+-01")
+            else "empty bits string" if not text
+            else f"{len(text)}-bit cells exceed the {WIDTH_CAP}-bit cap" if not stop
+            else f"inconsistent bits width in {fields!r}"
+        )
+    width = int(widths[0])
+    binary = "\n".join(bits).replace("+", "0").replace("-", "1").split("\n")
+    cells = np.fromiter(map(int, binary, itertools.repeat(2)), np.int64, stop)
+    again = np.setdiff1d(np.arange(stop), np.unique(cells, return_index=True)[1])
+    if again.size:
+        raise ValueError(f"duplicate cell {int(cells[again[0]]):0{width}b}")
     probs = np.zeros(1 << width)
-    seen = set()
-    for cell, prob in rows:
-        if cell in seen:
-            raise ValueError(f"duplicate cell {cell:0{width}b}")
-        seen.add(cell)
-        probs[cell] = prob
+    probs[cells] = values
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"pmf file sums to {total!r}")
+        raise ValueError(f"pmf file sums to {float(total)!r}")
     if abs(total - 1.0) > 1e-12:
         probs = probs / total
         meta["renormalised_from"] = repr(float(total))
@@ -388,22 +381,25 @@ def write_samples_csv(data: np.ndarray, path: str) -> None:
     """CSV of +-1 integers, one observation per row."""
     arr = np.asarray(data, dtype=np.int64)
     with open(path, "w", newline="") as fh:
-        for row in arr:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        fh.writelines(format_rows(",".join(["%d"] * arr.shape[1]) + "\n", *arr.T))
 
 
 def read_samples_csv(path: str) -> np.ndarray:
-    """Load a +-1 sample matrix; malformed entries raise."""
-    rows = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([int(v) for v in line.split(",")])
-    if not rows:
+    """Load a +-1 sample matrix; errors name the first malformed entry, then
+    the first row whose field count differs from the first row's."""
+    _, lines = read_lines(path)
+    if not lines:
         raise ValueError("sample file has no rows")
-    arr = np.array(rows, dtype=np.int64)
-    if arr.ndim != 2 or not np.isin(arr, (-1, 1)).all():
+    tokens = ",".join(lines).split(",")
+    try:
+        values = np.fromiter(map(int, tokens), np.int64, len(tokens))
+    except OverflowError:  # past int64, so not +-1; malformed entries first
+        values = np.array(list(map(int, tokens)), dtype=object)
+    counts = field_counts(lines)
+    i = _first(counts != counts[0])
+    if i < len(lines):
+        raise ValueError(f"sample row {i + 1} {lines[i]!r} has {counts[i]} fields, "
+                         f"expected {counts[0]} as in the first row")
+    if not np.isin(values, (-1, 1)).all():
         raise ValueError("sample entries must be +1 or -1")
-    return arr
+    return values.reshape(len(lines), -1)

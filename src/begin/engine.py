@@ -174,6 +174,7 @@ def assemble_sigma(
         )
     # exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
     sigma = interaction_cov(pmf, masks, masks)
+    sigma.flags.writeable = False  # private, so SigmaPartition keeps it uncopied
     if joint is None:
         joint = _wing_table(pmf, part)
     return SigmaPartition(sigma=sigma, labels=labels, blocks=_center_blocks(joint, part))

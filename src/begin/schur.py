@@ -222,6 +222,8 @@ class SigmaPartition:
     when the center masses are >= 0, the wing rows lie in the row space of
     the center block (checked by sb_inverse) and every block is PSD
     (checked by CenterBlocks).
+    A read-only float64 sigma that owns its memory (assemble_sigma's) is
+    kept; any other is copied, so no caller can write the stored sigma.
     """
 
     sigma: np.ndarray
@@ -238,8 +240,9 @@ class SigmaPartition:
                 f"sigma shape {arr.shape} does not match {expected} labeled masks"
             )
         _require_symmetric(arr, tol=1e-12)
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable or arr.base is not None:
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "sigma", arr)
         if self.blocks.beta.shape != (expected - len(self.labels.b_set),):
             raise ValueError("center blocks do not index the wings of sigma")
@@ -288,7 +291,6 @@ class OmegaMatrix:
     """Block generalized inverse over (center, left wing, right wing)."""
 
     omega: np.ndarray
-    f: np.ndarray
     n_b: int
     sigma: np.ndarray = field(repr=False, compare=False)
 
@@ -375,4 +377,4 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> OmegaMatrix:
         np.negative(g, out=omega[:n_b, n_b:])
         omega[n_b:, :n_b] = omega[:n_b, n_b:].T
     omega[n_b:, n_b:] = sr.s_pinv
-    return OmegaMatrix(omega=omega, f=sp.f_block.copy(), n_b=n_b, sigma=sp.sigma)
+    return OmegaMatrix(omega=omega, n_b=n_b, sigma=sp.sigma)

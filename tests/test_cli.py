@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,14 +18,20 @@ from begin import (
     partition_to_json,
     prism,
     read_pmf_csv,
+    read_samples_csv,
     write_pmf_csv,
     write_samples_csv,
 )
 from begin._textrows import CHUNK_ROWS
-from begin.cli import _format_matrix, _format_vector, _read_vector, main
+from begin.cli import _format_matrix, _format_vector, _read_vector, _sniff_pmf_file, main
 from begin.engine import test_ci as decide_ci
 
 from conftest import cell_index, random_chain_pmf
+from reference_readers import (
+    reference_read_pmf_csv,
+    reference_read_samples_csv,
+    reference_sniff_pmf_file,
+)
 from test_graph import (
     reference_format_matrix,
     reference_format_vector,
@@ -96,6 +103,17 @@ def test_malformed_input_exits_two(tmp_path, part111_file, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["test", str(missing), "--partition", part111_file]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_ragged_sample_file_exits_two_naming_the_row(tmp_path, part111_file, capsys):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("1,1,1\n1,-1\n")
+    assert main(["test", str(ragged), "--partition", part111_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sample row 2 '1,-1' has 2 fields, expected 3 as in the first row\n"
+    )
 
 
 def test_empirical_input_is_advisory(tmp_path, part111_file, capsys):
@@ -442,6 +460,128 @@ def test_read_vector_matches_the_reference_reader_on_any_text(tmp_path_factory, 
     path.write_text(text, encoding="utf-8", newline="")
     got, want = outcome(_read_vector, str(path)), outcome(reference_read_vector, str(path))
     assert repr(got) == repr(want)
+
+
+# --- the text readers against the readers they replaced --------------------
+#
+# Every difference between a current reader and its reference is one of the
+# changes below, listed in CHANGES.md; each maps the text the reference reads,
+# or the outcome it gives, to the current reader's outcome.
+
+
+def _lines(text):
+    """The text's lines, ended where open()'s universal newlines end them."""
+    return re.split(r"\r\n|\r|\n", text)
+
+
+def header_rule(text):
+    """HEADER RULE: a data line whose first field, stripped, is "bits" is the
+    pmf header, to the pmf reader and to the CLI's sniff alike (the old
+    reader wanted a first field of exactly "bits"; the old sniff wanted
+    "bits,prob" once spaces were removed)."""
+    return "\n".join(
+        "bits,prob" if line.partition(",")[0].strip() == "bits" else line
+        for line in _lines(text)
+    )
+
+
+def line_ends(text):
+    """LINE-END WHITESPACE: a pmf message that quotes a row's fields or its
+    probability quotes those of the stripped line."""
+    return "\n".join(line.strip() for line in _lines(text))
+
+
+def plain_sum(result):
+    """SUM REPR: "pmf file sums to" gives repr of a Python float, not of a
+    numpy float64."""
+    return re.sub(r"sums to np\.float64\((.*?)\)", r"sums to \1", result)
+
+
+def ragged_rows(text, result):
+    """RAGGED ROWS: numpy's inhomogeneous-shape message becomes one that
+    names the first short or long sample row and the first row's count.
+    ENTRY PAST INT64: an entry int() reads but int64 cannot hold is refused
+    as not +-1, not by an OverflowError."""
+    if result.startswith("ValueError('setting an array element with a sequence"):
+        rows = [
+            line.strip() for line in _lines(text)
+            if line.strip() and not line.strip().startswith("#")
+        ]
+        counts = [row.count(",") + 1 for row in rows]
+        i = next(k for k, count in enumerate(counts) if count != counts[0])
+        return repr(ValueError(
+            f"sample row {i + 1} {rows[i]!r} has {counts[i]} fields, "
+            f"expected {counts[0]} as in the first row"
+        ))
+    if result.startswith("OverflowError("):
+        return repr(ValueError("sample entries must be +1 or -1"))
+    return result
+
+
+def result(read, path):
+    """What a reader gives, exactly: the bytes of an array, a pmf's width,
+    bytes and meta, or the repr of what it raises (path made generic)."""
+    try:
+        got = read(str(path))
+    except Exception as exc:  # OverflowError too, not only ValueError
+        return repr(exc).replace(str(path), "<path>")
+    if isinstance(got, np.ndarray):
+        return f"array {got.dtype} {got.shape} {got.tobytes().hex()}"
+    if isinstance(got, Pmf):
+        return f"pmf {got.p} {got.probs.tobytes().hex()} {got.meta!r}"
+    return repr(got)
+
+
+def assert_readers_match(root, text):
+    raw, old = root / "raw.csv", root / "old.csv"
+    raw.write_text(text, encoding="utf-8", newline="")
+    old.write_text(header_rule(line_ends(text)), encoding="utf-8", newline="")
+    pmf = result(read_pmf_csv, raw)
+    if not re.match(r"\w+Error\(", result(reference_read_pmf_csv, raw)):
+        # a file the old reader accepted reads exactly as before
+        assert pmf == result(reference_read_pmf_csv, raw)
+    assert pmf == plain_sum(result(reference_read_pmf_csv, old))
+    assert result(_sniff_pmf_file, raw) == result(reference_sniff_pmf_file, old)
+    assert result(read_samples_csv, raw) == ragged_rows(
+        text, result(reference_read_samples_csv, raw)
+    )
+    assert result(_read_vector, raw) == result(reference_read_vector, raw)
+
+
+READER_TOKENS = ["+", "-", "0", "1", ",", "#", ":", "b", "_", "x", ".", "e",
+                 " ", "\t", "\n", "\r", "bits", "prob"]
+
+
+@seed(13)
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(READER_TOKENS), max_size=40).map("".join))
+def test_text_readers_match_the_readers_they_replaced(tmp_path_factory, text):
+    assert_readers_match(tmp_path_factory.mktemp("readers"), text)
+
+
+_pad = st.sampled_from(["", " ", "\t", " \t "])
+_bits = st.text("+-01", min_size=0, max_size=3)
+_prob = st.sampled_from(["1", "0", ".1e1", "1e0", "0.1", "1.0000000001", "1.00000001",
+                         "1_0", "-0", "x", "", " 1 ", "1e-1"])
+_row = st.one_of(
+    st.tuples(_pad, _bits, _pad, st.just(","), _pad, _prob, _pad).map("".join),
+    st.lists(st.sampled_from(["1", "-1", "+1", " 1", "-1 ", "0", "1_1"]), min_size=1,
+             max_size=3).map(",".join),
+    st.sampled_from(["bits,prob", " bits ,prob", "bits", "bits,prob,x", "bits\t,prob",
+                     "# b: 1", "#:x", "# bits: 10", "+,1,1", "", "1" * 22 + ",1",
+                     "1" * 24 + ",1", "1" * 25 + ",1"]),
+    st.lists(st.sampled_from(READER_TOKENS[:14] + ["bits", "prob"]), max_size=8).map("".join),
+)
+
+
+@seed(14)
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_row, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+)
+def test_text_readers_match_the_readers_they_replaced_on_rows(tmp_path_factory, rows):
+    text = "".join(row + end for row, end in rows)
+    assert_readers_match(tmp_path_factory.mktemp("rows"), text)
 
 
 @seed(12)

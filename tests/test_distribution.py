@@ -273,6 +273,83 @@ def test_samples_csv_round_trip(tmp_path):
         read_samples_csv(str(bad))
 
 
+def test_ragged_sample_file_names_the_first_short_or_long_row(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("1,1\n1\n")
+    message = r"^sample row 2 '1' has 1 fields, expected 2 as in the first row$"
+    with pytest.raises(ValueError, match=message):
+        read_samples_csv(str(path))
+    path.write_text("# header\n-1,1\n\n1,-1\n1,1,1\n1\n")
+    with pytest.raises(ValueError, match=r"^sample row 3 '1,1,1' has 3 fields, expected 2"):
+        read_samples_csv(str(path))
+    # a malformed entry anywhere is named before the shape
+    path.write_text("1,1\n1\n1,x\n")
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        read_samples_csv(str(path))
+
+
+def test_sample_entries_past_int64_are_refused_as_not_plus_minus_one(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1,-1\n1,99999999999999999999\n")
+    with pytest.raises(ValueError, match=r"^sample entries must be \+1 or -1$"):
+        read_samples_csv(str(path))
+    path.write_text("1,99999999999999999999\n1,y\n")
+    with pytest.raises(ValueError, match="invalid literal for int.*'y'"):
+        read_samples_csv(str(path))
+
+
+def test_samples_csv_skips_comments_blank_lines_and_crlf(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(b"# n: 2\r\n\r\n 1, -1 \r\n\t\r\n-1,+1\r")
+    assert read_samples_csv(str(path)).tolist() == [[1, -1], [-1, 1]]
+
+
+def test_sample_writer_bytes(tmp_path):
+    path = tmp_path / "samples.csv"
+    write_samples_csv(np.array([[1, -1, 1], [-1, -1, 1]]), str(path))
+    assert path.read_bytes() == b"1,-1,1\n-1,-1,1\n"
+
+
+def test_pmf_csv_reports_errors_in_file_order(tmp_path):
+    path = tmp_path / "pmf.csv"
+    cases = [
+        ("bits,prob\n-+,0.25\n++,0.25\n-+,0.5\n++,0\n", r"^duplicate cell 10$"),
+        ("bits,prob\n+,x\n++,0.5\n", r"could not convert string to float: 'x'"),
+        ("bits,prob\n++,0.5\n+,y\n", r"^inconsistent bits width in \['\+', 'y'\]$"),
+        ("bits,prob\n0b1,1\n", r"^bad bits string '0b1'$"),
+        ("bits,prob\n1_0,1\n", r"^bad bits string '1_0'$"),
+        ("bits,prob\n+ -,1\n", r"^bad bits string '\+ -'$"),
+        ("bits,prob\n+x,1\n", r"^bad bits string '\+x'$"),
+        ("bits,prob\n  ,1\n", r"^empty bits string$"),
+        ("bits,prob\n++,0.5,1\n", r"^malformed pmf row: \['\+\+', '0.5', '1'\]$"),
+        (f"bits,prob\n{'+' * 25},1\n", r"^25-bit cells exceed the 24-bit cap$"),
+        ("# only: comments\nbits,prob\n", r"^pmf file has no data rows$"),
+        # no csv quoting: a quote is part of the field
+        ('bits,prob\n"++",1\n', r"^bad bits string '\"\+\+\"'$"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_pmf_csv(str(path))
+
+
+def test_pmf_csv_reads_crlf_comments_blank_lines_and_binary_bits(tmp_path):
+    path = tmp_path / "pmf.csv"
+    path.write_bytes(b"# seed: 7\r\n\r\n #note\r\n bits , prob\r\n 01 , 0.25\r\n\t\r\n10,0.75 ")
+    pmf = read_pmf_csv(str(path))
+    assert pmf.probs.tolist() == [0.0, 0.25, 0.75, 0.0]
+    assert pmf.meta == {"seed": "7"}
+
+
+def test_sum_errors_print_a_plain_float(tmp_path):
+    path = tmp_path / "half.csv"
+    path.write_text("bits,prob\n+,0.25\n-,0.25\n")
+    with pytest.raises(ValueError, match=r"^pmf file sums to 0\.5$"):
+        read_pmf_csv(str(path))
+    with pytest.raises(ValueError, match=r"^probabilities sum to 0\.9, not 1$"):
+        Pmf(1, np.array([0.5, 0.4]))
+
+
 def test_pmf_validation():
     with pytest.raises(ValueError):
         Pmf(2, np.array([0.5, 0.5, 0.5]))

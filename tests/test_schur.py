@@ -15,6 +15,7 @@ from begin import (
     sb_inverse,
     schur_complement,
 )
+from begin import engine
 from begin.schur import _TILE, _asymmetry, _max_abs, _require_symmetric, _symmetrize
 
 from dense_reference import reference_pinv_eigh, reference_schur
@@ -397,3 +398,29 @@ def test_sigma_partition_check_keeps_its_tolerance_past_one_tile():
     sigma[3, n - 1] = np.nextafter(1e-12, 1.0)
     with pytest.raises(ValueError, match="not symmetric within tolerance"):
         SigmaPartition(sigma, sp.labels, sp.blocks)
+
+
+def test_sigma_partition_keeps_a_private_sigma_and_copies_a_shared_one(monkeypatch):
+    made, original = [], engine.interaction_cov
+
+    def recording(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "interaction_cov", recording)
+    part = Partition.coordinate_split(1, 1, 1)
+    sp = assemble_sigma(make_generic_pmf(3, seed=4), part)
+    # assemble_sigma's fresh sigma is handed over, not copied
+    assert np.shares_memory(sp.sigma, made[0])
+    assert not sp.sigma.flags.writeable and sp.sigma.base is None
+    # read-only and owning its memory: taken as it is
+    assert np.shares_memory(SigmaPartition(sp.sigma, sp.labels, sp.blocks).sigma, sp.sigma)
+    # writable, or a read-only view of a writable array: copied and frozen
+    writable = sp.sigma.copy()
+    view = writable.view()
+    view.flags.writeable = False
+    for given in (writable, view):
+        kept = SigmaPartition(given, sp.labels, sp.blocks).sigma
+        assert not np.shares_memory(kept, writable)
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, sp.sigma)

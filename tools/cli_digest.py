@@ -71,6 +71,17 @@ def write_inputs(root):
     put("smooth.json", json.dumps(SMOOTH))
     put("grid.json", json.dumps(GRID))
     put("bad.csv", "bits,prob\n01,0.5\n")
+    # the pmf and sample readers' line, comment, header and field rules
+    put("crlf.csv", "# generator: hand\r\n\r\n  # seed: 3\r\nbits,prob\r\n+++,0.5\r\n"
+                    "\t\r\n-+-, 0.25 \r\n\r\n--+,0.25\r\n")
+    put("binary.csv", "bits,prob\n000,0.125\n011,0.375\n101,0.25\n110,0.25\n")
+    put("dup.csv", "bits,prob\n+++,0.25\n-+-,0.25\n+++,0.5\n")
+    put("bits0b.csv", "bits,prob\n0b1,1\n")
+    put("bitsx.csv", "bits,prob\n+x,1\n")
+    put("three.csv", "bits,prob\n+++,0.5,1\n")
+    put("ragged.csv", "1,1,1\n-1,1,1\n1,-1\n")
+    put("zero.csv", "1,1,1\n1,0,-1\n")
+    put("commented.csv", "# drawn by hand\n\n1,-1,1\n  \n# again\n-1,1,-1\r\n1,1,1\n")
     # sums to 1 + 4e-10: read with a rescale and, since it is recorded, a warning
     cells = [f"{c:03b}".replace("0", "+").replace("1", "-") for c in range(8)]
     put("off.csv", "bits,prob\n" + "".join(
@@ -112,6 +123,12 @@ def calls():
         ("test malformed", ["test", "{d}/bad.csv", "--partition", "{d}/part111.json"], []),
         ("test renormalised", ["test", "{d}/off.csv", "--partition", "{d}/part111.json"], []),
         ("test negative tol", ["test", *ci232, "--tol=-1"], []),
+    ]
+    for name in ("crlf", "binary", "dup", "bits0b", "bitsx", "three", "ragged", "zero",
+                 "commented"):
+        out.append((f"test {name}", ["test", f"{{d}}/{name}.csv", "--partition",
+                                     "{d}/part111.json"], []))
+    out += [
         ("graph gen11 dot out", ["graph", *gen11, "--out", "{d}/g353.dot"], ["g353.dot"]),
         ("graph gen11 json out", ["graph", *gen11, "--out", "{d}/g353.json"], ["g353.json"]),
         ("graph ci232 tol", ["graph", *ci232, "--tol", "1e-3"], []),
