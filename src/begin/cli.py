@@ -122,11 +122,17 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _sniff_pmf_file(path: str) -> bool:
-    """True when the CSV's first data line is the pmf header, else samples."""
-    _, lines = read_lines(path)
-    if not lines:
-        raise ValueError(f"{path} has no data lines")
-    return _is_pmf_header(lines[0])
+    """True when the CSV's first data line is the pmf header, else samples.
+
+    The file is read up to that line only; its lines end, and are stripped
+    and skipped, as read_lines ends, strips and skips them.
+    """
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line and line[0] != "#":
+                return _is_pmf_header(line)
+    raise ValueError(f"{path} has no data lines")
 
 
 def _read_vector(path: str) -> np.ndarray:

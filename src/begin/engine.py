@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bitgroup import Mask, Partition, build_index_sets, span_generate
-from .distribution import _BYTE_LIMIT, Pmf, interaction_cov, moments_from_pmf
+from .distribution import _BYTE_LIMIT, Pmf, interaction_cov
 from .graph import _require_tolerance, build_graph, separates
 from .hadamard import fwht
 from .schur import (
@@ -24,7 +24,6 @@ from .schur import (
     SigmaPartition,
     _max_abs,
     _schur_parts,
-    pinv_sym,
     sb_inverse,
     schur_complement,
 )
@@ -84,8 +83,11 @@ class CiVerdict:
 class BeliefCoefficients:
     """Linear representation of E[X_target | center group].
 
-    coefficients[c] weights the c-th group-ordered member of span(B gens);
-    the fitted values reproduce the conditional expectation on every
+    coefficients[c] weights the c-th group-ordered member of span(B gens):
+    they are the Walsh transform of E[X_target | b] over the 2^s center
+    configurations b, divided by 2^s (the paper's sparse linear
+    representation), at a cost of O(s 2^s + support).  The fitted values,
+    their transform back, reproduce the conditional expectation on every
     positive-mass center configuration.  Coefficients are canonical
     (minimum-norm) but not unique when the center support is thin, so only
     fitted values are contract.
@@ -114,53 +116,24 @@ class FactorizationWitness:
         return self.ok
 
 
-def _chi(cells: np.ndarray, bits: int) -> np.ndarray:
-    """The +-1 interaction of a mask on each cell."""
-    return 1.0 - 2.0 * (np.bitwise_count(cells & bits) & 1)
-
-
-class _ConfigTable:
-    """Probability mass of each parity configuration of a pmf's support.
-
-    Every conditional-expectation table of the engine is read off one of
-    these; only positive-mass configurations carry a conditional value.
-    """
-
-    def __init__(
-        self, cells: np.ndarray, probs: np.ndarray, keys: np.ndarray, size: int
-    ) -> None:
-        self.cells, self.probs, self.keys = cells, probs, keys
-        self.mass = np.bincount(keys, weights=probs, minlength=size)
-        self.positive = self.mass > 0.0
-
-    @classmethod
-    def of(cls, pmf: Pmf, gens_bits: Sequence[int]) -> "_ConfigTable":
-        """The table over the parities of gens_bits, the first generator's
-        parity the most significant bit of a configuration's index."""
-        cells = pmf.support
-        keys = np.zeros(cells.shape, dtype=np.int64)
-        for g in gens_bits:
-            keys = (keys << 1) | (np.bitwise_count(cells & g) & 1)
-        return cls(cells, pmf.probs[cells], keys, 1 << len(gens_bits))
-
-    def cond_mean(self, values: np.ndarray) -> np.ndarray:
-        """E[values | configuration], zero on zero-mass configurations."""
-        num = np.bincount(
-            self.keys, weights=self.probs * values, minlength=self.mass.size
-        )
-        pos = self.positive
-        out = np.zeros(self.mass.size)
-        out[pos] = num[pos] / self.mass[pos]
-        return out
+def _config_mass(pmf: Pmf, gens: Sequence[Mask]) -> np.ndarray:
+    """Probability mass of each parity configuration of gens on the pmf's
+    support, the first generator's parity the most significant bit of a
+    configuration's index."""
+    cells = pmf.support
+    keys = np.zeros(cells.shape, dtype=np.int64)
+    for g in gens:
+        keys = (keys << 1) | (np.bitwise_count(cells & g.bits) & 1)
+    return np.bincount(keys, weights=pmf.probs[cells], minlength=1 << len(gens))
 
 
 def assemble_sigma(
-    pmf: Pmf, part: Partition, joint: Optional[_ConfigTable] = None
+    pmf: Pmf, part: Partition, joint: Optional[np.ndarray] = None
 ) -> SigmaPartition:
     """Interaction covariance over the ordered index sets of the partition,
     with the wing Schur complement split by center configuration
-    (CenterBlocks).  joint, the pmf's (b, a, c) table (_wing_table), is
-    built here unless the caller already has it.
+    (CenterBlocks).  joint, the pmf's (b, a, c) mass array (_wing_table),
+    is built here unless the caller already has it.
     """
     if pmf.p != part.p:
         raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
@@ -180,16 +153,15 @@ def assemble_sigma(
     return SigmaPartition(sigma=sigma, labels=labels, blocks=_center_blocks(joint, part))
 
 
-def _wing_table(pmf: Pmf, part: Partition) -> _ConfigTable:
+def _wing_table(pmf: Pmf, part: Partition) -> np.ndarray:
     """The pmf's mass over (b, a, c): the configurations of the center basis,
     then of the bases of the left and the right complement (wing_complements).
     """
     a_comp, c_comp = part.wing_complements
-    gens = part.b_span.basis + a_comp.basis + c_comp.basis
-    return _ConfigTable.of(pmf, [m.bits for m in gens])
+    return _config_mass(pmf, part.b_span.basis + a_comp.basis + c_comp.basis)
 
 
-def _center_blocks(joint: _ConfigTable, part: Partition) -> CenterBlocks:
+def _center_blocks(joint: np.ndarray, part: Partition) -> CenterBlocks:
     """Per center configuration b, 2^s p_b Cov(complement characters | b).
 
     Given b every center character is a constant sign, so a wing mask
@@ -200,7 +172,7 @@ def _center_blocks(joint: _ConfigTable, part: Partition) -> CenterBlocks:
     a_comp, c_comp = part.wing_complements
     ra, rc = a_comp.dim, c_comp.dim
     configs = 1 << part.b_span.dim
-    table = fwht(joint.mass.reshape(configs, -1).T).T
+    table = fwht(joint.reshape(configs, -1).T).T
     # character (i of the left complement, j of the right) sits at i << rc | j
     chars = np.concatenate([np.arange(1, 1 << ra) << rc, np.arange(1, 1 << rc)])
     mass, moments = table[:, :1, None], table[:, chars]
@@ -212,7 +184,7 @@ def _center_blocks(joint: _ConfigTable, part: Partition) -> CenterBlocks:
     return CenterBlocks(
         stack=stack,
         mass=table[:, 0],
-        rank=_block_ranks(joint.positive.reshape(configs, 1 << ra, 1 << rc)),
+        rank=_block_ranks((joint > 0.0).reshape(configs, 1 << ra, 1 << rc)),
         beta=beta,
         alpha=alpha,
     )
@@ -242,7 +214,7 @@ def _block_ranks(support: np.ndarray) -> np.ndarray:
     return has_a.sum(axis=1) + n_c - comps - has_a.any(axis=1)
 
 
-def _belief_residual(joint: _ConfigTable, part: Partition) -> float:
+def _belief_residual(joint: np.ndarray, part: Partition) -> float:
     """Criterion over both wings: wing interactions forget the far block.
 
     A wing target alpha XOR beta, beta in the center span, has exactly the
@@ -254,7 +226,7 @@ def _belief_residual(joint: _ConfigTable, part: Partition) -> float:
     both read off the (b, a, c) mass table, and the right ones mirror this.
     """
     a_comp, c_comp = part.wing_complements
-    mass = joint.mass.reshape(-1, 1 << a_comp.dim, 1 << c_comp.dim)
+    mass = joint.reshape(-1, 1 << a_comp.dim, 1 << c_comp.dim)
     return max(_forget_gap(mass), _forget_gap(mass.transpose(0, 2, 1)))
 
 
@@ -352,10 +324,14 @@ def belief_coefficients(
 ) -> BeliefCoefficients:
     """Canonical coefficients of E[X_target | B] over the center group.
 
-    The Gram system is the group-circulant of the center moment vector,
-    solved by pseudoinverse; condition_on picks which far block joins the
-    center when measuring the two-conditioning residual ("C" for left-wing
-    targets, "A" for right-wing, "auto" to infer from the spans).
+    The Gram system is the prism of the center moments: the Walsh transform
+    diagonalises it with eigenvalues 2^s p_b, so its minimum-norm solution
+    is fwht(E[X_target | b]) / 2^s, with E[X_target | b] set to 0 where
+    2^s p_b is at most pinv_sym's cutoff (rank_tol times the largest, by
+    default 2^s binary64 epsilon times it).  condition_on picks which far
+    block joins the center when measuring the two-conditioning residual
+    ("C" for left-wing targets, "A" for right-wing, "auto" to infer from
+    the spans).
     """
     if target.width != pmf.p or part.p != pmf.p:
         raise ValueError("width mismatch")
@@ -378,45 +354,35 @@ def belief_coefficients(
         raise ValueError(f"target {target} outside the center-right span")
 
     span_b = part.b_span
-    lam = span_b.member_bits()
-    m = moments_from_pmf(pmf)
-    gram = m[np.bitwise_xor.outer(lam, lam)]
-    cross = m[lam ^ target.bits]
-    gram_pinv, _ = pinv_sym(gram, rank_tol)
-    alpha = gram_pinv @ cross
-
-    center = _ConfigTable.of(pmf, [mk.bits for mk in span_b.basis])
-    chi_t = _chi(center.cells, target.bits)
-    fitted_cells = np.zeros(center.cells.shape)
-    for c, lam_c in enumerate(lam):
-        fitted_cells += alpha[c] * _chi(center.cells, int(lam_c))
-
-    other = part.c_span.basis if condition_on == "C" else part.a_span.basis
-    fit_residual = _fitted_gap(center, chi_t, fitted_cells)
-    joint = _ConfigTable.of(pmf, [mk.bits for mk in span_b.basis + other])
-    residual = _fitted_gap(joint, chi_t, fitted_cells)
-    members = tuple(Mask(int(v), part.p) for v in lam)
+    configs = 1 << span_b.dim
+    a_comp, c_comp = part.wing_complements
+    # with the center, the far block's complement spans what the far block
+    # does, so its configurations f split each b as the far block's own would
+    far = c_comp if condition_on == "C" else a_comp
+    # mass[b, f, x], x the target's parity: 0 where X_target = +1
+    mass = _config_mass(pmf, span_b.basis + far.basis + (target,)).reshape(configs, -1, 2)
+    joint = mass.sum(axis=2)
+    signed = mass[:, :, 0] - mass[:, :, 1]
+    p_b = joint.sum(axis=1)
+    given_b = np.divide(signed.sum(axis=1), p_b, out=np.zeros(configs), where=p_b > 0.0)
+    given_bf = np.divide(signed, joint, out=np.zeros_like(joint), where=joint > 0.0)
+    eigen = configs * p_b
+    cutoff = (configs * np.finfo(np.float64).eps if rank_tol is None else rank_tol) * eigen.max()
+    # what fwht(coefficients) is, read without the round-off of a transform
+    # back, so the residual matches test_ci's belief route bit for bit
+    fitted = np.where(eigen > cutoff, given_b, 0.0)
+    coefficients = fwht(fitted) / configs
+    fit_residual = float(np.abs(given_b - fitted)[p_b > 0.0].max())
+    residual = float(np.abs(given_bf - fitted[:, None])[joint > 0.0].max())
+    members = tuple(Mask(int(v), part.p) for v in span_b.member_bits())
     return BeliefCoefficients(
         target=target,
         members=members,
-        coefficients=alpha,
+        coefficients=coefficients,
         residual=residual,
         fit_residual=fit_residual,
         condition_on=condition_on,
     )
-
-
-def _fitted_gap(
-    table: _ConfigTable, chi_t: np.ndarray, fitted_cells: np.ndarray
-) -> float:
-    """Max |E[X_t | config] - fitted| over positive-mass configurations.
-
-    fitted is constant on each center configuration, so its conditional
-    average equals its value there.
-    """
-    pos = table.positive
-    gap = np.abs(table.cond_mean(chi_t)[pos] - table.cond_mean(fitted_cells)[pos])
-    return float(gap.max())
 
 
 def verify_block_factorization(

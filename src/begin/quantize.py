@@ -242,36 +242,31 @@ class SmoothSource:
 
     def joint_table(self, d: int) -> np.ndarray:
         """Closed-form joint of (U_d, V_d, W_d): polynomial piece integrals."""
-        nv_cell = 1 << d
-        a0 = np.zeros(nv_cell)
-        au = np.zeros(nv_cell)
-        aw = np.zeros(nv_cell)
-        ax = np.zeros(nv_cell)
-        atom_width = 2.0 ** (1 - self.v_depth)
-        rho = self.v_probs / atom_width
-        cell_edges = -1.0 + 2.0 ** (1 - d) * np.arange(nv_cell + 1)
-        atom_edges = -1.0 + atom_width * np.arange((1 << self.v_depth) + 1)
-        # cell j meets one atom when d >= v_depth, else a run of 2^(v_depth - d)
-        shift = d - self.v_depth
-        for j in range(nv_cell):
-            if shift >= 0:
-                atoms = range(j >> shift, (j >> shift) + 1)
-            else:
-                atoms = range(j << -shift, (j + 1) << -shift)
-            for a in atoms:
-                lo = max(cell_edges[j], atom_edges[a])
-                hi = min(cell_edges[j + 1], atom_edges[a + 1])
-                j0 = hi - lo
-                j1 = (hi * hi - lo * lo) / 2.0
-                j2 = (hi**3 - lo**3) / 3.0
-                c0u, c1u = self.u_mean[a]
-                c0w, c1w = self.w_mean[a]
-                a0[j] += rho[a] * j0
-                au[j] += rho[a] * (c0u * j0 + c1u * j1)
-                aw[j] += rho[a] * (c0w * j0 + c1w * j1)
-                ax[j] += rho[a] * (
-                    c0u * c0w * j0 + (c0u * c1w + c1u * c0w) * j1 + c1u * c1w * j2
-                )
+        # the fine intervals are the depth-d cells split at the atom edges:
+        # each lies in one cell and one atom
+        depth = max(d, self.v_depth)
+        fine = np.arange(1 << depth)
+        atom = fine >> (depth - self.v_depth)
+        edges = -1.0 + 2.0 ** (1 - depth) * np.arange((1 << depth) + 1)
+        # numpy's vector power rounds some cubes past 18 bits differently
+        # from the scalar power
+        cubes = np.array([x**3 for x in edges.tolist()])
+        lo, hi = edges[:-1], edges[1:]
+        j0 = hi - lo
+        j1 = (hi * hi - lo * lo) / 2.0
+        j2 = (cubes[1:] - cubes[:-1]) / 3.0
+        rho = self.v_probs[atom] / 2.0 ** (1 - self.v_depth)
+        c0u, c1u = self.u_mean[atom].T
+        c0w, c1w = self.w_mean[atom].T
+        pieces = (
+            rho * j0,
+            rho * (c0u * j0 + c1u * j1),
+            rho * (c0w * j0 + c1w * j1),
+            rho * (c0u * c0w * j0 + (c0u * c1w + c1u * c0w) * j1 + c1u * c1w * j2),
+        )
+        # bincount adds each cell's pieces onto zero in ascending atom order
+        cell = fine >> (depth - d)
+        a0, au, aw, ax = (np.bincount(cell, weights=w, minlength=1 << d) for w in pieces)
         ubar = _cell_centers(d)
         wbar = _cell_centers(d)
         table = (

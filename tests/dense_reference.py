@@ -8,11 +8,22 @@ eigenvalue threshold on S itself under an explicit rank_tol.
 The joint tables of the quantize sources before per-axis refinement: the
 grid's dense depth maps contracted by one four-way einsum, and the smooth
 source's loop over every (cell, atom) pair.
+
+belief_coefficients as it was before it read the coefficients off one
+Walsh transform of the center conditional means: a dense Gram system over
+the center members, solved by pinv_sym, with fitted values checked per
+cell through _ConfigTable.
 """
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
+
+from begin.bitgroup import Mask, Partition, span_generate
+from begin.distribution import Pmf, moments_from_pmf
+from begin.engine import BeliefCoefficients
+from begin.schur import pinv_sym
 
 
 def reference_pinv_eigh(arr, rank_tol, anchor):
@@ -144,3 +155,119 @@ def reference_smooth_joint_table(source, d):
         + ubar[:, None, None] * wbar[None, None, :] * ax[None, :, None]
     )
     return table / float(1 << (2 * d))
+
+
+def _chi(cells: np.ndarray, bits: int) -> np.ndarray:
+    """The +-1 interaction of a mask on each cell."""
+    return 1.0 - 2.0 * (np.bitwise_count(cells & bits) & 1)
+
+
+class _ConfigTable:
+    """Probability mass of each parity configuration of a pmf's support.
+
+    Every conditional-expectation table of the engine is read off one of
+    these; only positive-mass configurations carry a conditional value.
+    """
+
+    def __init__(
+        self, cells: np.ndarray, probs: np.ndarray, keys: np.ndarray, size: int
+    ) -> None:
+        self.cells, self.probs, self.keys = cells, probs, keys
+        self.mass = np.bincount(keys, weights=probs, minlength=size)
+        self.positive = self.mass > 0.0
+
+    @classmethod
+    def of(cls, pmf: Pmf, gens_bits: Sequence[int]) -> "_ConfigTable":
+        """The table over the parities of gens_bits, the first generator's
+        parity the most significant bit of a configuration's index."""
+        cells = pmf.support
+        keys = np.zeros(cells.shape, dtype=np.int64)
+        for g in gens_bits:
+            keys = (keys << 1) | (np.bitwise_count(cells & g) & 1)
+        return cls(cells, pmf.probs[cells], keys, 1 << len(gens_bits))
+
+    def cond_mean(self, values: np.ndarray) -> np.ndarray:
+        """E[values | configuration], zero on zero-mass configurations."""
+        num = np.bincount(
+            self.keys, weights=self.probs * values, minlength=self.mass.size
+        )
+        pos = self.positive
+        out = np.zeros(self.mass.size)
+        out[pos] = num[pos] / self.mass[pos]
+        return out
+
+
+def belief_coefficients(
+    pmf: Pmf,
+    part: Partition,
+    target: Mask,
+    condition_on: str = "auto",
+    rank_tol: Optional[float] = None,
+) -> BeliefCoefficients:
+    """Canonical coefficients of E[X_target | B] over the center group.
+
+    The Gram system is the group-circulant of the center moment vector,
+    solved by pseudoinverse; condition_on picks which far block joins the
+    center when measuring the two-conditioning residual ("C" for left-wing
+    targets, "A" for right-wing, "auto" to infer from the spans).
+    """
+    if target.width != pmf.p or part.p != pmf.p:
+        raise ValueError("width mismatch")
+    span_ab = span_generate(part.a_gens + part.b_gens, width=part.p)
+    span_bc = span_generate(part.b_gens + part.c_gens, width=part.p)
+    if condition_on == "auto":
+        if target in span_ab:
+            condition_on = "C"
+        elif target in span_bc:
+            condition_on = "A"
+        else:
+            raise ValueError(
+                f"target {target} lies in neither wing span; pass condition_on"
+            )
+    if condition_on not in ("A", "C"):
+        raise ValueError(f"condition_on must be 'A' or 'C', got {condition_on!r}")
+    if condition_on == "C" and target not in span_ab:
+        raise ValueError(f"target {target} outside the center-left span")
+    if condition_on == "A" and target not in span_bc:
+        raise ValueError(f"target {target} outside the center-right span")
+
+    span_b = part.b_span
+    lam = span_b.member_bits()
+    m = moments_from_pmf(pmf)
+    gram = m[np.bitwise_xor.outer(lam, lam)]
+    cross = m[lam ^ target.bits]
+    gram_pinv, _ = pinv_sym(gram, rank_tol)
+    alpha = gram_pinv @ cross
+
+    center = _ConfigTable.of(pmf, [mk.bits for mk in span_b.basis])
+    chi_t = _chi(center.cells, target.bits)
+    fitted_cells = np.zeros(center.cells.shape)
+    for c, lam_c in enumerate(lam):
+        fitted_cells += alpha[c] * _chi(center.cells, int(lam_c))
+
+    other = part.c_span.basis if condition_on == "C" else part.a_span.basis
+    fit_residual = _fitted_gap(center, chi_t, fitted_cells)
+    joint = _ConfigTable.of(pmf, [mk.bits for mk in span_b.basis + other])
+    residual = _fitted_gap(joint, chi_t, fitted_cells)
+    members = tuple(Mask(int(v), part.p) for v in lam)
+    return BeliefCoefficients(
+        target=target,
+        members=members,
+        coefficients=alpha,
+        residual=residual,
+        fit_residual=fit_residual,
+        condition_on=condition_on,
+    )
+
+
+def _fitted_gap(
+    table: _ConfigTable, chi_t: np.ndarray, fitted_cells: np.ndarray
+) -> float:
+    """Max |E[X_t | config] - fitted| over positive-mass configurations.
+
+    fitted is constant on each center configuration, so its conditional
+    average equals its value there.
+    """
+    pos = table.positive
+    gap = np.abs(table.cond_mean(chi_t)[pos] - table.cond_mean(fitted_cells)[pos])
+    return float(gap.max())

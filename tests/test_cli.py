@@ -22,7 +22,8 @@ from begin import (
     write_pmf_csv,
     write_samples_csv,
 )
-from begin._textrows import CHUNK_ROWS
+from begin._textrows import CHUNK_ROWS, read_lines
+from begin.distribution import _is_pmf_header
 from begin.cli import _format_matrix, _format_vector, _read_vector, _sniff_pmf_file, main
 from begin.engine import test_ci as decide_ci
 
@@ -546,6 +547,25 @@ def assert_readers_match(root, text):
         text, result(reference_read_samples_csv, raw)
     )
     assert result(_read_vector, raw) == result(reference_read_vector, raw)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the CRLF, commented and header-after-comments files of cli_digest
+        "# generator: hand\r\n\r\n  # seed: 3\r\nbits,prob\r\n+++,0.5\r\n"
+        "\t\r\n-+-, 0.25 \r\n\r\n--+,0.25\r\n",
+        "# drawn by hand\n\n1,-1,1\n  \n# again\n-1,1,-1\r\n1,1,1\n",
+        "# a\n\n  # b\n bits , prob\n+,1\n",
+        # no line ends at a form feed or NEL, which strip() still removes
+        "\x0c# a\x0cbits,prob\n\x85\n1\x0c,1\n",
+        "\x0c\n\x85bits\x0c,prob\r+,1\n",
+    ],
+)
+def test_sniff_reads_the_first_data_line_as_read_lines_does(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _sniff_pmf_file(str(path)) == _is_pmf_header(read_lines(str(path))[1][0])
 
 
 READER_TOKENS = ["+", "-", "0", "1", ",", "#", ":", "b", "_", "x", ".", "e",

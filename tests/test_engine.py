@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from begin import (
     Mask,
@@ -216,6 +218,145 @@ def test_belief_fitted_values_survive_thin_center():
     assert bc.residual <= 1e-12
 
 
+def duplicate_bit(pmf, k):
+    """The pmf with a copy of cell-index bit k inserted beside it: one
+    coordinate more, equal to the original one."""
+    cells = np.arange(pmf.probs.size, dtype=np.int64)
+    low = cells & ((1 << k) - 1)
+    wide = ((cells >> k) << (k + 1)) | (((cells >> k) & 1) << k) | low
+    probs = np.zeros(2 * pmf.probs.size)
+    probs[wide] = pmf.probs
+    return Pmf(pmf.p + 1, probs)
+
+
+@st.composite
+def belief_case(draw):
+    """(pmf, partition) at p <= 8: CI and generic pmfs on coordinate splits,
+    thin centers (a center coordinate duplicated) and random parity
+    partitions, overlapping wings included."""
+    kind = draw(st.sampled_from(["ci", "generic", "thin", "parity"]))
+    seed_ = draw(st.integers(0, 10_000))
+    if kind == "parity":
+        p = draw(st.integers(3, 8))
+        gen = st.builds(Mask, st.integers(1, (1 << p) - 1), st.just(p))
+        a, b, c = (draw(st.lists(gen, min_size=lo, max_size=3)) for lo in (1, 0, 1))
+        return make_generic_pmf(p, seed=seed_, zero_fraction=0.3), Partition(p, a, b, c)
+    r, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    s = draw(st.integers(0 if kind != "thin" else 1, 8 - r - t - (kind == "thin")))
+    if kind == "ci":
+        return make_ci_pmf(r, s, t, seed=seed_, zero_prob=0.3), Partition.coordinate_split(r, s, t)
+    pmf = make_generic_pmf(r + s + t, seed=seed_, zero_fraction=0.3)
+    if kind == "generic":
+        return pmf, Partition.coordinate_split(r, s, t)
+    # the copy of the center's last coordinate joins the center
+    return duplicate_bit(pmf, t), Partition.coordinate_split(r, s + 1, t)
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@seed(13)
+@settings(max_examples=80, deadline=None)
+@given(case=belief_case(), rank_tol=st.sampled_from([None, 1e-12, 0.3]))
+def test_belief_coefficients_match_the_dense_gram_solve(case, rank_tol):
+    from dense_reference import _ConfigTable
+    from dense_reference import belief_coefficients as dense_belief_coefficients
+
+    pmf, part = case
+    labels = build_index_sets(part)
+    # the dense solve is exact up to eigh noise, which grows with the Gram
+    # condition number: its eigenvalues are 2^s p_b
+    mass = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis]).mass
+    spread = mass.max() / mass[mass > 0.0].min()
+    tol = max(1e-12, 8 * mass.size * np.finfo(np.float64).eps * spread)
+    for target in labels.l_set + labels.r_set:
+        for side in ("C", "A"):
+            args = (pmf, part, target, side, rank_tol)
+            new = outcome(lambda: belief_coefficients(*args))
+            old = outcome(lambda: dense_belief_coefficients(*args))
+            if isinstance(old, tuple):
+                assert new == old
+                continue
+            assert new.members == old.members
+            assert new.condition_on == old.condition_on
+            assert np.abs(new.coefficients - old.coefficients).max() <= tol
+            assert abs(new.residual - old.residual) <= tol
+            assert abs(new.fit_residual - old.fit_residual) <= tol
+
+
+def test_belief_residual_is_exactly_zero_on_ci_splits():
+    for r, s, t in ((1, 1, 1), (2, 2, 2), (2, 3, 1), (1, 0, 2), (3, 2, 2), (1, 4, 1)):
+        part = Partition.coordinate_split(r, s, t)
+        labels = build_index_sets(part)
+        for seed_ in range(3):
+            for zero_prob in (0.0, 0.3):
+                pmf = make_ci_pmf(r, s, t, seed=seed_, zero_prob=zero_prob)
+                for side, targets in (("C", labels.l_set), ("A", labels.r_set)):
+                    for target in targets:
+                        bc = belief_coefficients(pmf, part, target, side)
+                        assert bc.residual == 0.0
+
+
+@seed(14)
+@settings(max_examples=60, deadline=None)
+@given(case=belief_case())
+@example(
+    case=(
+        make_generic_pmf(3, seed=5, zero_fraction=0.3),
+        Partition(3, (Mask(0b110, 3),), (Mask(0b010, 3),), (Mask(0b100, 3),)),
+    )
+)
+def test_belief_route_of_test_ci_is_the_worst_wing_target(case):
+    """test_ci's belief residual is the largest two-conditioning residual of
+    belief_coefficients over the left-wing targets given C and the
+    right-wing ones given A."""
+    pmf, part = case
+    labels = build_index_sets(part)
+    residuals = [
+        belief_coefficients(pmf, part, target, side).residual
+        for side, targets in (("C", labels.l_set), ("A", labels.r_set))
+        for target in targets
+    ]
+    worst = max(residuals, default=0.0)
+    verdict = decide_ci(pmf, part).belief_residual
+    coordinates = all(
+        g.bits & (g.bits - 1) == 0 for g in part.a_gens + part.b_gens + part.c_gens
+    )
+    if coordinates:
+        assert verdict == worst
+    else:
+        assert abs(verdict - worst) <= 1e-12
+
+
+def test_belief_coefficients_at_an_18_bit_center():
+    """E[X_A | b] = 1/8 - 3/8 X_{B1...B18}: two nonzero coefficients out of
+    2^18, where a dense Gram matrix would hold 2^36 entries."""
+    s = 18
+    cells = np.arange(1 << (s + 2), dtype=np.int64)
+    center = (cells >> 1) & ((1 << s) - 1)
+    x_a = 1.0 - 2.0 * (cells >> (s + 1))
+    x_c = 1.0 - 2.0 * (cells & 1)
+    x_b1 = 1.0 - 2.0 * ((cells >> s) & 1)
+    x_center = 1.0 - 2.0 * (np.bitwise_count(center) & 1)
+    given_a = 0.125 - 0.375 * x_center
+    # p(b) uniform, p(a | b) from given_a, p(c | b) through B1 only
+    probs = (1.0 + x_a * given_a) * (1.0 + x_c * x_b1 / 2.0) / (1 << (s + 2))
+    pmf = Pmf(s + 2, probs)
+    bc = belief_coefficients(pmf, Partition.coordinate_split(1, s, 1), Mask(1 << (s + 1), s + 2))
+    full = (1 << s) - 1
+    assert bc.condition_on == "C"
+    assert bc.members[0].bits == 0 and bc.members[full].bits == full << 1
+    assert bc.coefficients[0] == 0.125
+    assert bc.coefficients[full] == -0.375
+    assert np.count_nonzero(bc.coefficients) == 2
+    assert bc.residual == 0.0
+    assert bc.fit_residual == 0.0
+
+
 def test_factorization_witness_on_halves(halves_pmf, split111):
     fw = verify_block_factorization(halves_pmf, split111)
     assert bool(fw)
@@ -331,7 +472,7 @@ def reference_belief_residual(pmf, part, labels):
     # the belief route before it evaluated only complement representatives
     # and read them off the (b, a, c) table: one pair of conditional-mean
     # tables per wing mask, given the center and the far block's own basis
-    from begin.engine import _chi, _ConfigTable
+    from dense_reference import _chi, _ConfigTable
 
     b_basis = [m.bits for m in part.b_span.basis]
     center = _ConfigTable.of(pmf, b_basis)
@@ -394,18 +535,14 @@ def test_belief_on_complement_representatives_is_bitwise_the_all_targets_loop():
 def test_belief_route_evaluates_few_targets_at_a_wide_split(monkeypatch):
     import begin.engine as engine
 
-    calls, tables = [], []
-    real_mean, real_gap = engine._ConfigTable.cond_mean, engine._forget_gap
-    monkeypatch.setattr(
-        engine._ConfigTable, "cond_mean", lambda self, v: calls.append(1) or real_mean(self, v)
-    )
+    tables = []
+    real_gap = engine._forget_gap
     monkeypatch.setattr(
         engine, "_forget_gap", lambda mass: tables.append(mass.shape) or real_gap(mass)
     )
     # 2 + 6 + 2 coordinates: one (b, a, c) table read once per wing, 3
     # complement characters per wing, not 192 masks nor a pass per target
     decide_ci(make_generic_pmf(10, seed=3), Partition.coordinate_split(2, 6, 2))
-    assert calls == []
     assert tables == [(64, 4, 4), (64, 4, 4)]
 
 

@@ -233,7 +233,8 @@ def test_grid_atom_tables_past_the_byte_limit_are_refused(monkeypatch):
     assert "atom table" not in str(exc.value)
 
 
-@pytest.mark.parametrize("v_depth", [0, 1, 2, 3, 4])
+# at v_depth 7 every depth d < 7 sums a run of 2^(7 - d) atoms per cell
+@pytest.mark.parametrize("v_depth", [0, 1, 2, 3, 4, 7])
 def test_smooth_joint_table_matches_the_all_pairs_loop(v_depth):
     rng = np.random.default_rng(v_depth)
     nv = 1 << v_depth
