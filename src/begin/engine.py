@@ -20,10 +20,10 @@ from .graph import _require_tolerance, build_graph, separates
 from .hadamard import fwht
 from .schur import (
     CenterBlocks,
-    SchurResult,
     SigmaPartition,
     _max_abs,
     _schur_parts,
+    _symmetrize,
     sb_inverse,
     schur_complement,
 )
@@ -90,11 +90,12 @@ class BeliefCoefficients:
     their transform back, reproduce the conditional expectation on every
     positive-mass center configuration.  Coefficients are canonical
     (minimum-norm) but not unique when the center support is thin, so only
-    fitted values are contract.
+    fitted values are contract.  members holds the bits of the center
+    members in that order (span member_bits), as a read-only int64 array.
     """
 
     target: Mask
-    members: Tuple[Mask, ...]
+    members: np.ndarray
     coefficients: np.ndarray
     residual: float
     fit_residual: float
@@ -246,20 +247,6 @@ def _forget_gap(mass: np.ndarray) -> float:
     return float(gap.max(initial=0.0))
 
 
-def _factorization_witness(
-    sp: SigmaPartition, sr: SchurResult, tol: float
-) -> FactorizationWitness:
-    n_b, n_l = sp.n_b, sp.n_l
-    lhs = sp.wing_block[:n_l, n_l:]
-    m1 = sr.m[:n_l, :]
-    m2 = sr.m[n_l:, :]
-    rhs = m1 @ sp.b_block @ m2.T if n_b else np.zeros_like(lhs)
-    gap = _max_abs(lhs - rhs)
-    return FactorizationWitness(
-        ok=gap <= tol, m1=m1, m2=m2, lhs=lhs, rhs=rhs, gap=gap
-    )
-
-
 def test_ci(
     pmf: Pmf,
     part: Partition,
@@ -282,27 +269,22 @@ def test_ci(
     om = sb_inverse(sp, sr)
 
     n_l = sp.n_l
-    s_off = sr.s[:n_l, n_l:]
-    omega_off = om.wing_block[:n_l, n_l:]
-    max_s = _max_abs(s_off)
-    max_omega = _max_abs(omega_off)
-
+    max_s = _max_abs(sr.s[:n_l, n_l:])
+    max_omega = _max_abs(om.wing_block[:n_l, n_l:])
     belief_residual = _belief_residual(joint, part)
-    fact = _factorization_witness(sp, sr, tol)
-
-    graph = build_graph(om, sp.labels, tol)
-    separated = separates(graph)
-
-    schur_ok = max_s <= tol
-    belief_ok = belief_residual <= tol
+    # sigma[L, R] factors through the center exactly when every center
+    # configuration's block has a zero (left, right complement) corner
+    n_lc = (1 << part.wing_complements[0].dim) - 1
+    max_corner = _max_abs(sp.blocks.stack[:, :n_lc, n_lc:])
+    separated = separates(build_graph(om, sp.labels, tol))
     criteria = {
-        "belief": belief_ok,
-        "factorization": fact.ok,
-        "schur": schur_ok,
+        "belief": belief_residual <= tol,
+        "factorization": max_corner <= tol,
+        "schur": max_s <= tol,
         "separation": separated,
     }
     return CiVerdict(
-        is_ci=schur_ok,
+        is_ci=criteria["schur"],
         max_offblock_s=max_s,
         max_offblock_omega=max_omega,
         belief_residual=belief_residual,
@@ -374,7 +356,8 @@ def belief_coefficients(
     coefficients = fwht(fitted) / configs
     fit_residual = float(np.abs(given_b - fitted)[p_b > 0.0].max())
     residual = float(np.abs(given_bf - fitted[:, None])[joint > 0.0].max())
-    members = tuple(Mask(int(v), part.p) for v in span_b.member_bits())
+    members = span_b.member_bits()
+    members.flags.writeable = False
     return BeliefCoefficients(
         target=target,
         members=members,
@@ -398,7 +381,12 @@ def verify_block_factorization(
     """
     sp = assemble_sigma(pmf, part)
     sr = schur_complement(sp, rank_tol)
-    return _factorization_witness(sp, sr, tol)
+    n_l = sp.n_l
+    lhs = sp.wing_block[:n_l, n_l:]
+    m1, m2 = sr.m[:n_l], sr.m[n_l:]
+    rhs = m1 @ sp.b_block @ m2.T if sp.n_b else np.zeros_like(lhs)
+    gap = _max_abs(lhs - rhs)
+    return FactorizationWitness(ok=gap <= tol, m1=m1, m2=m2, lhs=lhs, rhs=rhs, gap=gap)
 
 
 def scan_markov_chain(
@@ -429,11 +417,14 @@ def subset_offblock(
     """
     labels = build_index_sets(part)
     masks = tuple(subset) + labels.l_set + labels.r_set
+    sigma = interaction_cov(pmf, masks, masks)
+    n_b, n_l = len(subset), len(labels.l_set)
     # a subset of the center is not a group, so S has no center blocks
-    s = _schur_parts(interaction_cov(pmf, masks, masks), len(subset), rank_tol)[3]
-    n_l = len(labels.l_set)
-    off = s[:n_l, n_l:]
-    return _max_abs(off)
+    m = _schur_parts(sigma, n_b, rank_tol)[2]
+    s = m @ sigma[:n_b, n_b:]
+    np.subtract(sigma[n_b:, n_b:], s, out=s)
+    _symmetrize(s)
+    return _max_abs(s[:n_l, n_l:])
 
 
 @dataclass(frozen=True)

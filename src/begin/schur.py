@@ -4,8 +4,8 @@ Pseudoinverses go through a symmetric eigendecomposition; the generalized
 Schur complement and its block inverse keep exact structural symmetry so
 downstream equality checks can be bit-for-bit.  The wing Schur complement
 comes split into one small block per center configuration (CenterBlocks):
-its pseudoinverse and rank are read off the blocks and the Walsh transform,
-and only the center block and the per-configuration blocks are decomposed.
+S, S+ and rank(S) are read off the blocks and the Walsh transform, and
+only the center block and the per-configuration blocks are decomposed.
 """
 
 from __future__ import annotations
@@ -157,9 +157,10 @@ class CenterBlocks:
 
     beta[i] and alpha[i] give wing position i's center member (member_bits
     order) and complement character; rank[b] is the rank of stack[b],
-    counted from the support rather than from eigenvalues.  The stack's
-    eigendecomposition (values ascending per block, vectors, both
-    read-only) is run once, here, and checked for positivity.
+    counted from the support rather than from eigenvalues.  The stack must
+    be exactly symmetric, so that S is too; its eigendecomposition (values
+    ascending per block, vectors, both read-only) is run once, here, and
+    checked for positivity.
     """
 
     stack: np.ndarray
@@ -176,6 +177,8 @@ class CenterBlocks:
             raise ValueError("center blocks need a (2^s, k, k) stack and 2^s masses and ranks")
         if float(self.mass.min()) < 0.0:
             raise ValueError(f"center configuration mass {float(self.mass.min())} < 0")
+        if not np.array_equal(self.stack, self.stack.transpose(0, 2, 1)):
+            raise ValueError("center configuration blocks are not exactly symmetric")
         vals, vecs = np.linalg.eigh(self.stack)
         if vals.size and float(vals.min()) < _PSD_TOL:
             raise ValueError(
@@ -186,14 +189,15 @@ class CenterBlocks:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "vectors", vecs)
 
-    def s_pinv(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, int]:
-        """Pseudoinverse of S in wing order, and the rank of S.
+    def schur(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, int]:
+        """S and its pseudoinverse, both in wing order, and the rank of S.
 
-        The top rank[b] eigenvalues of each block are inverted and
-        transformed back along the configurations.  With rank_tol, only
-        those of them above rank_tol * max|block eigenvalue| are kept: the
-        spectrum of S is the union of the block spectra, so this is the
-        cutoff rank_tol * max|eigenvalue of S|.
+        S is 2^-s fwht_b(stack) read at (beta_i ^ beta_j, alpha_i, alpha_j).
+        For S+ the top rank[b] eigenvalues of each block are inverted and
+        transformed back along the configurations the same way.  With
+        rank_tol, only those of them above rank_tol * max|block eigenvalue|
+        are kept: the spectrum of S is the union of the block spectra, so
+        this is the cutoff rank_tol * max|eigenvalue of S|.
         """
         vals, vecs = self.values, self.vectors
         configs, k = vals.shape
@@ -203,14 +207,15 @@ class CenterBlocks:
             keep &= np.abs(vals) > rank_tol * float(np.abs(vals).max())
         inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
         pinv = (vecs * inv_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
-        # symmetrized and scaled by 2^-s in one exact power-of-two product
-        walsh = fwht((pinv + pinv.transpose(0, 2, 1)) * (0.5 / configs)).reshape(-1)
+        # both scaled by 2^-s in exact power-of-two products
+        s_walsh = fwht(self.stack * (1.0 / configs)).reshape(-1)
+        pinv_walsh = fwht((pinv + pinv.transpose(0, 2, 1)) * (0.5 / configs)).reshape(-1)
         # flat index (beta_i ^ beta_j) k^2 + alpha_i k + alpha_j, built in place
         index = np.bitwise_xor.outer(self.beta, self.beta)
         index *= k * k
         index += (self.alpha * k)[:, None]
         index += self.alpha[None, :]
-        return walsh[index], int(keep.sum())
+        return s_walsh[index], pinv_walsh[index], int(keep.sum())
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,12 @@ class SigmaPartition:
 
 @dataclass(frozen=True)
 class SchurResult:
-    """Generalized Schur complement of the center block, plus row-space data."""
+    """Generalized Schur complement of the center block, plus row-space data.
+
+    s, s_pinv and rank_s come from the center blocks (CenterBlocks.schur);
+    b_pinv, rank_b, the row-space coefficients m = F' B+ and residual come
+    from sigma.  rank_tol is the cutoff they were formed with, if any.
+    """
 
     s: np.ndarray
     s_pinv: np.ndarray
@@ -284,6 +294,7 @@ class SchurResult:
     residual: float
     rank_s: int
     b_pinv: np.ndarray
+    rank_tol: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -309,9 +320,9 @@ class OmegaMatrix:
 
 def _schur_parts(
     sigma: np.ndarray, n_b: int, rank_tol: Optional[float]
-) -> Tuple[np.ndarray, int, np.ndarray, np.ndarray, float]:
-    """B+, rank(B), M = F' B+, S = D - M F and the row-space residual
-    max |F' - M B| of sigma split after its first n_b rows and columns.
+) -> Tuple[np.ndarray, int, np.ndarray, float]:
+    """B+, rank(B), M = F' B+ and the row-space residual max |F' - M B| of
+    sigma split after its first n_b rows and columns.
 
     The default rank cutoff for the center block B is anchored to max|sigma|.
     """
@@ -319,12 +330,9 @@ def _schur_parts(
     f = sigma[:n_b, n_b:]
     b_pinv, rank_b = _pinv_eigh(b, rank_tol, _max_abs(sigma))
     m = f.T @ b_pinv
-    s = m @ f
-    np.subtract(sigma[n_b:, n_b:], s, out=s)
-    _symmetrize(s)
     gap = m @ b
     np.subtract(f.T, gap, out=gap)
-    return b_pinv, rank_b, m, s, _max_abs(gap)
+    return b_pinv, rank_b, m, _max_abs(gap)
 
 
 def schur_complement(
@@ -335,15 +343,15 @@ def schur_complement(
     residual = max |sigma[wings, center] - M @ B|, which vanishes for any
     covariance because wing rows lie in the row space of the center block.
 
-    S+ and rank(S) come from the center blocks: the structural rank of
-    each block, and with rank_tol also the cutoff rank_tol * max|eigenvalue
-    of S| (CenterBlocks.s_pinv).  The dense S is never decomposed: the
-    subtraction forming it cancels entries at the scale of sigma, so its
-    small eigenvalues carry no usable scale information.  rank_tol also
-    thresholds B.
+    S, S+ and rank(S) come from the center blocks (CenterBlocks.schur): the
+    structural rank of each block, and with rank_tol also the cutoff
+    rank_tol * max|eigenvalue of S|.  No dense D - F' B+ F is formed: it
+    goes through B+, so its rounding grows with the condition number of B,
+    and it cancels entries at the scale of sigma, so its small eigenvalues
+    carry no usable scale information.  rank_tol also thresholds B.
     """
-    b_pinv, rank_b, m, s, residual = _schur_parts(sp.sigma, sp.n_b, rank_tol)
-    s_pinv, rank_s = sp.blocks.s_pinv(rank_tol)
+    b_pinv, rank_b, m, residual = _schur_parts(sp.sigma, sp.n_b, rank_tol)
+    s, s_pinv, rank_s = sp.blocks.schur(rank_tol)
     return SchurResult(
         s=s,
         s_pinv=s_pinv,
@@ -352,6 +360,7 @@ def schur_complement(
         residual=residual,
         rank_s=rank_s,
         b_pinv=b_pinv,
+        rank_tol=rank_tol,
     )
 
 
@@ -362,10 +371,9 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> OmegaMatrix:
     matrix is symmetric by construction, not by post-hoc symmetrization.
     """
     if sr.residual > _RESIDUAL_TOL:
-        raise ValueError(
-            f"row-space residual {sr.residual} exceeds {_RESIDUAL_TOL}; "
-            "the input is not an interaction covariance"
-        )
+        cause = "the input is not an interaction covariance" if sr.rank_tol is None else (
+            f"rank_tol {sr.rank_tol} cut part of the center block's range")
+        raise ValueError(f"row-space residual {sr.residual} exceeds {_RESIDUAL_TOL}; {cause}")
     n_b = sp.n_b
     n_w = sp.n_l + sp.n_r
     omega = np.zeros((n_b + n_w, n_b + n_w))

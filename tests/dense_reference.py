@@ -1,9 +1,11 @@
 """Dense routes the library replaced, kept verbatim as references.
 
-The S+ routes schur_complement had before every partition got center
-blocks: the eigen helpers it used, additivity (rank(S) = rank(sigma) -
-rank(B), with sigma's spectrum from one eigvalsh) by default, and an
-eigenvalue threshold on S itself under an explicit rank_tol.
+The S and S+ routes schur_complement had before it read both off the
+center blocks: S = D - F' B+ F formed densely, the eigen helpers it used,
+additivity (rank(S) = rank(sigma) - rank(B), with sigma's spectrum from one
+eigvalsh) by default, and an eigenvalue threshold on S itself under an
+explicit rank_tol.  dense_schur_gap_bound says how far the dense S may lie
+from the block one.
 
 The joint tables of the quantize sources before per-axis refinement: the
 grid's dense depth maps contracted by one four-way einsum, and the smooth
@@ -90,6 +92,40 @@ def reference_schur(sp, rank_tol):
     else:
         s_pinv, rank_s = reference_pinv_eigh(s, rank_tol, anchor)
     return DenseSchur(s=s, s_pinv=s_pinv, b_pinv=b_pinv, rank_b=rank_b, rank_s=rank_s)
+
+
+def dense_schur_gap_bound(sp, rank_tol):
+    """Bound on max |reference_schur(sp, rank_tol).s - S read off the blocks|
+    for an input whose wing rows lie in the kept row space of B.
+
+    The block S is 2^-s times exact butterflies of the stack, and lies
+    within about eps max|sigma| of the exact Schur complement.  The dense S
+    subtracts F' B+ F, which is at most D in the PSD order and so at most
+    max|sigma| in every entry, but it goes through B+ from an
+    eigendecomposition, whose relative error grows with the condition
+    number kappa(B) of B over the eigenvalues the cutoff keeps.  So the gap
+    is c kappa(B) eps max|sigma|, and c = 16 leaves a 5x margin over the
+    largest c measured: 2.8, over 6000 random coordinate splits and parity
+    partitions at p <= 8 with zero fractions up to 0.6 and the 2856
+    verdicts of the acceptance corpus, two seeds of the benchmark's
+    corpus_small and dense_wide inputs and 120 overlapping-wing parity
+    partitions, each at rank_tol None and 1e-10.  The gap itself reached
+    439 eps max|sigma| at kappa(B) = 4744.  On 76 inputs of the same kind
+    whose S was also computed in exact rationals (among them the 16 largest
+    gaps of 3000), the block S was within 0.51 eps max|sigma| of the exact
+    one, so the gap is the dense route's error.
+    """
+    eps = np.finfo(np.float64).eps
+    scale = float(np.abs(sp.sigma).max()) if sp.sigma.size else 0.0
+    vals = np.linalg.eigvalsh(sp.b_block) if sp.n_b else np.zeros(0)
+    top = float(np.abs(vals).max()) if vals.size else 0.0
+    if rank_tol is None:
+        cutoff = sp.n_b * eps * max(top, scale)
+    else:
+        cutoff = rank_tol * top
+    kept = np.abs(vals[np.abs(vals) > cutoff])
+    kappa = top / float(kept.min()) if kept.size else 1.0
+    return 16.0 * kappa * eps * scale
 
 
 def reference_depth_map(d, atom_depth):

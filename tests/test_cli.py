@@ -86,6 +86,22 @@ def test_rank_tol_keeps_a_zero_schur_complement_separated(tmp_path, part111_file
     assert payload["max_offblock_Omega"] <= payload["tol"]
 
 
+def test_a_center_cutting_rank_tol_exits_two_naming_it(tmp_path, capsys):
+    ci = tmp_path / "ci.csv"
+    part = tmp_path / "part.json"
+    part.write_text(partition_to_json(Partition.coordinate_split(2, 3, 2)))
+    assert main(["random", "--mode", "ci", "--dims", "2,3,2", "--seed", "11",
+                 "--zero-prob", "0.3", "--out", str(ci)]) == 0
+    for command in ("test", "graph"):
+        capsys.readouterr()
+        assert main([command, str(ci), "--partition", str(part), "--rank-tol", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row-space residual ")
+        assert "rank_tol 0.1 cut part of the center block's range" in err
+        assert "not an interaction covariance" not in err
+        assert main([command, str(ci), "--partition", str(part)]) in (0, 1)
+
+
 def test_verdict_payload_matches_library(tmp_path, part111_file, capsys):
     ci = tmp_path / "ci.csv"
     main(["random", "--mode", "ci", "--dims", "1,1,1", "--seed", "5",

@@ -1,8 +1,9 @@
 """The block-prism Schur path against the dense reference and the oracle.
 
 For every partition, overlapping wings included, and with or without an
-explicit rank_tol, schur_complement reads S+ and rank(S) off one small block
-per center configuration; the dense routes it replaced live on in
+explicit rank_tol, schur_complement reads S, S+ and rank(S) off one small
+block per center configuration, and test_ci reads the factorization route
+off the same blocks; the dense routes they replaced live on in
 tests/dense_reference.py.
 """
 
@@ -23,10 +24,11 @@ from begin import (
     oracle_ci,
     sb_inverse,
     schur_complement,
+    verify_block_factorization,
 )
 from begin import test_ci as decide_ci
 
-from dense_reference import reference_schur
+from dense_reference import dense_schur_gap_bound, reference_schur
 
 RELATIVE_GAP = 1e-8
 RANK_TOLS = (None, 1e-10)
@@ -54,8 +56,8 @@ def split_cases(draw):
 
 
 @st.composite
-def parity_cases(draw):
-    p = draw(st.integers(3, 6))
+def parity_cases(draw, widths=(3, 6)):
+    p = draw(st.integers(*widths))
     nonzero = st.integers(1, (1 << p) - 1).map(lambda bits: Mask(bits, p))
     gens = [draw(st.lists(nonzero, min_size=lo, max_size=2)) for lo in (1, 0, 1)]
     try:
@@ -76,7 +78,9 @@ def check_prism_against_dense_and_oracle(pmf, part):
     for rank_tol in RANK_TOLS:
         prism = schur_complement(sp, rank_tol)
         dense = reference_schur(sp, rank_tol)
-        assert np.array_equal(prism.s, dense.s)
+        assert np.array_equal(prism.s, prism.s.T)
+        gap = float(np.abs(prism.s - dense.s).max(initial=0.0))
+        assert gap <= dense_schur_gap_bound(sp, rank_tol)
         assert np.array_equal(prism.b_pinv, dense.b_pinv)
         assert prism.rank_b == dense.rank_b
         assert np.array_equal(prism.s_pinv, prism.s_pinv.T)
@@ -108,6 +112,43 @@ def test_prism_matches_dense_and_oracle_on_coordinate_splits(case):
 @given(case=parity_cases())
 def test_prism_matches_dense_and_oracle_on_parity_partitions(case):
     check_prism_against_dense_and_oracle(*case)
+
+
+@st.composite
+def wide_cases(draw):
+    """Coordinate splits and parity partitions at p <= 8: overlapping wings,
+    empty centers and wings inside the center span all occur."""
+    if draw(st.booleans()):
+        return draw(parity_cases(widths=(3, 8)))
+    r = draw(st.integers(0, 4))
+    t = draw(st.integers(0 if r else 1, 4))
+    part = Partition.coordinate_split(r, draw(st.integers(0, 8 - r - t)), t)
+    return pmf_for(part.p, draw), part
+
+
+def outside_band(value, tol):
+    return value <= tol or value >= 1e-2
+
+
+@seed(15)
+@settings(max_examples=80, deadline=None)
+@given(case=wide_cases(), rank_tol=st.sampled_from(RANK_TOLS))
+def test_block_schur_and_factorization_agree_with_the_dense_routes(case, rank_tol):
+    pmf, part = case
+    sp = assemble_sigma(pmf, part)
+    sr = schur_complement(sp, rank_tol)
+    assume(sr.residual <= 1e-8)
+    assert np.array_equal(sr.s, sr.s.T)
+    dense = reference_schur(sp, rank_tol)
+    gap = float(np.abs(sr.s - dense.s).max(initial=0.0))
+    assert gap <= dense_schur_gap_bound(sp, rank_tol)
+    verdict = decide_ci(pmf, part, rank_tol=rank_tol)
+    witness = verify_block_factorization(pmf, part, rank_tol=rank_tol)
+    n_lc = (1 << part.wing_complements[0].dim) - 1
+    corner = float(np.abs(sp.blocks.stack[:, :n_lc, n_lc:]).max(initial=0.0))
+    if outside_band(corner, verdict.tol) and outside_band(witness.gap, verdict.tol):
+        expected = oracle_ci(pmf, part).is_ci
+        assert verdict.criteria["factorization"] == bool(witness) == expected
 
 
 def test_prism_verdict_decomposes_no_matrix_larger_than_its_blocks(monkeypatch):
@@ -160,7 +201,8 @@ def test_one_schur_route_for_overlap_rank_tol_and_every_sigma_partition():
         sp = assemble_sigma(pmf, part)
         for rank_tol in RANK_TOLS:
             sr = schur_complement(sp, rank_tol)
-            s_pinv, rank_s = sp.blocks.s_pinv(rank_tol)
+            s, s_pinv, rank_s = sp.blocks.schur(rank_tol)
+            assert np.array_equal(sr.s, s)
             assert np.array_equal(sr.s_pinv, s_pinv)
             assert sr.rank_s == rank_s
     with pytest.raises(TypeError):
@@ -178,9 +220,11 @@ def test_rank_tol_keeps_block_eigenvalues_above_the_cut_of_the_whole_spectrum():
         beta=np.array([0, 1, 0, 1]),
         alpha=np.array([0, 0, 1, 1]),
     )
-    assert blocks.s_pinv()[1] == 3
-    assert blocks.s_pinv(1e-12)[1] == 3
-    s_pinv, rank = blocks.s_pinv(1e-10)
+    assert blocks.schur()[2] == 3
+    assert blocks.schur(1e-12)[2] == 3
+    s, s_pinv, rank = blocks.schur(1e-10)
+    # S is the stack read back: 2^-1 fwht_b([4, 2]) = [3, 1] on character 0
+    assert np.array_equal(s[:2, :2], [[3.0, 1.0], [1.0, 3.0]])
     # the cut is 1e-10 * 4, across both blocks: 1e-11 goes, so only 4 and 2
     # are inverted, and 2^-1 fwht_b([1/4, 1/2]) = [3/8, -1/8] on character 0
     assert rank == 2
@@ -201,6 +245,8 @@ def test_center_blocks_refuse_negative_spectra_and_masses():
         CenterBlocks(**{**good, "mass": -np.ones(1)})
     with pytest.raises(ValueError, match="stack"):
         CenterBlocks(**{**good, "rank": np.array([2, 2])})
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        CenterBlocks(**{**good, "stack": np.array([[[1.0, 0.5], [0.5 + 2**-40, 1.0]]])})
 
 
 def test_block_ranks_count_the_support_graph():

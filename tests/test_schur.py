@@ -18,7 +18,7 @@ from begin import (
 from begin import engine
 from begin.schur import _TILE, _asymmetry, _max_abs, _require_symmetric, _symmetrize
 
-from dense_reference import reference_pinv_eigh, reference_schur
+from dense_reference import dense_schur_gap_bound, reference_pinv_eigh, reference_schur
 
 PENROSE_TOL = 1e-8
 
@@ -188,8 +188,24 @@ def test_block_inverse_rejects_broken_rowspace(halves_pmf, split111):
         rank_s=sr.rank_s,
         b_pinv=sr.b_pinv,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the input is not an interaction covariance"):
         sb_inverse(sp, broken)
+
+
+def test_a_rank_tol_that_cuts_the_center_range_is_named_in_the_refusal():
+    # rank_tol 0.1 drops eigenvalues of this covariance's center block, so
+    # the wing rows leave the kept row space; the input itself is fine
+    part = Partition.coordinate_split(2, 3, 2)
+    pmf = make_ci_pmf(2, 3, 2, seed=11, zero_prob=0.3)
+    sp = assemble_sigma(pmf, part)
+    assert sb_inverse(sp, schur_complement(sp)).sigma_residual <= 1e-8
+    sr = schur_complement(sp, 0.1)
+    assert sr.rank_tol == 0.1 and sr.residual > 1e-8
+    with pytest.raises(ValueError, match="rank_tol 0.1 cut part of the center block's range"):
+        sb_inverse(sp, sr)
+    with pytest.raises(ValueError, match="rank_tol") as refused:
+        engine.test_ci(pmf, part, rank_tol=0.1)
+    assert "not an interaction covariance" not in str(refused.value)
 
 
 def test_rowspace_and_sandwich_identities_across_pmf_mix():
@@ -287,17 +303,17 @@ def test_pinv_sym_is_bitwise_the_reference_helper(rank_tol):
 
 
 @pytest.mark.parametrize("rank_tol", [None, 1e-10])
-def test_schur_complement_is_bitwise_the_reference_helpers(rank_tol):
+def test_schur_complement_matches_the_reference_helpers(rank_tol):
     cases = corpus_mix(80, 59)
     empty_center = Partition.coordinate_split(1, 0, 2)
     cases.append(assemble_sigma(make_generic_pmf(3, seed=6), empty_center))
     assert cases[-1].n_b == 0
     for sp in cases:
-        # S, B+ and rank(B) are the dense arithmetic; S+ comes from the center
-        # blocks, and tests/test_prism.py holds it to the dense one
+        # B+ and rank(B) are the dense arithmetic; S and S+ come from the
+        # center blocks, and tests/test_prism.py holds S+ to the dense one
         dense = reference_schur(sp, rank_tol)
         sr = schur_complement(sp, rank_tol)
-        assert np.array_equal(sr.s, dense.s)
+        assert np.abs(sr.s - dense.s).max(initial=0.0) <= dense_schur_gap_bound(sp, rank_tol)
         assert np.array_equal(sr.b_pinv, dense.b_pinv)
         assert sr.rank_b == dense.rank_b
         assert sr.rank_s == dense.rank_s

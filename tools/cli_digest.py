@@ -1,9 +1,10 @@
 """One sha256 per `begin` CLI call over everything the call lets a user see.
 
 Runs every subcommand in process (begin.cli.main) on seeded inputs in a
-temporary directory: generated pmfs, partitions, samples, vectors and
-quantization sources, with default and explicit tolerances, every output
-format, --out files, and refused inputs.  For each call it prints
+temporary directory: generated pmfs, partitions (coordinate splits and parity
+partitions, one with overlapping wings), samples, vectors and quantization
+sources, with default and explicit tolerances, every output format, --out
+files, and refused inputs.  For each call it prints
 
     <sha256>  <label>
 
@@ -30,6 +31,7 @@ import tempfile  # noqa: E402
 from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
 
 from begin import (  # noqa: E402
+    Mask,
     Partition,
     draw_samples,
     make_ci_pmf,
@@ -50,6 +52,13 @@ GRID = {
     "w_given_v": [[0.75, 0.125, 0.0625, 0.0625], [0.25, 0.25, 0.25, 0.25],
                   [0.0, 0.0, 0.5, 0.5], [0.375, 0.125, 0.375, 0.125]],
 }
+# width-7 parity partitions: the 2-3-2 coordinate split on other bases, and
+# one whose A and C generators share 0011000, so its wings overlap
+PARITY = {
+    "parity7": (["1010000", "1100000"], ["0011000", "0001000", "0000100"],
+                ["0000011", "0000101"]),
+    "overlap7": (["1100000", "0011000"], ["0110000", "0000100"], ["0011000", "0000011"]),
+}
 
 
 def write_inputs(root):
@@ -60,6 +69,9 @@ def write_inputs(root):
 
     for r, s, t in ((1, 1, 1), (2, 3, 2), (3, 3, 3), (3, 5, 3), (1, 2, 1)):
         put(f"part{r}{s}{t}.json", partition_to_json(Partition.coordinate_split(r, s, t)))
+    for name, gens in PARITY.items():
+        groups = [[Mask(int(bits, 2), 7) for bits in group] for group in gens]
+        put(f"{name}.json", partition_to_json(Partition(7, *groups)))
     sampled = make_ci_pmf(2, 3, 2, seed=21, zero_prob=0.3)
     write_samples_csv(draw_samples(sampled, 2000, seed=22), os.path.join(root, "samples.csv"))
     put("vec4.txt", "# moments\n1, 0.25\n\n 0.25 ,0.0625\n")
@@ -111,6 +123,10 @@ def calls():
         out.append((f"test {name}", ["test", *base], []))
         out.append((f"graph {name} dot", ["graph", *base], []))
         out.append((f"graph {name} json", ["graph", *base, "--format", "json"], []))
+    for name, p in (("ci232", "parity7"), ("gen7", "overlap7")):
+        base = [f"{{d}}/{name}.csv", "--partition", f"{{d}}/{p}.json"]
+        out.append((f"test {name} {p}", ["test", *base], []))
+        out.append((f"graph {name} {p} json", ["graph", *base, "--format", "json"], []))
     gen11 = ["{d}/gen11.csv", "--partition", "{d}/part353.json"]
     ci232 = ["{d}/ci232.csv", "--partition", "{d}/part232.json"]
     out += [
@@ -136,6 +152,8 @@ def calls():
                                   "json"], []),
         ("graph renormalised", ["graph", "{d}/off.csv", "--partition", "{d}/part111.json"], []),
         ("graph nan tol", ["graph", *ci232, "--tol", "nan"], []),
+        ("test ci232 rank-tol cut", ["test", *ci232, "--rank-tol", "0.1"], []),
+        ("graph ci232 rank-tol cut", ["graph", *ci232, "--rank-tol", "0.1"], []),
         ("rank gen7", ["rank", "{d}/gen7.csv"], []),
         ("rank ci333", ["rank", "{d}/ci333.csv"], []),
         ("rank gen7 rank-tol", ["rank", "{d}/gen7.csv", "--rank-tol", "1e-10"], []),
