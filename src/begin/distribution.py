@@ -207,6 +207,10 @@ def make_ci_pmf(
     """
     if min(r, s, t) < 0 or not 1 <= r + s + t <= WIDTH_CAP:
         raise ValueError("invalid block dimensions")
+    if not 0.0 <= zero_prob < 1.0:
+        raise ValueError(f"zero_prob must be in [0,1), got {zero_prob}")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     rng = np.random.default_rng(seed)
     na, nb, nc = 1 << r, 1 << s, 1 << t
     pb = _dirichlet_table(rng, nb, alpha, zero_prob)

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bitgroup import Mask, Partition, build_index_sets, span_generate
-from .distribution import _BYTE_LIMIT, Pmf, interaction_cov
+from .distribution import _BYTE_LIMIT, Pmf, interaction_cov, moments_from_pmf
 from .graph import _require_tolerance, build_graph, separates
 from .hadamard import fwht
 from .schur import (
@@ -131,10 +131,10 @@ def _config_mass(pmf: Pmf, gens: Sequence[Mask]) -> np.ndarray:
 def assemble_sigma(
     pmf: Pmf, part: Partition, joint: Optional[np.ndarray] = None
 ) -> SigmaPartition:
-    """Interaction covariance over the ordered index sets of the partition,
-    with the wing Schur complement split by center configuration
-    (CenterBlocks).  joint, the pmf's (b, a, c) mass array (_wing_table),
-    is built here unless the caller already has it.
+    """Interaction covariance over the ordered index sets of the partition:
+    its center rows, and the wing Schur complement split by center
+    configuration (CenterBlocks).  joint, the pmf's (b, a, c) mass array
+    (_wing_table), is built here unless the caller already has it.
     """
     if pmf.p != part.p:
         raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
@@ -146,12 +146,17 @@ def assemble_sigma(
             f"sigma over n = {len(masks)} masks needs {sigma_bytes} bytes, "
             f"beyond the {_BYTE_LIMIT}-byte limit"
         )
-    # exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
-    sigma = interaction_cov(pmf, masks, masks)
-    sigma.flags.writeable = False  # private, so SigmaPartition keeps it uncopied
+    # B exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
+    rows = interaction_cov(pmf, labels.b_set, masks)
+    rows.flags.writeable = False  # private, so SigmaPartition keeps it uncopied
+    # by Cauchy-Schwarz the largest |entry| of a covariance is a variance,
+    # m[0] - m[k]^2 as interaction_cov forms it
+    m = moments_from_pmf(pmf)
+    bits = np.array([mk.bits for mk in masks], dtype=np.int64)
+    scale = _max_abs(m[0] - m[bits] * m[bits])
     if joint is None:
         joint = _wing_table(pmf, part)
-    return SigmaPartition(sigma=sigma, labels=labels, blocks=_center_blocks(joint, part))
+    return SigmaPartition(rows, labels, _center_blocks(joint, part), scale)
 
 
 def _wing_table(pmf: Pmf, part: Partition) -> np.ndarray:
@@ -269,13 +274,16 @@ def test_ci(
     om = sb_inverse(sp, sr)
 
     n_l = sp.n_l
-    max_s = _max_abs(sr.s[:n_l, n_l:])
     max_omega = _max_abs(om.wing_block[:n_l, n_l:])
     belief_residual = _belief_residual(joint, part)
     # sigma[L, R] factors through the center exactly when every center
     # configuration's block has a zero (left, right complement) corner
     n_lc = (1 << part.wing_complements[0].dim) - 1
-    max_corner = _max_abs(sp.blocks.stack[:, :n_lc, n_lc:])
+    corners = sp.blocks.stack[:, :n_lc, n_lc:]
+    max_corner = _max_abs(corners)
+    # S[L, R] holds 2^-s fwht_b(corners) at (beta_i ^ beta_j, alpha_i,
+    # alpha_j), and every (beta, alpha) of a wing occurs in it
+    max_s = _max_abs(fwht(corners * (1.0 / len(corners))))
     separated = separates(build_graph(om, sp.labels, tol))
     criteria = {
         "belief": belief_residual <= tol,
@@ -382,7 +390,7 @@ def verify_block_factorization(
     sp = assemble_sigma(pmf, part)
     sr = schur_complement(sp, rank_tol)
     n_l = sp.n_l
-    lhs = sp.wing_block[:n_l, n_l:]
+    lhs = interaction_cov(pmf, sp.labels.l_set, sp.labels.r_set)
     m1, m2 = sr.m[:n_l], sr.m[n_l:]
     rhs = m1 @ sp.b_block @ m2.T if sp.n_b else np.zeros_like(lhs)
     gap = _max_abs(lhs - rhs)
@@ -420,7 +428,7 @@ def subset_offblock(
     sigma = interaction_cov(pmf, masks, masks)
     n_b, n_l = len(subset), len(labels.l_set)
     # a subset of the center is not a group, so S has no center blocks
-    m = _schur_parts(sigma, n_b, rank_tol)[2]
+    m = _schur_parts(sigma[:n_b], rank_tol, _max_abs(sigma))[2]
     s = m @ sigma[:n_b, n_b:]
     np.subtract(sigma[n_b:, n_b:], s, out=s)
     _symmetrize(s)

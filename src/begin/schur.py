@@ -2,16 +2,15 @@
 
 Pseudoinverses go through a symmetric eigendecomposition; the generalized
 Schur complement and its block inverse keep exact structural symmetry so
-downstream equality checks can be bit-for-bit.  The wing Schur complement
-comes split into one small block per center configuration (CenterBlocks):
-S, S+ and rank(S) are read off the blocks and the Walsh transform, and
-only the center block and the per-configuration blocks are decomposed.
+downstream equality checks can be bit-for-bit.  Sigma's wings are held
+only as one small block per center configuration (CenterBlocks): S+ and
+rank(S) are read off the blocks and the Walsh transform, and only the
+center block and the per-configuration blocks are decomposed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -189,8 +188,8 @@ class CenterBlocks:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "vectors", vecs)
 
-    def schur(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, int]:
-        """S and its pseudoinverse, both in wing order, and the rank of S.
+    def schur(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, int]:
+        """The pseudoinverse of S in wing order, and the rank of S.
 
         S is 2^-s fwht_b(stack) read at (beta_i ^ beta_j, alpha_i, alpha_j).
         For S+ the top rank[b] eigenvalues of each block are inverted and
@@ -207,26 +206,25 @@ class CenterBlocks:
             keep &= np.abs(vals) > rank_tol * float(np.abs(vals).max())
         inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
         pinv = (vecs * inv_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
-        # both scaled by 2^-s in exact power-of-two products
-        s_walsh = fwht(self.stack * (1.0 / configs)).reshape(-1)
+        # scaled by 2^-s in exact power-of-two products
         pinv_walsh = fwht((pinv + pinv.transpose(0, 2, 1)) * (0.5 / configs)).reshape(-1)
         # flat index (beta_i ^ beta_j) k^2 + alpha_i k + alpha_j, built in place
         index = np.bitwise_xor.outer(self.beta, self.beta)
         index *= k * k
         index += (self.alpha * k)[:, None]
         index += self.alpha[None, :]
-        return s_walsh[index], pinv_walsh[index], int(keep.sum())
+        return pinv_walsh[index], int(keep.sum())
 
 
 @dataclass(frozen=True)
 class SigmaPartition:
-    """Interaction covariance over masks ordered center, left wing, right wing.
+    """Interaction covariance over masks ordered center, left wing, right wing:
+    its n_b x n center rows [B | F] as sigma, its max|entry| as scale.
 
-    blocks is the wing Schur complement split by center configuration and
-    must describe this sigma.  sigma is then positive semidefinite exactly
-    when the center masses are >= 0, the wing rows lie in the row space of
-    the center block (checked by sb_inverse) and every block is PSD
-    (checked by CenterBlocks).
+    blocks, the wing Schur complement split by center configuration, must
+    describe its wings.  It is then positive semidefinite exactly when the
+    center masses are >= 0, the wing rows lie in the row space of B
+    (checked by sb_inverse) and every block is PSD (checked by CenterBlocks).
     A read-only float64 sigma that owns its memory (assemble_sigma's) is
     kept; any other is copied, so no caller can write the stored sigma.
     """
@@ -234,22 +232,22 @@ class SigmaPartition:
     sigma: np.ndarray
     labels: IndexSets
     blocks: CenterBlocks = field(repr=False, compare=False)
+    scale: float
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.sigma, dtype=np.float64)
-        expected = len(self.labels.b_set) + len(self.labels.l_set) + len(
-            self.labels.r_set
-        )
-        if arr.shape != (expected, expected):
+        n_b = len(self.labels.b_set)
+        n = n_b + len(self.labels.l_set) + len(self.labels.r_set)
+        if arr.shape != (n_b, n):
             raise ValueError(
-                f"sigma shape {arr.shape} does not match {expected} labeled masks"
+                f"sigma shape {arr.shape} is not the {n_b} center rows of {n} labeled masks"
             )
-        _require_symmetric(arr, tol=1e-12)
+        _require_symmetric(arr[:, :n_b], tol=1e-12)
         if arr.flags.writeable or arr.base is not None:
             arr = arr.copy()
             arr.flags.writeable = False
         object.__setattr__(self, "sigma", arr)
-        if self.blocks.beta.shape != (expected - len(self.labels.b_set),):
+        if self.blocks.beta.shape != (n - n_b,):
             raise ValueError("center blocks do not index the wings of sigma")
 
     @property
@@ -273,21 +271,16 @@ class SigmaPartition:
         """Coupling block: center rows against both wings."""
         return self.sigma[: self.n_b, self.n_b :]
 
-    @property
-    def wing_block(self) -> np.ndarray:
-        return self.sigma[self.n_b :, self.n_b :]
-
 
 @dataclass(frozen=True)
 class SchurResult:
     """Generalized Schur complement of the center block, plus row-space data.
 
-    s, s_pinv and rank_s come from the center blocks (CenterBlocks.schur);
+    s_pinv and rank_s come from the center blocks (CenterBlocks.schur);
     b_pinv, rank_b, the row-space coefficients m = F' B+ and residual come
-    from sigma.  rank_tol is the cutoff they were formed with, if any.
+    from the center rows.  rank_tol is the cutoff they were formed with, if any.
     """
 
-    s: np.ndarray
     s_pinv: np.ndarray
     m: np.ndarray
     rank_b: int
@@ -303,32 +296,24 @@ class OmegaMatrix:
 
     omega: np.ndarray
     n_b: int
-    sigma: np.ndarray = field(repr=False, compare=False)
 
     @property
     def wing_block(self) -> np.ndarray:
         return self.omega[self.n_b :, self.n_b :]
 
-    @cached_property
-    def sigma_residual(self) -> float:
-        """max |sigma omega sigma - sigma|, computed on first read."""
-        sigma = self.sigma
-        if not sigma.size:
-            return 0.0
-        return float(np.abs(sigma @ self.omega @ sigma - sigma).max())
-
 
 def _schur_parts(
-    sigma: np.ndarray, n_b: int, rank_tol: Optional[float]
+    rows: np.ndarray, rank_tol: Optional[float], anchor: float
 ) -> Tuple[np.ndarray, int, np.ndarray, float]:
     """B+, rank(B), M = F' B+ and the row-space residual max |F' - M B| of
-    sigma split after its first n_b rows and columns.
+    a covariance given by its center rows [B | F].
 
-    The default rank cutoff for the center block B is anchored to max|sigma|.
+    The default rank cutoff for B is anchored to the covariance's max|entry|.
     """
-    b = sigma[:n_b, :n_b]
-    f = sigma[:n_b, n_b:]
-    b_pinv, rank_b = _pinv_eigh(b, rank_tol, _max_abs(sigma))
+    n_b = rows.shape[0]
+    b = rows[:, :n_b]
+    f = rows[:, n_b:]
+    b_pinv, rank_b = _pinv_eigh(b, rank_tol, anchor)
     m = f.T @ b_pinv
     gap = m @ b
     np.subtract(f.T, gap, out=gap)
@@ -338,22 +323,21 @@ def _schur_parts(
 def schur_complement(
     sp: SigmaPartition, rank_tol: Optional[float] = None
 ) -> SchurResult:
-    """S = D - F' B+ F over the wings, with the row-space coefficients M.
+    """S+ for S = D - F' B+ F over the wings, with the row-space coefficients M.
 
     residual = max |sigma[wings, center] - M @ B|, which vanishes for any
     covariance because wing rows lie in the row space of the center block.
 
-    S, S+ and rank(S) come from the center blocks (CenterBlocks.schur): the
+    S+ and rank(S) come from the center blocks (CenterBlocks.schur): the
     structural rank of each block, and with rank_tol also the cutoff
     rank_tol * max|eigenvalue of S|.  No dense D - F' B+ F is formed: it
     goes through B+, so its rounding grows with the condition number of B,
     and it cancels entries at the scale of sigma, so its small eigenvalues
     carry no usable scale information.  rank_tol also thresholds B.
     """
-    b_pinv, rank_b, m, residual = _schur_parts(sp.sigma, sp.n_b, rank_tol)
-    s, s_pinv, rank_s = sp.blocks.schur(rank_tol)
+    b_pinv, rank_b, m, residual = _schur_parts(sp.sigma, rank_tol, sp.scale)
+    s_pinv, rank_s = sp.blocks.schur(rank_tol)
     return SchurResult(
-        s=s,
         s_pinv=s_pinv,
         m=m,
         rank_b=rank_b,
@@ -371,8 +355,10 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> OmegaMatrix:
     matrix is symmetric by construction, not by post-hoc symmetrization.
     """
     if sr.residual > _RESIDUAL_TOL:
+        # center characters span the functions on positive-mass configurations
         cause = "the input is not an interaction covariance" if sr.rank_tol is None else (
-            f"rank_tol {sr.rank_tol} cut part of the center block's range")
+            f"rank_tol {sr.rank_tol} gave rank(B) = {sr.rank_b} where the center "
+            f"support gives {int((sp.blocks.mass > 0.0).sum()) - 1}")
         raise ValueError(f"row-space residual {sr.residual} exceeds {_RESIDUAL_TOL}; {cause}")
     n_b = sp.n_b
     n_w = sp.n_l + sp.n_r
@@ -385,4 +371,4 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> OmegaMatrix:
         np.negative(g, out=omega[:n_b, n_b:])
         omega[n_b:, :n_b] = omega[:n_b, n_b:].T
     omega[n_b:, n_b:] = sr.s_pinv
-    return OmegaMatrix(omega=omega, n_b=n_b, sigma=sp.sigma)
+    return OmegaMatrix(omega=omega, n_b=n_b)

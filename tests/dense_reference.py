@@ -1,11 +1,16 @@
 """Dense routes the library replaced, kept verbatim as references.
 
+The library holds sigma by its center rows; dense_sigma gives the whole
+n x n interaction covariance the helpers below take.
+
 The S and S+ routes schur_complement had before it read both off the
 center blocks: S = D - F' B+ F formed densely, the eigen helpers it used,
 additivity (rank(S) = rank(sigma) - rank(B), with sigma's spectrum from one
 eigvalsh) by default, and an eigenvalue threshold on S itself under an
 explicit rank_tol.  dense_schur_gap_bound says how far the dense S may lie
-from the block one.
+from the block one.  block_s is the S that CenterBlocks.schur gathered off
+the blocks before test_ci read max|S[L, R]| off their Walsh-transformed
+corners, and sigma_residual the sigma omega sigma check OmegaMatrix made.
 
 The joint tables of the quantize sources before per-axis refinement: the
 grid's dense depth maps contracted by one four-way einsum, and the smooth
@@ -22,10 +27,38 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from begin.bitgroup import Mask, Partition, span_generate
-from begin.distribution import Pmf, moments_from_pmf
+from begin.bitgroup import Mask, Partition, build_index_sets, span_generate
+from begin.distribution import Pmf, interaction_cov, moments_from_pmf
 from begin.engine import BeliefCoefficients
+from begin.hadamard import fwht
 from begin.schur import pinv_sym
+
+
+def dense_sigma(pmf, part):
+    """The n x n interaction covariance over the partition's masks, ordered
+    center, left wing, right wing."""
+    masks = build_index_sets(part).all_masks()
+    return interaction_cov(pmf, masks, masks)
+
+
+def block_s(blocks):
+    """S in wing order: 2^-s fwht_b(stack) read at (beta_i ^ beta_j,
+    alpha_i, alpha_j)."""
+    configs, k = blocks.values.shape
+    s_walsh = fwht(blocks.stack * (1.0 / configs)).reshape(-1)
+    # flat index (beta_i ^ beta_j) k^2 + alpha_i k + alpha_j, built in place
+    index = np.bitwise_xor.outer(blocks.beta, blocks.beta)
+    index *= k * k
+    index += (blocks.alpha * k)[:, None]
+    index += blocks.alpha[None, :]
+    return s_walsh[index]
+
+
+def sigma_residual(sigma, omega):
+    """max |sigma omega sigma - sigma|."""
+    if not sigma.size:
+        return 0.0
+    return float(np.abs(sigma @ omega @ sigma - sigma).max())
 
 
 def reference_pinv_eigh(arr, rank_tol, anchor):
@@ -77,13 +110,12 @@ class DenseSchur:
     rank_s: int
 
 
-def reference_schur(sp, rank_tol):
-    sigma = sp.sigma
-    b, f, d = sp.b_block, sp.f_block, sp.wing_block
+def reference_schur(sigma, n_b, rank_tol):
+    b, f, d = sigma[:n_b, :n_b], sigma[:n_b, n_b:], sigma[n_b:, n_b:]
     anchor = float(np.abs(sigma).max()) if sigma.size else 0.0
     b_pinv, rank_b = reference_pinv_eigh(b, rank_tol, anchor)
     m = f.T @ b_pinv
-    s = d - m @ f if sp.n_b else d.copy()
+    s = d - m @ f if n_b else d.copy()
     s = (s + s.T) / 2.0
     if rank_tol is None:
         vals = np.linalg.eigvalsh((sigma + sigma.T) / 2.0) if sigma.size else np.zeros(0)
@@ -94,8 +126,8 @@ def reference_schur(sp, rank_tol):
     return DenseSchur(s=s, s_pinv=s_pinv, b_pinv=b_pinv, rank_b=rank_b, rank_s=rank_s)
 
 
-def dense_schur_gap_bound(sp, rank_tol):
-    """Bound on max |reference_schur(sp, rank_tol).s - S read off the blocks|
+def dense_schur_gap_bound(sigma, n_b, rank_tol):
+    """Bound on max |reference_schur(sigma, n_b, rank_tol).s - block_s|
     for an input whose wing rows lie in the kept row space of B.
 
     The block S is 2^-s times exact butterflies of the stack, and lies
@@ -116,11 +148,11 @@ def dense_schur_gap_bound(sp, rank_tol):
     one, so the gap is the dense route's error.
     """
     eps = np.finfo(np.float64).eps
-    scale = float(np.abs(sp.sigma).max()) if sp.sigma.size else 0.0
-    vals = np.linalg.eigvalsh(sp.b_block) if sp.n_b else np.zeros(0)
+    scale = float(np.abs(sigma).max()) if sigma.size else 0.0
+    vals = np.linalg.eigvalsh(sigma[:n_b, :n_b]) if n_b else np.zeros(0)
     top = float(np.abs(vals).max()) if vals.size else 0.0
     if rank_tol is None:
-        cutoff = sp.n_b * eps * max(top, scale)
+        cutoff = n_b * eps * max(top, scale)
     else:
         cutoff = rank_tol * top
     kept = np.abs(vals[np.abs(vals) > cutoff])

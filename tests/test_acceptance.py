@@ -44,6 +44,7 @@ from begin.distribution import _dyadic_probs
 from begin.engine import test_ci as decide_ci
 
 from conftest import naive_wht, random_chain_pmf
+from dense_reference import block_s, dense_sigma, sigma_residual
 
 TOL = 1e-8
 SHAPES = [
@@ -156,7 +157,7 @@ def test_block_inverse_identities_on_corpus(corpus):
     for rec in corpus:
         om, sr, sp = rec["om"], rec["sr"], rec["sp"]
         assert np.abs(om.omega - om.omega.T).max() <= 1e-12
-        assert om.sigma_residual <= TOL
+        assert sigma_residual(dense_sigma(rec["pmf"], rec["part"]), om.omega) <= TOL
         n_b = sp.n_b
         assert np.array_equal(om.omega[n_b:, n_b:], sr.s_pinv)
         if sr.rank_b < sp.n_b or sr.rank_s < sp.n_l + sp.n_r:
@@ -200,18 +201,18 @@ def test_prism_and_transform_match_naive():
 
 def test_hand_worked_covariance_values(xor_pmf, halves_pmf, split111):
     sp = assemble_sigma(xor_pmf, split111)
-    sr = schur_complement(sp)
-    off = sr.s[: sp.n_l, sp.n_l :]
+    off = block_s(sp.blocks)[: sp.n_l, sp.n_l :]
     assert np.abs(off - np.array([[0.0, 1.0], [1.0, 0.0]])).max() <= 1e-12
     assert not decide_ci(xor_pmf, split111).is_ci
 
     sp = assemble_sigma(halves_pmf, split111)
+    sigma = dense_sigma(halves_pmf, split111)
     # mask order: B, A, A*B, C, B*C
-    assert abs(sp.sigma[1, 3] - 0.25) <= 1e-12
-    assert abs(sp.sigma[1, 0] - 0.5) <= 1e-12
-    assert abs(sp.sigma[3, 0] - 0.5) <= 1e-12
-    sr = schur_complement(sp)
-    assert abs(sr.s[0, 2]) <= 1e-12
+    assert abs(sigma[1, 3] - 0.25) <= 1e-12
+    assert abs(sigma[1, 0] - 0.5) <= 1e-12
+    assert abs(sigma[3, 0] - 0.5) <= 1e-12
+    assert np.array_equal(sp.sigma, sigma[:1])
+    assert abs(block_s(sp.blocks)[0, 2]) <= 1e-12
     assert decide_ci(halves_pmf, split111).is_ci
 
 

@@ -97,9 +97,23 @@ def test_a_center_cutting_rank_tol_exits_two_naming_it(tmp_path, capsys):
         assert main([command, str(ci), "--partition", str(part), "--rank-tol", "0.1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: row-space residual ")
-        assert "rank_tol 0.1 cut part of the center block's range" in err
+        assert "rank_tol 0.1 gave rank(B) = 4 where the center support gives 5" in err
         assert "not an interaction covariance" not in err
         assert main([command, str(ci), "--partition", str(part)]) in (0, 1)
+
+
+def test_a_zero_rank_tol_that_keeps_round_off_exits_two_naming_it(tmp_path, capsys):
+    # the center block is singular, and a zero cut inverts its round-off
+    ci = tmp_path / "ci.csv"
+    part = tmp_path / "part.json"
+    part.write_text(partition_to_json(Partition.coordinate_split(2, 3, 2)))
+    assert main(["random", "--mode", "ci", "--dims", "2,3,2", "--seed", "11",
+                 "--zero-prob", "0.3", "--out", str(ci)]) == 0
+    capsys.readouterr()
+    assert main(["test", str(ci), "--partition", str(part), "--rank-tol", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row-space residual ")
+    assert err.endswith("; rank_tol 0.0 gave rank(B) = 7 where the center support gives 5\n")
 
 
 def test_verdict_payload_matches_library(tmp_path, part111_file, capsys):
@@ -307,6 +321,16 @@ def test_random_argument_validation(tmp_path, capsys):
     assert main(["random", "--mode", "ising", "--thetas", "1,2",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    for flag, value, message in (
+        ("--zero-prob", "nan", "zero_prob must be in [0,1), got nan"),
+        ("--zero-prob", "1.5", "zero_prob must be in [0,1), got 1.5"),
+        ("--alpha", "0", "alpha must be finite and positive, got 0.0"),
+        ("--alpha", "inf", "alpha must be finite and positive, got inf"),
+    ):
+        assert main(["random", "--mode", "ci", "--dims", "1,1,1", flag, value,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_round_trip_through_files_is_bit_exact(tmp_path, part111_file, capsys):

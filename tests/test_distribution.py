@@ -143,6 +143,23 @@ def test_ci_constructor_is_deterministic():
     assert a.meta["seed"] == 42 and a.meta["generator"] == "ci"
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"zero_prob": float("nan")}, r"zero_prob must be in \[0,1\), got nan"),
+        ({"zero_prob": -0.1}, r"zero_prob must be in \[0,1\), got -0.1"),
+        ({"zero_prob": 1.0}, r"zero_prob must be in \[0,1\), got 1.0"),
+        ({"alpha": 0.0}, "alpha must be finite and positive, got 0.0"),
+        ({"alpha": -1.0}, "alpha must be finite and positive, got -1.0"),
+        ({"alpha": float("nan")}, "alpha must be finite and positive, got nan"),
+        ({"alpha": float("inf")}, "alpha must be finite and positive, got inf"),
+    ],
+)
+def test_ci_constructor_refuses_bad_zero_prob_and_alpha(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        make_ci_pmf(1, 1, 1, seed=0, **kwargs)
+
+
 def test_generic_constructor_properties():
     pmf = make_generic_pmf(3, seed=1)
     assert pmf.support_size == 8

@@ -21,6 +21,7 @@ from begin import (
 from begin import test_ci as decide_ci
 
 from conftest import cell_index, random_chain_pmf
+from dense_reference import dense_sigma
 
 
 def direction_one_case():
@@ -57,15 +58,20 @@ def direction_one_case():
 def test_sigma_assembly_order_and_entries(xor_pmf, split111):
     sp = assemble_sigma(xor_pmf, split111)
     assert [mk.bits for mk in sp.labels.all_masks()] == [0b010, 0b100, 0b110, 0b001, 0b011]
-    assert sp.sigma.shape == (5, 5)
+    # sigma is held as its center row; the whole one is the reference's
+    sigma = dense_sigma(xor_pmf, split111)
+    assert sp.sigma.shape == (1, 5)
+    np.testing.assert_array_equal(sp.sigma, sigma[:1])
+    assert sp.scale == float(np.abs(sigma).max()) == 1.0
     # X1*X2 and X3 multiply to the full parity, whose mean is 1 here
-    assert sp.sigma[2, 3] == 1.0
-    np.testing.assert_array_equal(sp.sigma, sp.sigma.T)
+    assert sigma[2, 3] == 1.0
+    np.testing.assert_array_equal(sigma, sigma.T)
 
 
 def test_sigma_of_point_mass_is_zero(split111):
     pt = Pmf(3, np.eye(8)[0])
-    assert np.abs(assemble_sigma(pt, split111).sigma).max() == 0.0
+    sp = assemble_sigma(pt, split111)
+    assert np.abs(sp.sigma).max() == 0.0 and sp.scale == 0.0
 
 
 def test_sigma_width_mismatch_raises(split111):
@@ -585,3 +591,46 @@ def test_benchmark_and_roadmap_shapes_are_admitted(monkeypatch, shape):
     part = Partition.coordinate_split(*shape)
     with pytest.raises(Allocated):
         assemble_sigma(make_generic_pmf(sum(shape), seed=2), part)
+
+
+# Sigma enters a verdict and a graph export only through its center rows:
+# no call forms the n x n sigma or its wing block.
+
+
+def test_verdicts_and_graphs_ask_interaction_cov_for_the_center_rows_only(
+    monkeypatch, tmp_path, capsys
+):
+    import begin.engine as engine_module
+    from begin import partition_to_json, write_pmf_csv
+    from begin.cli import main
+
+    shapes, real = [], engine_module.interaction_cov
+
+    def recording(pmf, rows, cols):
+        shapes.append((len(rows), len(cols)))
+        return real(pmf, rows, cols)
+
+    monkeypatch.setattr(engine_module, "interaction_cov", recording)
+    overlap = Partition(3, (Mask(0b110, 3),), (Mask(0b100, 3),), (Mask(0b010, 3),))
+    cases = [
+        (make_ci_pmf(2, 3, 2, seed=11, zero_prob=0.3), Partition.coordinate_split(2, 3, 2)),
+        (make_generic_pmf(3, seed=6), Partition.coordinate_split(1, 0, 2)),
+        (make_generic_pmf(3, seed=2), overlap),
+    ]
+    for k, (pmf, part) in enumerate(cases):
+        labels = build_index_sets(part)
+        n_b, n = len(labels.b_set), len(labels.all_masks())
+        assert assemble_sigma(pmf, part).sigma.shape == (n_b, n)
+        pmf_file, part_file = tmp_path / f"{k}.csv", tmp_path / f"{k}.json"
+        write_pmf_csv(pmf, str(pmf_file))
+        part_file.write_text(partition_to_json(part))
+        runs = (
+            lambda: decide_ci(pmf, part),
+            lambda: decide_ci(pmf, part, rank_tol=1e-10),
+            lambda: main(["graph", str(pmf_file), "--partition", str(part_file)]),
+        )
+        for run in runs:
+            shapes.clear()
+            run()
+            assert shapes == [(n_b, n)]
+    assert capsys.readouterr().err == ""

@@ -455,7 +455,7 @@ def test_separation_matches_reference_on_random_symmetric_matrices(part, data):
     mat = np.triu(upper.reshape(n, n))
     mat = mat + np.triu(mat, 1).T
     n_b = len(labels.b_set)
-    om = OmegaMatrix(omega=mat, n_b=n_b, sigma=np.zeros((n, n)))
+    om = OmegaMatrix(omega=mat, n_b=n_b)
     g = build_graph(om, labels, 1e-8)
     ref = reference_edges(mat, 1e-8)
     assert g.edges == ref
@@ -558,7 +558,7 @@ def test_build_graph_thresholds_like_abs_on_a_sparse_matrix_past_one_tile():
     values = np.array([0.0, -0.0, 1e-8, -1e-8, 2e-8, -0.4, 0.7])
     mat = values[rng.integers(values.size, size=(n, n))]
     n_b = len(labels.b_set)
-    om = OmegaMatrix(omega=mat, n_b=n_b, sigma=np.zeros((n, n)))
+    om = OmegaMatrix(omega=mat, n_b=n_b)
     for tol in (1e-8, 0.5):
         g = build_graph(om, labels, tol)
         assert n > _TILE and g.edges == reference_edges(mat, tol)

@@ -1,15 +1,15 @@
 """The block-prism Schur path against the dense reference and the oracle.
 
 For every partition, overlapping wings included, and with or without an
-explicit rank_tol, schur_complement reads S, S+ and rank(S) off one small
+explicit rank_tol, schur_complement reads S+ and rank(S) off one small
 block per center configuration, and test_ci reads the factorization route
-off the same blocks; the dense routes they replaced live on in
-tests/dense_reference.py.
+and max|S[L, R]| off the same blocks; the dense routes they replaced, and
+the S gathered off the blocks, live on in tests/dense_reference.py.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from begin import (
@@ -28,7 +28,13 @@ from begin import (
 )
 from begin import test_ci as decide_ci
 
-from dense_reference import dense_schur_gap_bound, reference_schur
+from dense_reference import (
+    block_s,
+    dense_schur_gap_bound,
+    dense_sigma,
+    reference_schur,
+    sigma_residual,
+)
 
 RELATIVE_GAP = 1e-8
 RANK_TOLS = (None, 1e-10)
@@ -74,13 +80,15 @@ def complement_chars(part):
 
 def check_prism_against_dense_and_oracle(pmf, part):
     sp = assemble_sigma(pmf, part)
+    sigma = dense_sigma(pmf, part)
+    s = block_s(sp.blocks)
+    assert np.array_equal(s, s.T)
     expected = oracle_ci(pmf, part).is_ci
     for rank_tol in RANK_TOLS:
         prism = schur_complement(sp, rank_tol)
-        dense = reference_schur(sp, rank_tol)
-        assert np.array_equal(prism.s, prism.s.T)
-        gap = float(np.abs(prism.s - dense.s).max(initial=0.0))
-        assert gap <= dense_schur_gap_bound(sp, rank_tol)
+        dense = reference_schur(sigma, sp.n_b, rank_tol)
+        gap = float(np.abs(s - dense.s).max(initial=0.0))
+        assert gap <= dense_schur_gap_bound(sigma, sp.n_b, rank_tol)
         assert np.array_equal(prism.b_pinv, dense.b_pinv)
         assert prism.rank_b == dense.rank_b
         assert np.array_equal(prism.s_pinv, prism.s_pinv.T)
@@ -94,7 +102,7 @@ def check_prism_against_dense_and_oracle(pmf, part):
             scale = float(np.abs(dense.s_pinv).max()) if dense.s_pinv.size else 0.0
             gap = float(np.abs(prism.s_pinv - dense.s_pinv).max()) if scale else 0.0
             assert gap <= RELATIVE_GAP * scale
-        assert sb_inverse(sp, prism).sigma_residual <= 1e-8
+        assert sigma_residual(sigma, sb_inverse(sp, prism).omega) <= 1e-8
         verdict = decide_ci(pmf, part, rank_tol=rank_tol)
         assert verdict.is_ci == expected
         assert set(verdict.criteria.values()) == {expected}
@@ -138,10 +146,12 @@ def test_block_schur_and_factorization_agree_with_the_dense_routes(case, rank_to
     sp = assemble_sigma(pmf, part)
     sr = schur_complement(sp, rank_tol)
     assume(sr.residual <= 1e-8)
-    assert np.array_equal(sr.s, sr.s.T)
-    dense = reference_schur(sp, rank_tol)
-    gap = float(np.abs(sr.s - dense.s).max(initial=0.0))
-    assert gap <= dense_schur_gap_bound(sp, rank_tol)
+    s = block_s(sp.blocks)
+    assert np.array_equal(s, s.T)
+    sigma = dense_sigma(pmf, part)
+    dense = reference_schur(sigma, sp.n_b, rank_tol)
+    gap = float(np.abs(s - dense.s).max(initial=0.0))
+    assert gap <= dense_schur_gap_bound(sigma, sp.n_b, rank_tol)
     verdict = decide_ci(pmf, part, rank_tol=rank_tol)
     witness = verify_block_factorization(pmf, part, rank_tol=rank_tol)
     n_lc = (1 << part.wing_complements[0].dim) - 1
@@ -149,6 +159,23 @@ def test_block_schur_and_factorization_agree_with_the_dense_routes(case, rank_to
     if outside_band(corner, verdict.tol) and outside_band(witness.gap, verdict.tol):
         expected = oracle_ci(pmf, part).is_ci
         assert verdict.criteria["factorization"] == bool(witness) == expected
+
+
+DEGENERATE = Partition(3, (Mask(0b010, 3),), (Mask(0b010, 3),), (Mask(0b001, 3),))
+
+
+@seed(16)
+@settings(max_examples=80, deadline=None)
+@given(case=wide_cases(), rank_tol=st.sampled_from(RANK_TOLS))
+@example(case=(make_generic_pmf(3, seed=2), OVERLAP), rank_tol=None)
+@example(case=(make_generic_pmf(3, seed=6), Partition.coordinate_split(1, 0, 2)), rank_tol=1e-10)
+@example(case=(make_ci_pmf(1, 1, 1, seed=3, zero_prob=0.3), DEGENERATE), rank_tol=None)
+def test_max_offblock_s_is_the_gathered_left_right_corner_bit_for_bit(case, rank_tol):
+    pmf, part = case
+    sp = assemble_sigma(pmf, part)
+    verdict = decide_ci(pmf, part, rank_tol=rank_tol)
+    s = block_s(sp.blocks)
+    assert verdict.max_offblock_s == float(np.abs(s[: sp.n_l, sp.n_l :]).max(initial=0.0))
 
 
 def test_prism_verdict_decomposes_no_matrix_larger_than_its_blocks(monkeypatch):
@@ -201,8 +228,7 @@ def test_one_schur_route_for_overlap_rank_tol_and_every_sigma_partition():
         sp = assemble_sigma(pmf, part)
         for rank_tol in RANK_TOLS:
             sr = schur_complement(sp, rank_tol)
-            s, s_pinv, rank_s = sp.blocks.schur(rank_tol)
-            assert np.array_equal(sr.s, s)
+            s_pinv, rank_s = sp.blocks.schur(rank_tol)
             assert np.array_equal(sr.s_pinv, s_pinv)
             assert sr.rank_s == rank_s
     with pytest.raises(TypeError):
@@ -220,9 +246,10 @@ def test_rank_tol_keeps_block_eigenvalues_above_the_cut_of_the_whole_spectrum():
         beta=np.array([0, 1, 0, 1]),
         alpha=np.array([0, 0, 1, 1]),
     )
-    assert blocks.schur()[2] == 3
-    assert blocks.schur(1e-12)[2] == 3
-    s, s_pinv, rank = blocks.schur(1e-10)
+    assert blocks.schur()[1] == 3
+    assert blocks.schur(1e-12)[1] == 3
+    s_pinv, rank = blocks.schur(1e-10)
+    s = block_s(blocks)
     # S is the stack read back: 2^-1 fwht_b([4, 2]) = [3, 1] on character 0
     assert np.array_equal(s[:2, :2], [[3.0, 1.0], [1.0, 3.0]])
     # the cut is 1e-10 * 4, across both blocks: 1e-11 goes, so only 4 and 2

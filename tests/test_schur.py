@@ -18,7 +18,14 @@ from begin import (
 from begin import engine
 from begin.schur import _TILE, _asymmetry, _max_abs, _require_symmetric, _symmetrize
 
-from dense_reference import dense_schur_gap_bound, reference_pinv_eigh, reference_schur
+from dense_reference import (
+    block_s,
+    dense_schur_gap_bound,
+    dense_sigma,
+    reference_pinv_eigh,
+    reference_schur,
+    sigma_residual,
+)
 
 PENROSE_TOL = 1e-8
 
@@ -91,44 +98,50 @@ def blocks_of(s, part):
     return CenterBlocks(stack=stack, mass=np.ones(len(stack)), rank=rank, beta=beta, alpha=alpha)
 
 
-def test_sigma_partition_validation(halves_pmf, split111):
-    labels = build_index_sets(split111)
-    blocks = assemble_sigma(halves_pmf, split111).blocks
-    with pytest.raises(ValueError):
-        SigmaPartition(np.eye(4), labels, blocks)  # needs 5x5
-    bad = np.eye(5)
+def test_sigma_partition_validation():
+    # 3 center masks of 11: sigma is held as its 3 x 11 center rows
+    part = Partition.coordinate_split(1, 2, 1)
+    labels = build_index_sets(part)
+    blocks = assemble_sigma(make_generic_pmf(4, seed=2), part).blocks
+    rows = np.eye(3, 11)
+    SigmaPartition(rows, labels, blocks, 1.0)
+    for shape in ((11, 11), (3, 10), (4, 11)):
+        with pytest.raises(ValueError, match="center rows"):
+            SigmaPartition(np.zeros(shape), labels, blocks, 1.0)
+    bad = rows.copy()
     bad[0, 1] = 1e-6
-    with pytest.raises(ValueError):
-        SigmaPartition(bad, labels, blocks)
-    other = assemble_sigma(make_generic_pmf(4, seed=1), Partition.coordinate_split(1, 1, 2))
+    with pytest.raises(ValueError, match="not symmetric"):
+        SigmaPartition(bad, labels, blocks, 1.0)
+    other = assemble_sigma(make_generic_pmf(3, seed=1), Partition.coordinate_split(1, 1, 1))
     with pytest.raises(ValueError, match="do not index the wings"):
-        SigmaPartition(np.eye(5), labels, other.blocks)
+        SigmaPartition(rows, labels, other.blocks, 1.0)
     with pytest.raises(TypeError):
-        SigmaPartition(np.eye(5), labels)
+        SigmaPartition(rows, labels, blocks)
 
 
 def test_schur_kills_conditional_halves_coupling(halves_pmf, split111):
     sp = assemble_sigma(halves_pmf, split111)
-    sr = schur_complement(sp)
+    s = block_s(sp.blocks)
     # wings stack left block then right block; entry (A, C) sits at (0, 2)
-    assert sr.s[0, 2] == 0.0
-    assert np.abs(sr.s[: sp.n_l, sp.n_l :]).max() <= 1e-15
+    assert s[0, 2] == 0.0
+    assert np.abs(s[: sp.n_l, sp.n_l :]).max() <= 1e-15
+    assert engine.test_ci(halves_pmf, split111).max_offblock_s <= 1e-15
 
 
 def test_schur_exposes_parity_coupling(xor_pmf, split111):
     sp = assemble_sigma(xor_pmf, split111)
-    sr = schur_complement(sp)
-    off = sr.s[: sp.n_l, sp.n_l :]
+    off = block_s(sp.blocks)[: sp.n_l, sp.n_l :]
     assert np.array_equal(off, [[0.0, 1.0], [1.0, 0.0]])
+    assert engine.test_ci(xor_pmf, split111).max_offblock_s == 1.0
 
 
 def test_schur_with_identity_center_and_zero_coupling(split111):
     labels = build_index_sets(split111)
     sigma = np.eye(5)
     sigma[1, 2] = sigma[2, 1] = 0.5  # inside the left wing
-    sp = SigmaPartition(sigma, labels, blocks_of(sigma[1:, 1:], split111))
+    sp = SigmaPartition(sigma[:1], labels, blocks_of(sigma[1:, 1:], split111), 1.0)
     sr = schur_complement(sp)
-    np.testing.assert_array_equal(sr.s, sigma[1:, 1:])
+    np.testing.assert_array_equal(block_s(sp.blocks), sigma[1:, 1:])
     assert sr.rank_b == 1 and sr.residual == 0.0
 
 
@@ -137,7 +150,8 @@ def test_schur_with_empty_center():
     pmf = make_generic_pmf(2, seed=4)
     sp = assemble_sigma(pmf, part)
     sr = schur_complement(sp)
-    np.testing.assert_array_equal(sr.s, sp.wing_block)
+    assert sp.sigma.shape == (0, 2)
+    np.testing.assert_array_equal(block_s(sp.blocks), dense_sigma(pmf, part))
     assert sr.rank_b == 0
 
 
@@ -147,10 +161,11 @@ def test_block_inverse_matches_dense_inverse_when_nonsingular():
         r, s, t = (int(v) for v in rng.integers(1, 3, size=3))
         pmf = make_generic_pmf(r + s + t, seed=int(rng.integers(10_000)))
         assert pmf.probs.min() > 0.0
-        sp = assemble_sigma(pmf, Partition.coordinate_split(r, s, t))
+        part = Partition.coordinate_split(r, s, t)
+        sp = assemble_sigma(pmf, part)
         sr = schur_complement(sp)
         om = sb_inverse(sp, sr)
-        dense = np.linalg.inv(sp.sigma)
+        dense = np.linalg.inv(dense_sigma(pmf, part))
         assert np.abs(om.omega - dense).max() <= 1e-8
 
 
@@ -180,7 +195,6 @@ def test_block_inverse_rejects_broken_rowspace(halves_pmf, split111):
     sp = assemble_sigma(halves_pmf, split111)
     sr = schur_complement(sp)
     broken = SchurResult(
-        s=sr.s,
         s_pinv=sr.s_pinv,
         m=sr.m,
         rank_b=sr.rank_b,
@@ -198,14 +212,31 @@ def test_a_rank_tol_that_cuts_the_center_range_is_named_in_the_refusal():
     part = Partition.coordinate_split(2, 3, 2)
     pmf = make_ci_pmf(2, 3, 2, seed=11, zero_prob=0.3)
     sp = assemble_sigma(pmf, part)
-    assert sb_inverse(sp, schur_complement(sp)).sigma_residual <= 1e-8
+    om = sb_inverse(sp, schur_complement(sp))
+    assert sigma_residual(dense_sigma(pmf, part), om.omega) <= 1e-8
     sr = schur_complement(sp, 0.1)
     assert sr.rank_tol == 0.1 and sr.residual > 1e-8
-    with pytest.raises(ValueError, match="rank_tol 0.1 cut part of the center block's range"):
+    cut = r"rank_tol 0.1 gave rank\(B\) = 4 where the center support gives 5"
+    with pytest.raises(ValueError, match=cut):
         sb_inverse(sp, sr)
-    with pytest.raises(ValueError, match="rank_tol") as refused:
+    with pytest.raises(ValueError, match=cut) as refused:
         engine.test_ci(pmf, part, rank_tol=0.1)
     assert "not an interaction covariance" not in str(refused.value)
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, 1e-300])
+def test_a_rank_tol_that_keeps_round_off_of_the_center_block_is_named_in_the_refusal(
+    rank_tol,
+):
+    # this ci pmf has zero-mass center configurations, so B is singular; a
+    # cut at or near 0 inverts the round-off eigenvalues of its null space
+    part = Partition.coordinate_split(2, 3, 2)
+    pmf = make_ci_pmf(2, 3, 2, seed=11, zero_prob=0.3)
+    verdict = engine.test_ci(pmf, part)
+    assert (verdict.rank_b, verdict.support_b) == (5, 6)
+    kept = rf"rank_tol {rank_tol} gave rank\(B\) = 7 where the center support gives 5"
+    with pytest.raises(ValueError, match=kept):
+        engine.test_ci(pmf, part, rank_tol=rank_tol)
 
 
 def test_rowspace_and_sandwich_identities_across_pmf_mix():
@@ -221,11 +252,12 @@ def test_rowspace_and_sandwich_identities_across_pmf_mix():
             pmf = make_ci_pmf(r, s, t, seed=seed, zero_prob=0.3)
         else:
             pmf = make_generic_pmf(r + s + t, seed=seed, zero_fraction=0.25)
-        sp = assemble_sigma(pmf, Partition.coordinate_split(r, s, t))
+        part = Partition.coordinate_split(r, s, t)
+        sp = assemble_sigma(pmf, part)
         sr = schur_complement(sp)
         om = sb_inverse(sp, sr)
         assert sr.residual <= 1e-8
-        assert om.sigma_residual <= 1e-8
+        assert sigma_residual(dense_sigma(pmf, part), om.omega) <= 1e-8
         count += 1
 
 
@@ -237,6 +269,7 @@ def reference_rank(arr):
 
 
 def corpus_mix(count, seed):
+    """count (SigmaPartition, dense sigma) pairs of ci and generic pmfs."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -248,17 +281,18 @@ def corpus_mix(count, seed):
             pmf = make_ci_pmf(r, s, t, seed=pmf_seed, zero_prob=0.3)
         else:
             pmf = make_generic_pmf(r + s + t, seed=pmf_seed, zero_fraction=0.25)
-        out.append(assemble_sigma(pmf, Partition.coordinate_split(r, s, t)))
+        part = Partition.coordinate_split(r, s, t)
+        out.append((assemble_sigma(pmf, part), dense_sigma(pmf, part)))
     return out
 
 
 def test_rank_from_stored_eigenvalues_matches_fresh_decomposition():
-    for sp in corpus_mix(60, 41):
+    for sp, sigma in corpus_mix(60, 41):
         fresh = np.linalg.eigh(sp.blocks.stack)[0]
         assert np.array_equal(sp.blocks.values, fresh)
         sr = schur_complement(sp)
-        assert sr.rank_b + sr.rank_s == reference_rank(sp.sigma)
-        assert sr.rank_s == max(reference_rank(sp.sigma) - sr.rank_b, 0)
+        assert sr.rank_b + sr.rank_s == reference_rank(sigma)
+        assert sr.rank_s == max(reference_rank(sigma) - sr.rank_b, 0)
     assert pinv_sym(np.zeros((0, 0)))[1] == 0
 
 
@@ -269,16 +303,6 @@ def test_stored_eigenvalues_are_read_only(halves_pmf, split111):
         blocks.values[0, 0] = 1.0
     with pytest.raises(ValueError):
         blocks.vectors[0, 0, 0] = 1.0
-
-
-def test_sigma_residual_is_lazy_and_equals_eager_formula():
-    for sp in corpus_mix(30, 43):
-        om = sb_inverse(sp, schur_complement(sp))
-        assert "sigma_residual" not in vars(om)
-        sigma = sp.sigma
-        eager = float(np.abs(sigma @ om.omega @ sigma - sigma).max())
-        assert om.sigma_residual == eager
-        assert vars(om)["sigma_residual"] == eager
 
 
 def assert_pinv_matches_reference(a, rank_tol):
@@ -295,9 +319,9 @@ def test_pinv_sym_is_bitwise_the_reference_helper(rank_tol):
         dim = int(rng.integers(1, 25))
         a = random_psd(rng, dim, int(rng.integers(0, min(4, dim))))
         assert_pinv_matches_reference((a + a.T) / 2.0, rank_tol)
-    for sp in corpus_mix(40, 53):
-        assert_pinv_matches_reference(sp.sigma, rank_tol)
-        assert_pinv_matches_reference(sp.wing_block, rank_tol)
+    for sp, sigma in corpus_mix(40, 53):
+        assert_pinv_matches_reference(sigma, rank_tol)
+        assert_pinv_matches_reference(sigma[sp.n_b :, sp.n_b :], rank_tol)
     assert_pinv_matches_reference(np.zeros((0, 0)), rank_tol)
     assert_pinv_matches_reference(np.zeros((3, 3)), rank_tol)
 
@@ -306,14 +330,17 @@ def test_pinv_sym_is_bitwise_the_reference_helper(rank_tol):
 def test_schur_complement_matches_the_reference_helpers(rank_tol):
     cases = corpus_mix(80, 59)
     empty_center = Partition.coordinate_split(1, 0, 2)
-    cases.append(assemble_sigma(make_generic_pmf(3, seed=6), empty_center))
-    assert cases[-1].n_b == 0
-    for sp in cases:
+    pmf = make_generic_pmf(3, seed=6)
+    cases.append((assemble_sigma(pmf, empty_center), dense_sigma(pmf, empty_center)))
+    assert cases[-1][0].n_b == 0
+    for sp, sigma in cases:
         # B+ and rank(B) are the dense arithmetic; S and S+ come from the
         # center blocks, and tests/test_prism.py holds S+ to the dense one
-        dense = reference_schur(sp, rank_tol)
+        dense = reference_schur(sigma, sp.n_b, rank_tol)
         sr = schur_complement(sp, rank_tol)
-        assert np.abs(sr.s - dense.s).max(initial=0.0) <= dense_schur_gap_bound(sp, rank_tol)
+        gap = np.abs(block_s(sp.blocks) - dense.s).max(initial=0.0)
+        assert gap <= dense_schur_gap_bound(sigma, sp.n_b, rank_tol)
+        assert sp.scale == float(np.abs(sigma).max())
         assert np.array_equal(sr.b_pinv, dense.b_pinv)
         assert sr.rank_b == dense.rank_b
         assert sr.rank_s == dense.rank_s
@@ -323,7 +350,8 @@ def test_center_cutoff_is_anchored_to_the_scale_of_sigma(split111):
     # 1e-17 is far above eps times the center block's own scale, but below
     # eps times max|sigma|, so it counts as zero
     sigma = np.diag([1e-17, 1.0, 1.0, 1.0, 1.0])
-    sp = SigmaPartition(sigma, build_index_sets(split111), blocks_of(sigma[1:, 1:], split111))
+    blocks = blocks_of(sigma[1:, 1:], split111)
+    sp = SigmaPartition(sigma[:1], build_index_sets(split111), blocks, 1.0)
     sr = schur_complement(sp)
     assert sr.rank_b == 0
     assert np.array_equal(sr.b_pinv, np.zeros((1, 1)))
@@ -404,16 +432,16 @@ def test_pinv_sym_symmetry_check_uses_the_tiled_gap():
 
 
 def test_sigma_partition_check_keeps_its_tolerance_past_one_tile():
-    part = Partition.coordinate_split(1, 6, 1)
-    sp = assemble_sigma(make_generic_pmf(8, seed=3), part)
-    n = sp.sigma.shape[0]
-    assert n > _TILE
+    part = Partition.coordinate_split(1, 8, 1)
+    sp = assemble_sigma(make_generic_pmf(10, seed=3), part)
+    n_b = sp.n_b
+    assert n_b > _TILE
     sigma = sp.sigma.copy()
-    sigma[3, n - 1], sigma[n - 1, 3] = 1e-12, 0.0
-    assert SigmaPartition(sigma, sp.labels, sp.blocks).sigma[3, n - 1] == 1e-12
-    sigma[3, n - 1] = np.nextafter(1e-12, 1.0)
+    sigma[3, n_b - 1], sigma[n_b - 1, 3] = 1e-12, 0.0
+    assert SigmaPartition(sigma, sp.labels, sp.blocks, sp.scale).sigma[3, n_b - 1] == 1e-12
+    sigma[3, n_b - 1] = np.nextafter(1e-12, 1.0)
     with pytest.raises(ValueError, match="not symmetric within tolerance"):
-        SigmaPartition(sigma, sp.labels, sp.blocks)
+        SigmaPartition(sigma, sp.labels, sp.blocks, sp.scale)
 
 
 def test_sigma_partition_keeps_a_private_sigma_and_copies_a_shared_one(monkeypatch):
@@ -430,13 +458,13 @@ def test_sigma_partition_keeps_a_private_sigma_and_copies_a_shared_one(monkeypat
     assert np.shares_memory(sp.sigma, made[0])
     assert not sp.sigma.flags.writeable and sp.sigma.base is None
     # read-only and owning its memory: taken as it is
-    assert np.shares_memory(SigmaPartition(sp.sigma, sp.labels, sp.blocks).sigma, sp.sigma)
+    assert np.shares_memory(SigmaPartition(sp.sigma, sp.labels, sp.blocks, sp.scale).sigma, sp.sigma)
     # writable, or a read-only view of a writable array: copied and frozen
     writable = sp.sigma.copy()
     view = writable.view()
     view.flags.writeable = False
     for given in (writable, view):
-        kept = SigmaPartition(given, sp.labels, sp.blocks).sigma
+        kept = SigmaPartition(given, sp.labels, sp.blocks, sp.scale).sigma
         assert not np.shares_memory(kept, writable)
         assert not kept.flags.writeable
         assert np.array_equal(kept, sp.sigma)

@@ -116,6 +116,11 @@ def calls():
             [f"{name}.csv"]) for name, args in rand]
     out.append(("random bad dims", ["random", "--mode", "ci", "--dims", "2",
                                     "--out", "{d}/never.csv"], []))
+    out.append(("random bad zero-prob", ["random", "--mode", "ci", "--dims", "1,1,1",
+                                         "--zero-prob", "1.5", "--out", "{d}/never.csv"],
+                ["never.csv"]))
+    out.append(("random bad alpha", ["random", "--mode", "ci", "--dims", "1,1,1",
+                                     "--alpha", "0", "--out", "{d}/never.csv"], ["never.csv"]))
     part = {"ci111": "part111", "ci232": "part232", "gen7": "part232",
             "ci333": "part333", "gen11": "part353", "gen4": "part121", "ising": "part121"}
     for name, p in part.items():
@@ -154,6 +159,7 @@ def calls():
         ("graph nan tol", ["graph", *ci232, "--tol", "nan"], []),
         ("test ci232 rank-tol cut", ["test", *ci232, "--rank-tol", "0.1"], []),
         ("graph ci232 rank-tol cut", ["graph", *ci232, "--rank-tol", "0.1"], []),
+        ("test ci232 rank-tol zero", ["test", *ci232, "--rank-tol", "0"], []),
         ("rank gen7", ["rank", "{d}/gen7.csv"], []),
         ("rank ci333", ["rank", "{d}/ci333.csv"], []),
         ("rank gen7 rank-tol", ["rank", "{d}/gen7.csv", "--rank-tol", "1e-10"], []),
