@@ -11,7 +11,7 @@ index sets are span differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -119,11 +119,14 @@ class MaskSpan:
     def __contains__(self, mask: Mask) -> bool:
         if mask.width != self.width:
             raise ValueError(f"width mismatch: {mask.width} != {self.width}")
-        v = mask.bits
+        return self._rest(mask.bits) == 0
+
+    def _rest(self, v: int) -> int:
+        """v with every basis pivot bit cleared: 0 exactly on the span."""
         for b in self.basis:
             if v >> (b.bits.bit_length() - 1) & 1:
                 v ^= b.bits
-        return v == 0
+        return v
 
     def member_bits(self) -> np.ndarray:
         """All 2^dim elements as an int64 array in group order.
@@ -140,27 +143,10 @@ class MaskSpan:
         """All elements sorted ascending by integer value."""
         return [Mask(int(v), self.width) for v in np.sort(self.member_bits())]
 
-    def split(self, bits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Write each mask as rest XOR member, member in the span.
-
-        rest has the pivot bit of every basis mask cleared, so it is the same
-        for all masks of one coset and 0 exactly on the span; member is
-        member_bits()[key].  Returns (rest, key) as int64 arrays.
-        """
-        rest = np.array(bits, dtype=np.int64).reshape(-1)
-        key = np.zeros_like(rest)
-        for b in self.basis:
-            # the basis is reduced, so no other basis mask touches this pivot
-            bit = (rest >> (b.bits.bit_length() - 1)) & 1
-            rest ^= bit * b.bits
-            key = (key << 1) | bit
-        return rest, key
-
     def complement_in(self, other: "MaskSpan") -> "MaskSpan":
-        """The rests (see split) of other's members: a span that meets this
-        one only in 0 and, with it, spans everything other does."""
-        rest, _ = self.split([b.bits for b in other.basis])
-        rows = _echelon_basis(int(v) for v in rest)
+        """The rests of other's members: a span that meets this one only in
+        0 and, with it, spans everything other does."""
+        rows = _echelon_basis(self._rest(b.bits) for b in other.basis)
         return MaskSpan(tuple(Mask(r, self.width) for r in rows), self.width)
 
 
@@ -245,33 +231,11 @@ class Partition:
         """Complements of span(B) in span(A,B) and in span(B,C).
 
         Every left wing mask is alpha XOR beta for a unique nonzero alpha of
-        the first and beta of span(B) (alpha is its rest, MaskSpan.split),
-        and likewise on the right; a mask in both wings has its rest in both.
+        the first and beta of span(B) (alpha is its rest modulo span(B)), and
+        likewise on the right; a mask in both wings has its rest in both.
         """
         span_b = self.b_span
         return span_b.complement_in(self.a_span), span_b.complement_in(self.c_span)
-
-    @cached_property
-    def wing_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """(beta, alpha) per wing mask of build_index_sets, left wing then
-        right.
-
-        beta is the member_bits index of the mask's part in span(B); alpha
-        indexes its rest among the complement characters: the nonzero
-        members, in member_bits order, of the left complement and then of
-        the right one (wing_complements).
-        """
-        labels = build_index_sets(self)
-        a_comp, c_comp = self.wing_complements
-        rest_l, key_l = self.b_span.split([m.bits for m in labels.l_set])
-        rest_r, key_r = self.b_span.split([m.bits for m in labels.r_set])
-        beta = np.concatenate([key_l, key_r]).astype(np.int32)
-        alpha = np.concatenate(
-            [a_comp.split(rest_l)[1] - 1, c_comp.split(rest_r)[1] + (1 << a_comp.dim) - 2]
-        ).astype(np.int32)
-        beta.flags.writeable = False
-        alpha.flags.writeable = False
-        return beta, alpha
 
     @classmethod
     def coordinate_split(cls, r: int, s: int, t: int) -> "Partition":
@@ -288,37 +252,65 @@ class Partition:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSets:
-    """Center and wing mask lists: B = <B>\\{1}, L = <A,B>\\<B>, R = <B,C>\\<B>."""
+    """Center and wing masks: B = <B>\\{1}, L = <A,B>\\<B>, R = <B,C>\\<B>,
+    each as read-only ascending int64 mask bits, and as Mask tuples made on
+    first read.  Wing mask i (left wing, then right) is the center member
+    beta[i] (b_span member_bits order) XOR complement character alpha[i]:
+    the nonzero wing_complements members, left then right, in member_bits
+    order.  overlap_count masks lie in both wings.
+    """
 
-    b_set: tuple[Mask, ...]
-    l_set: tuple[Mask, ...]
-    r_set: tuple[Mask, ...]
+    b_bits: np.ndarray
+    l_bits: np.ndarray
+    r_bits: np.ndarray
+    beta: np.ndarray
+    alpha: np.ndarray
+    overlap_count: int
     width: int
-    part: Optional[Partition] = field(default=None, compare=False)
+    part: Optional[Partition] = None
+
+    def _masks(self, bits: Iterable[int]) -> tuple[Mask, ...]:
+        return tuple(Mask(v, self.width) for v in bits)
+
+    b_set = cached_property(lambda self: self._masks(self.b_bits.tolist()))
+    l_set = cached_property(lambda self: self._masks(self.l_bits.tolist()))
+    r_set = cached_property(lambda self: self._masks(self.r_bits.tolist()))
 
     @cached_property
     def overlap(self) -> tuple[Mask, ...]:
         """Masks present in both wings (derived-feature partitions only)."""
-        shared = set(self.l_set) & set(self.r_set)
-        return tuple(sorted(shared))
+        return self._masks(sorted(set(self.l_bits.tolist()).intersection(self.r_bits.tolist())))
 
     def all_masks(self) -> tuple[Mask, ...]:
         return self.b_set + self.l_set + self.r_set
 
 
 def build_index_sets(partition: Partition) -> IndexSets:
-    """Index sets ordered (center, left wing, right wing), each ascending."""
-    p = partition.p
-    span_ab = span_generate(partition.a_gens + partition.b_gens, width=p)
-    span_bc = span_generate(partition.b_gens + partition.c_gens, width=p)
-    in_b = set(int(v) for v in partition.b_span.member_bits())
-    b_set = sorted(v for v in in_b if v != 0)
-    l_set = sorted(int(v) for v in span_ab.member_bits() if int(v) not in in_b)
-    r_set = sorted(int(v) for v in span_bc.member_bits() if int(v) not in in_b)
-    wrap = lambda vals: tuple(Mask(v, p) for v in vals)  # noqa: E731
-    return IndexSets(wrap(b_set), wrap(l_set), wrap(r_set), p, partition)
+    """Index sets ordered (center, left wing, right wing), each ascending.
+
+    Every wing mask is alpha XOR beta for exactly one nonzero alpha of the
+    wing's complement and one beta of span(B), so a wing is its XOR table
+    sorted, and each mask's place in the table is its (alpha, beta).
+    """
+    span_ab = span_generate(partition.a_gens + partition.b_gens, width=partition.p)
+    span_bc = span_generate(partition.b_gens + partition.c_gens, width=partition.p)
+    center = partition.b_span.member_bits()
+    configs = len(center)
+    a_comp, c_comp = partition.wing_complements
+    # row alpha of the table is the complement character alpha
+    chars = np.concatenate([a_comp.member_bits()[1:], c_comp.member_bits()[1:]])
+    table = np.bitwise_xor.outer(chars, center).ravel()
+    n_l = ((1 << a_comp.dim) - 1) * configs
+    order = np.concatenate([np.argsort(table[:n_l]), n_l + np.argsort(table[n_l:])])
+    wings = table[order]
+    alpha, beta = np.divmod(order.astype(np.int32), configs)
+    arrays = [np.sort(center)[1:], wings[:n_l], wings[n_l:], beta, alpha]
+    for arr in (*arrays, wings):
+        arr.flags.writeable = False
+    overlap = (1 << span_intersect(span_ab, span_bc).dim) - configs
+    return IndexSets(*arrays, overlap, partition.p, partition)
 
 
 def partition_to_json(part: Partition) -> str:

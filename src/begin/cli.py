@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._textrows import format_rows, read_lines
-from .bitgroup import Mask, partition_from_json
+from .bitgroup import partition_from_json
 from .distribution import (
     Pmf,
     _is_pmf_header,
@@ -196,8 +196,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
     pmf = _read_pmf(args.input)
     if pmf.p > _RANK_WIDTH_CAP:
         raise ValueError(f"rank report capped at p <= {_RANK_WIDTH_CAP}")
-    masks = [Mask(v, pmf.p) for v in range(1, 1 << pmf.p)]
-    sigma = interaction_cov(pmf, masks, masks)
+    bits = np.arange(1, 1 << pmf.p)
+    sigma = interaction_cov(pmf, bits, bits)
     # exactly symmetric, as interaction_cov of one mask list with itself
     _, rank = pinv_sym(sigma, args.rank_tol)
     support = pmf.support_size

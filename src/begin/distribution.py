@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._textrows import field_counts, format_rows, read_lines
-from .bitgroup import WIDTH_CAP, Mask
+from .bitgroup import WIDTH_CAP
 from .hadamard import fwht
 
 __all__ = [
@@ -116,20 +116,20 @@ def draw_samples(pmf: Pmf, n: int, seed: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int64)
 
 
-def interaction_cov(
-    pmf: Pmf, row_masks: Sequence[Mask], col_masks: Sequence[Mask]
-) -> np.ndarray:
-    """Covariance block of interaction features.
+def interaction_cov(pmf: Pmf, row_bits: Sequence[int], col_bits: Sequence[int]) -> np.ndarray:
+    """Covariance block of the interaction features with the given mask bits.
 
     Entry (i,j) = m[r_i XOR c_j] - m[r_i] m[c_j]; products of interactions
-    XOR their masks, so the second moment is itself a first moment.
+    XOR their masks, so the second moment is itself a first moment.  Bits
+    outside [0, 2^p) are refused.
     """
-    for mask in (*row_masks, *col_masks):
-        if mask.width != pmf.p:
-            raise ValueError(f"mask width {mask.width} != pmf width {pmf.p}")
+    rows = np.asarray(row_bits, dtype=np.int64).reshape(-1)
+    cols = np.asarray(col_bits, dtype=np.int64).reshape(-1)
+    for bits in (rows, cols):
+        bad = bits[(bits < 0) | (bits >= 1 << pmf.p)]
+        if bad.size:
+            raise ValueError(f"mask bits {int(bad[0])} out of range for width {pmf.p}")
     m = moments_from_pmf(pmf)
-    rows = np.array([mk.bits for mk in row_masks], dtype=np.int64).reshape(-1)
-    cols = np.array([mk.bits for mk in col_masks], dtype=np.int64).reshape(-1)
     if rows.size == 0 or cols.size == 0:
         return np.zeros((rows.size, cols.size))
     cov = m[np.bitwise_xor.outer(rows, cols)]
@@ -188,6 +188,9 @@ def _dirichlet_table(
         keep = rng.random(size) >= zero_prob
         if not keep.any():
             keep[rng.integers(size)] = True
+        # a small alpha draws exact zeros, and every kept weight may be one
+        if not weights[keep].any():
+            keep = weights == weights.max()
         weights = np.where(keep, weights, 0.0)
     return _dyadic_probs(weights)
 

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitgroup import Mask, Partition, build_index_sets, span_generate
+from .bitgroup import IndexSets, Mask, Partition, build_index_sets, span_generate
 from .distribution import _BYTE_LIMIT, Pmf, interaction_cov, moments_from_pmf
 from .graph import _require_tolerance, build_graph, separates
 from .hadamard import fwht
@@ -139,24 +139,23 @@ def assemble_sigma(
     if pmf.p != part.p:
         raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
     labels = build_index_sets(part)
-    masks = labels.all_masks()
-    sigma_bytes = 8 * len(masks) ** 2
+    bits = np.concatenate([labels.b_bits, labels.l_bits, labels.r_bits])
+    sigma_bytes = 8 * len(bits) ** 2
     if sigma_bytes > _BYTE_LIMIT:
         raise ValueError(
-            f"sigma over n = {len(masks)} masks needs {sigma_bytes} bytes, "
+            f"sigma over n = {len(bits)} masks needs {sigma_bytes} bytes, "
             f"beyond the {_BYTE_LIMIT}-byte limit"
         )
     # B exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
-    rows = interaction_cov(pmf, labels.b_set, masks)
+    rows = interaction_cov(pmf, labels.b_bits, bits)
     rows.flags.writeable = False  # private, so SigmaPartition keeps it uncopied
     # by Cauchy-Schwarz the largest |entry| of a covariance is a variance,
     # m[0] - m[k]^2 as interaction_cov forms it
     m = moments_from_pmf(pmf)
-    bits = np.array([mk.bits for mk in masks], dtype=np.int64)
     scale = _max_abs(m[0] - m[bits] * m[bits])
     if joint is None:
         joint = _wing_table(pmf, part)
-    return SigmaPartition(rows, labels, _center_blocks(joint, part), scale)
+    return SigmaPartition(rows, labels, _center_blocks(joint, labels), scale)
 
 
 def _wing_table(pmf: Pmf, part: Partition) -> np.ndarray:
@@ -167,7 +166,7 @@ def _wing_table(pmf: Pmf, part: Partition) -> np.ndarray:
     return _config_mass(pmf, part.b_span.basis + a_comp.basis + c_comp.basis)
 
 
-def _center_blocks(joint: np.ndarray, part: Partition) -> CenterBlocks:
+def _center_blocks(joint: np.ndarray, labels: IndexSets) -> CenterBlocks:
     """Per center configuration b, 2^s p_b Cov(complement characters | b).
 
     Given b every center character is a constant sign, so a wing mask
@@ -175,6 +174,7 @@ def _center_blocks(joint: np.ndarray, part: Partition) -> CenterBlocks:
     sign.  The moments come from the (b, a, c) mass table by one Walsh
     transform along (a, c).
     """
+    part = labels.part
     a_comp, c_comp = part.wing_complements
     ra, rc = a_comp.dim, c_comp.dim
     configs = 1 << part.b_span.dim
@@ -186,13 +186,12 @@ def _center_blocks(joint: np.ndarray, part: Partition) -> CenterBlocks:
     centering = moments[:, :, None] * moments[:, None, :]
     np.divide(centering, mass, out=centering, where=mass > 0.0)
     stack = (table[:, chars[:, None] ^ chars[None, :]] - centering) * configs
-    beta, alpha = part.wing_split
     return CenterBlocks(
         stack=stack,
         mass=table[:, 0],
         rank=_block_ranks((joint > 0.0).reshape(configs, 1 << ra, 1 << rc)),
-        beta=beta,
-        alpha=alpha,
+        beta=labels.beta,
+        alpha=labels.alpha,
     )
 
 
@@ -300,8 +299,8 @@ def test_ci(
         rank_b=sr.rank_b,
         support_b=int((sp.blocks.mass > 0.0).sum()),
         tol=tol,
-        degenerate_wings=not (sp.labels.l_set and sp.labels.r_set),
-        wing_overlap=len(sp.labels.overlap),
+        degenerate_wings=not (sp.n_l and sp.n_r),
+        wing_overlap=sp.labels.overlap_count,
     )
 
 
@@ -390,7 +389,7 @@ def verify_block_factorization(
     sp = assemble_sigma(pmf, part)
     sr = schur_complement(sp, rank_tol)
     n_l = sp.n_l
-    lhs = interaction_cov(pmf, sp.labels.l_set, sp.labels.r_set)
+    lhs = interaction_cov(pmf, sp.labels.l_bits, sp.labels.r_bits)
     m1, m2 = sr.m[:n_l], sr.m[n_l:]
     rhs = m1 @ sp.b_block @ m2.T if sp.n_b else np.zeros_like(lhs)
     gap = _max_abs(lhs - rhs)
@@ -423,10 +422,13 @@ def subset_offblock(
     Replacing the full center index set by a proper subset breaks the CI
     equivalence in both directions; this is the probe used to exhibit that.
     """
+    if part.p != pmf.p or any(mk.width != pmf.p for mk in subset):
+        raise ValueError("width mismatch")
     labels = build_index_sets(part)
-    masks = tuple(subset) + labels.l_set + labels.r_set
-    sigma = interaction_cov(pmf, masks, masks)
-    n_b, n_l = len(subset), len(labels.l_set)
+    center = np.array([mk.bits for mk in subset], dtype=np.int64)
+    bits = np.concatenate([center, labels.l_bits, labels.r_bits])
+    sigma = interaction_cov(pmf, bits, bits)
+    n_b, n_l = len(subset), labels.l_bits.size
     # a subset of the center is not a group, so S has no center blocks
     m = _schur_parts(sigma[:n_b], rank_tol, _max_abs(sigma))[2]
     s = m @ sigma[:n_b, n_b:]

@@ -70,7 +70,7 @@ class NodeList:
     def of_index_sets(cls, labels: IndexSets) -> "NodeList":
         """Center, left and right wing masks in order, labelled on first read."""
         out = cls.__new__(cls)
-        counts = (len(labels.b_set), len(labels.l_set), len(labels.r_set))
+        counts = (labels.b_bits.size, labels.l_bits.size, labels.r_bits.size)
         out._set(np.repeat(_WING_CODES, counts), labels, None)
         return out
 
@@ -277,8 +277,7 @@ def _labelled_nodes(labels: IndexSets) -> Tuple[GraphNode, ...]:
 def build_graph(omega: OmegaMatrix, labels: IndexSets, tol: float) -> BeginGraph:
     """Threshold the block inverse into an undirected wing-labeled graph."""
     _require_tolerance("tol", tol)
-    counts = (len(labels.b_set), len(labels.l_set), len(labels.r_set))
-    n = sum(counts)
+    n = labels.b_bits.size + labels.l_bits.size + labels.r_bits.size
     if omega.omega.shape != (n, n):
         raise ValueError(
             f"omega shape {omega.omega.shape} does not match {n} labeled masks"

@@ -72,7 +72,7 @@ def quantize_index(x, d: int):
     if d < 1:
         raise ValueError(f"depth must be >= 1, got {d}")
     arr = np.asarray(x, dtype=np.float64)
-    if arr.size and (arr.min() < -1.0 or arr.max() > 1.0):
+    if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):
         raise ValueError("values must lie in [-1, 1]")
     idx = np.minimum(np.floor((arr + 1.0) * (1 << (d - 1))), (1 << d) - 1)
     idx = idx.astype(np.int64)
@@ -92,9 +92,11 @@ def _cell_centers(d: int) -> np.ndarray:
 
 def _check_pmf_rows(tables: Sequence[Tuple[str, np.ndarray]]) -> None:
     """Refuse the first row that is not a probability vector, taking row j of
-    every table in turn before row j + 1; all rows are checked in one pass."""
+    every table in turn before row j + 1; all rows are checked in one pass.
+    A row holding a nan fails both comparisons and is refused."""
     bad = np.stack(
-        [(rows.min(axis=1) < 0.0) | (np.abs(rows.sum(axis=1) - 1.0) > 1e-12) for _, rows in tables]
+        [~(rows.min(axis=1) >= 0.0) | ~(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)
+         for _, rows in tables]
     )
     if bad.any():
         j = int(np.argmax(bad.any(axis=0)))
@@ -227,6 +229,8 @@ class SmoothSource:
         wm = np.asarray(self.w_mean, dtype=np.float64).reshape(nv, 2)
         edges = -1.0 + 2.0 ** (1 - self.v_depth) * np.arange(nv + 1)
         for name, coef in (("u_mean", um), ("w_mean", wm)):
+            if not np.isfinite(coef).all():
+                raise ValueError(f"{name} holds a non-finite coefficient")
             ends = np.stack(
                 [coef[:, 0] + coef[:, 1] * edges[:-1], coef[:, 0] + coef[:, 1] * edges[1:]]
             )

@@ -236,8 +236,7 @@ class SigmaPartition:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.sigma, dtype=np.float64)
-        n_b = len(self.labels.b_set)
-        n = n_b + len(self.labels.l_set) + len(self.labels.r_set)
+        n_b, n = self.n_b, self.n_b + self.n_l + self.n_r
         if arr.shape != (n_b, n):
             raise ValueError(
                 f"sigma shape {arr.shape} is not the {n_b} center rows of {n} labeled masks"
@@ -252,15 +251,15 @@ class SigmaPartition:
 
     @property
     def n_b(self) -> int:
-        return len(self.labels.b_set)
+        return self.labels.b_bits.size
 
     @property
     def n_l(self) -> int:
-        return len(self.labels.l_set)
+        return self.labels.l_bits.size
 
     @property
     def n_r(self) -> int:
-        return len(self.labels.r_set)
+        return self.labels.r_bits.size
 
     @property
     def b_block(self) -> np.ndarray:

@@ -20,9 +20,15 @@ belief_coefficients as it was before it read the coefficients off one
 Walsh transform of the center conditional means: a dense Gram system over
 the center members, solved by pinv_sym, with fitted values checked per
 cell through _ConfigTable.
+
+The index sets as build_index_sets made them before it sorted each wing's
+XOR table: Python set differences of span members, wrapped in Masks, with
+the overlap as their set intersection and the wing split worked out again
+by MaskSpan.split (Partition.wing_split), which had no other reader.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,8 +43,9 @@ from begin.schur import pinv_sym
 def dense_sigma(pmf, part):
     """The n x n interaction covariance over the partition's masks, ordered
     center, left wing, right wing."""
-    masks = build_index_sets(part).all_masks()
-    return interaction_cov(pmf, masks, masks)
+    labels = build_index_sets(part)
+    bits = np.concatenate([labels.b_bits, labels.l_bits, labels.r_bits])
+    return interaction_cov(pmf, bits, bits)
 
 
 def block_s(blocks):
@@ -339,3 +346,76 @@ def _fitted_gap(
     pos = table.positive
     gap = np.abs(table.cond_mean(chi_t)[pos] - table.cond_mean(fitted_cells)[pos])
     return float(gap.max())
+
+
+@dataclass(frozen=True)
+class ReferenceIndexSets:
+    """Center and wing mask lists: B = <B>\\{1}, L = <A,B>\\<B>, R = <B,C>\\<B>."""
+
+    b_set: tuple
+    l_set: tuple
+    r_set: tuple
+    width: int
+    part: Optional[Partition] = None
+
+    @cached_property
+    def overlap(self) -> tuple:
+        """Masks present in both wings (derived-feature partitions only)."""
+        shared = set(self.l_set) & set(self.r_set)
+        return tuple(sorted(shared))
+
+    def all_masks(self) -> tuple:
+        return self.b_set + self.l_set + self.r_set
+
+
+def reference_index_sets(partition: Partition) -> ReferenceIndexSets:
+    """Index sets ordered (center, left wing, right wing), each ascending."""
+    p = partition.p
+    span_ab = span_generate(partition.a_gens + partition.b_gens, width=p)
+    span_bc = span_generate(partition.b_gens + partition.c_gens, width=p)
+    in_b = set(int(v) for v in partition.b_span.member_bits())
+    b_set = sorted(v for v in in_b if v != 0)
+    l_set = sorted(int(v) for v in span_ab.member_bits() if int(v) not in in_b)
+    r_set = sorted(int(v) for v in span_bc.member_bits() if int(v) not in in_b)
+    wrap = lambda vals: tuple(Mask(v, p) for v in vals)  # noqa: E731
+    return ReferenceIndexSets(wrap(b_set), wrap(l_set), wrap(r_set), p, partition)
+
+
+def reference_split(span, bits: Sequence[int]):
+    """MaskSpan.split: write each mask as rest XOR member, member in the span.
+
+    rest has the pivot bit of every basis mask cleared, so it is the same
+    for all masks of one coset and 0 exactly on the span; member is
+    member_bits()[key].  Returns (rest, key) as int64 arrays.
+    """
+    rest = np.array(bits, dtype=np.int64).reshape(-1)
+    key = np.zeros_like(rest)
+    for b in span.basis:
+        # the basis is reduced, so no other basis mask touches this pivot
+        bit = (rest >> (b.bits.bit_length() - 1)) & 1
+        rest ^= bit * b.bits
+        key = (key << 1) | bit
+    return rest, key
+
+
+def reference_wing_split(part: Partition):
+    """(beta, alpha) per wing mask of build_index_sets, left wing then
+    right.
+
+    beta is the member_bits index of the mask's part in span(B); alpha
+    indexes its rest among the complement characters: the nonzero
+    members, in member_bits order, of the left complement and then of
+    the right one (wing_complements).
+    """
+    labels = reference_index_sets(part)
+    a_comp, c_comp = part.wing_complements
+    rest_l, key_l = reference_split(part.b_span, [m.bits for m in labels.l_set])
+    rest_r, key_r = reference_split(part.b_span, [m.bits for m in labels.r_set])
+    beta = np.concatenate([key_l, key_r]).astype(np.int32)
+    alpha = np.concatenate(
+        [reference_split(a_comp, rest_l)[1] - 1,
+         reference_split(c_comp, rest_r)[1] + (1 << a_comp.dim) - 2]
+    ).astype(np.int32)
+    beta.flags.writeable = False
+    alpha.flags.writeable = False
+    return beta, alpha

@@ -137,7 +137,7 @@ def test_interaction_rank_matches_support_size():
     checked = 0
     for p in range(1, 5):
         n = 1 << p
-        masks = [Mask(v, p) for v in range(1, n)]
+        masks = np.arange(1, n)
         for size in range(1, n + 1):
             for k in range(seeds_per[p]):
                 rng = np.random.default_rng(90_000 + 97 * p + 13 * size + k)

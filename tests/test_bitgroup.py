@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, seed
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from begin import (
@@ -17,6 +17,7 @@ from begin import (
     span_generate,
     span_intersect,
 )
+from dense_reference import reference_index_sets, reference_split, reference_wing_split
 
 WIDTH = 8
 mask_bits = st.integers(min_value=0, max_value=(1 << WIDTH) - 1)
@@ -176,6 +177,60 @@ def test_overlapping_wings_are_flagged():
     assert {m.bits for m in sets.r_set} == shared
 
 
+@st.composite
+def partitions(draw):
+    """A coordinate split or a parity partition at p <= 10."""
+    p = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, p))
+        s = draw(st.integers(0, p - r))
+        return Partition.coordinate_split(r, s, p - r - s)
+    nonzero = st.integers(1, (1 << p) - 1).map(lambda bits: Mask(bits, p))
+    gens = [draw(st.lists(nonzero, min_size=lo, max_size=3)) for lo in (1, 0, 1)]
+    try:
+        return Partition(p, *gens)
+    except ValueError:
+        assume(False)
+
+
+OVERLAP = Partition(3, (Mask(0b110, 3),), (Mask(0b010, 3),), (Mask(0b100, 3),))
+
+
+@seed(17)
+@settings(max_examples=300, deadline=None)
+@given(part=partitions())
+@example(part=OVERLAP)  # overlapping wings
+@example(part=Partition(5, (Mask(0b11000, 5),), (), (Mask(0b01000, 5), Mask(0b00011, 5))))
+@example(part=Partition.coordinate_split(2, 0, 3))  # empty center
+@example(part=Partition.coordinate_split(0, 3, 2))  # degenerate wings
+@example(part=Partition.coordinate_split(3, 4, 0))
+def test_index_sets_match_the_set_difference_reference(part):
+    labels, ref = build_index_sets(part), reference_index_sets(part)
+    arrays = (labels.b_bits, labels.l_bits, labels.r_bits)
+    for bits, masks in zip(arrays, (ref.b_set, ref.l_set, ref.r_set)):
+        assert bits.dtype == np.int64 and not bits.flags.writeable
+        assert bits.tolist() == [mk.bits for mk in masks]
+    assert (labels.b_set, labels.l_set, labels.r_set) == (ref.b_set, ref.l_set, ref.r_set)
+    assert labels.all_masks() == ref.all_masks()
+    assert labels.overlap == ref.overlap
+    assert labels.overlap_count == len(ref.overlap)
+    beta, alpha = reference_wing_split(part)
+    for got, want in ((labels.beta, beta), (labels.alpha, alpha)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("r, s, t", [(1, 18, 1), (2, 16, 2)])
+def test_wide_center_index_sets_follow_the_closed_forms(r, s, t):
+    labels = build_index_sets(Partition.coordinate_split(r, s, t))
+    assert labels.b_bits.size == (1 << s) - 1
+    assert labels.l_bits.size == (1 << s) * ((1 << r) - 1)
+    assert labels.r_bits.size == (1 << s) * ((1 << t) - 1)
+    assert labels.overlap_count == 0 and labels.overlap == ()
+    for bits in (labels.b_bits, labels.l_bits, labels.r_bits):
+        assert (np.diff(bits) > 0).all()
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(3, a_gens=[Mask(0, 3)], b_gens=[], c_gens=[Mask(0b001, 3)])
@@ -263,7 +318,7 @@ def test_cached_spans_leave_equality_and_hashing_unchanged():
 )
 def test_split_writes_each_mask_as_rest_xor_member(basis, masks):
     span = span_generate([Mask(b, WIDTH) for b in basis], width=WIDTH)
-    rest, key = span.split(masks)
+    rest, key = reference_split(span, masks)
     members = span.member_bits()
     pivots = sum(1 << (b.bits.bit_length() - 1) for b in span.basis)
     for m, r, k in zip(masks, rest.tolist(), key.tolist()):
@@ -290,7 +345,7 @@ def test_wing_split_indexes_the_block_layout(parity_feature_case):
             int(v) for v in c_comp.member_bits()[1:]
         ]
         center = p.b_span.member_bits()
-        beta, alpha = p.wing_split
+        beta, alpha = labels.beta, labels.alpha
         wing = labels.l_set + labels.r_set
         assert [center[b] ^ chars[a] for b, a in zip(beta, alpha)] == [m.bits for m in wing]
         with pytest.raises(ValueError):

@@ -291,6 +291,27 @@ def test_delta_curve_csv(tmp_path, capsys):
     assert float(lines[1].split(",")[4]) == 0.015625
 
 
+NAN_SOURCES = [
+    ({"kind": "grid", "v_depth": 1, "u_depth": 1, "w_depth": 1, "v_probs": [float("nan"), 0.5],
+      "u_given_v": [[0.5, 0.5]] * 2, "w_given_v": [[0.5, 0.5]] * 2},
+     "v_probs must be a probability vector"),
+    ({"kind": "smooth", "v_depth": 1, "v_probs": [0.5, 0.5],
+      "u_mean": [[float("nan"), 0.3], [-0.2, -0.4]], "w_mean": [[0.25, -0.35], [0.05, 0.45]]},
+     "u_mean holds a non-finite coefficient"),
+]
+
+
+@pytest.mark.parametrize("source, message", NAN_SOURCES)
+@pytest.mark.parametrize("subcommand", ["delta", "quantize"])
+def test_nan_sources_exit_two_naming_the_field(tmp_path, capsys, source, message, subcommand):
+    src = tmp_path / "nan.json"
+    # json writes a nan as NaN, which its reader takes back
+    src.write_text(json.dumps(source))
+    assert main([subcommand, str(src), "--depths", "1..3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_random_modes_are_deterministic(tmp_path):
     for argv_tail, name in (
         (["--mode", "ci", "--dims", "1,2,1", "--seed", "9",

@@ -49,20 +49,31 @@ def test_moments_invert_back_to_probabilities():
 
 def test_cov_of_fair_coin_is_unit():
     pmf = Pmf(1, np.array([0.5, 0.5]))
-    cov = interaction_cov(pmf, [Mask(1, 1)], [Mask(1, 1)])
+    cov = interaction_cov(pmf, [1], [1])
     assert np.array_equal(cov, [[1.0]])
 
 
+def test_cov_refuses_bits_outside_the_width(xor_pmf):
+    for bad in (8, -1):
+        with pytest.raises(ValueError, match=f"^mask bits {bad} out of range for width 3$"):
+            interaction_cov(xor_pmf, [1, 2], [3, bad])
+        with pytest.raises(ValueError, match=f"^mask bits {bad} out of range for width 3$"):
+            interaction_cov(xor_pmf, np.array([bad]), [])
+    # the features are given by their bits only
+    with pytest.raises(TypeError):
+        interaction_cov(xor_pmf, [Mask(1, 3)], [Mask(1, 3)])
+
+
 def test_cov_entries_of_parity_pmf(xor_pmf):
-    a, b, c = Mask(0b100, 3), Mask(0b010, 3), Mask(0b001, 3)
-    ab, bc = Mask(0b110, 3), Mask(0b011, 3)
+    a, c = 0b100, 0b001
+    ab, bc = 0b110, 0b011
     assert interaction_cov(xor_pmf, [a], [bc])[0, 0] == 1.0
     assert interaction_cov(xor_pmf, [a], [c])[0, 0] == 0.0
     assert interaction_cov(xor_pmf, [ab], [c])[0, 0] == 1.0
 
 
 def test_cov_entries_of_conditional_halves(halves_pmf):
-    a, b, c = Mask(0b100, 3), Mask(0b010, 3), Mask(0b001, 3)
+    a, b, c = 0b100, 0b010, 0b001
     assert interaction_cov(halves_pmf, [a], [c])[0, 0] == 0.25
     assert interaction_cov(halves_pmf, [a], [b])[0, 0] == 0.5
     assert interaction_cov(halves_pmf, [c], [b])[0, 0] == 0.5
@@ -73,7 +84,7 @@ def test_cov_is_symmetric_psd_on_self_pairing():
     for s in range(10):
         p = int(rng.integers(2, 6))
         pmf = make_generic_pmf(p, seed=100 + s)
-        masks = [Mask(b, p) for b in range(1, 1 << p)]
+        masks = np.arange(1, 1 << p)
         cov = interaction_cov(pmf, masks, masks)
         assert np.abs(cov - cov.T).max() == 0.0
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
@@ -82,7 +93,7 @@ def test_cov_is_symmetric_psd_on_self_pairing():
 def test_full_cov_rank_counts_support():
     for s in range(6):
         pmf = make_generic_pmf(3, seed=s, zero_fraction=0.4)
-        masks = [Mask(b, 3) for b in range(1, 8)]
+        masks = np.arange(1, 8)
         _, rank = pinv_sym(interaction_cov(pmf, masks, masks))
         assert rank == pmf.support_size - 1
 
@@ -158,6 +169,16 @@ def test_ci_constructor_is_deterministic():
 def test_ci_constructor_refuses_bad_zero_prob_and_alpha(kwargs, message):
     with pytest.raises(ValueError, match=message):
         make_ci_pmf(1, 1, 1, seed=0, **kwargs)
+
+
+def test_ci_constructor_survives_a_small_alpha():
+    # alpha 0.01 draws exact zeros; at zero_prob 0.5 every kept weight of a
+    # table is one of them for 130 of these seeds, and the largest draw is
+    # kept instead
+    part = Partition.coordinate_split(2, 2, 2)
+    for seed in range(200):
+        pmf = make_ci_pmf(2, 2, 2, seed=seed, zero_prob=0.5, alpha=0.01)
+        assert oracle_ci(pmf, part).is_ci
 
 
 def test_generic_constructor_properties():

@@ -433,6 +433,10 @@ def test_center_subset_hides_a_dependence():
     assert not full.is_ci
     assert full.max_offblock_s == 0.0625
     assert subset_offblock(pmf, part, [Mask(0b0100, 4)]) == 0.0
+    # a subset or partition of another width is refused, not read as bits
+    for subset, other in (([Mask(0b010, 3)], part), ([], Partition.coordinate_split(1, 1, 1))):
+        with pytest.raises(ValueError, match="width mismatch"):
+            subset_offblock(pmf, other, subset)
     findings = search_subset_counterexamples([(pmf, part)])
     ones = [f for f in findings if f.direction == 1]
     assert {mk.bits for f in ones for mk in f.subset} == {0b0100, 0b0110}
@@ -634,3 +638,24 @@ def test_verdicts_and_graphs_ask_interaction_cov_for_the_center_rows_only(
             run()
             assert shapes == [(n_b, n)]
     assert capsys.readouterr().err == ""
+
+
+# A verdict holds its index sets as mask-bit arrays: the only Masks it makes
+# are the bases of the spans it forms.
+
+
+def test_a_verdict_makes_no_mask_per_index_set_member(monkeypatch):
+    part = Partition.coordinate_split(2, 8, 2)
+    pmf = make_generic_pmf(12, seed=5, zero_fraction=0.3)
+    # the partition's own spans are formed on its first verdict and kept
+    first = decide_ci(pmf, part)
+    made, real = [], Mask.__post_init__
+
+    def counting(self):
+        made.append(self.bits)
+        real(self)
+
+    monkeypatch.setattr(Mask, "__post_init__", counting)
+    assert decide_ci(pmf, part) == first
+    # the bases of span(A,B), span(B,C) and their intersection, of 1791 masks
+    assert len(made) <= 3 * part.p

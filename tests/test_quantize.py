@@ -71,6 +71,32 @@ def test_quantizer_rejects_out_of_range():
         quantize_index(0.0, 0)
 
 
+def test_nan_values_and_sources_are_refused():
+    nan = float("nan")
+    # refused before the cast that turned a nan into -2^63
+    with np.errstate(invalid="raise"):
+        for values in (nan, np.array([0.5, nan])):
+            with pytest.raises(ValueError, match=r"values must lie in \[-1, 1\]"):
+                quantize_index(values, 2)
+        # a sample row holding a nan is refused, not binned into a real cell
+        rows = np.array([[0.5, 0.5, 0.5], [0.1, nan, -0.2]])
+        with pytest.raises(ValueError, match=r"values must lie in \[-1, 1\]"):
+            quantized_pmf(rows, QuantConfig(d=2, r=1, s=1, t=1))
+    half = [[0.5, 0.5], [0.5, 0.5]]
+    with pytest.raises(ValueError, match="^v_probs must be a probability vector$"):
+        GridSource(v_depth=1, v_probs=[nan, 0.5], u_depth=1, w_depth=1,
+                   u_given_v=half, w_given_v=half)
+    with pytest.raises(ValueError, match="^u_given_v row must be a probability vector$"):
+        GridSource(v_depth=1, v_probs=[0.5, 0.5], u_depth=1, w_depth=1,
+                   u_given_v=[[0.5, 0.5], [nan, 1.0]], w_given_v=half)
+    with pytest.raises(ValueError, match="^v_probs must be a probability vector$"):
+        SmoothSource(v_depth=0, v_probs=[nan], u_mean=[[0.0, 0.5]], w_mean=[[0.0, 0.5]])
+    for name in ("u_mean", "w_mean"):
+        means = {"u_mean": [[0.0, 0.5]], "w_mean": [[0.0, 0.5]], name: [[nan, 0.5]]}
+        with pytest.raises(ValueError, match=f"^{name} holds a non-finite coefficient$"):
+            SmoothSource(v_depth=0, v_probs=[1.0], **means)
+
+
 def test_config_validation_and_partition():
     cfg = QuantConfig(d=2, r=1, s=1, t=1)
     assert cfg.total_bits == 6
@@ -440,11 +466,12 @@ def test_source_json_round_trip():
 
 
 # GridSource checks all conditional rows in one pass; the per-row loop it
-# ran before is the reference for which row, and so which message, fails.
+# ran before, with a nan row refused, is the reference for which row, and
+# so which message, fails.
 
 
 def reference_check_pmf_vector(name, vec):
-    if vec.min() < 0.0 or abs(vec.sum() - 1.0) > 1e-12:
+    if not (vec.min() >= 0.0 and abs(vec.sum() - 1.0) <= 1e-12):
         raise ValueError(f"{name} must be a probability vector")
 
 
@@ -481,7 +508,7 @@ def damaged_rows(rng, rows, cols):
             table[j, 0] += 2e-12
         elif kind == 2:  # sum off by about 4e-13: admitted
             table[j, 0] += 4e-13
-        elif kind == 3:  # a nan passes both comparisons, as it always has
+        elif kind == 3:  # a nan fails both comparisons: refused
             table[j, 0] = np.nan
         else:
             table[j] = 0.0

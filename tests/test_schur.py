@@ -88,7 +88,8 @@ def test_pinv_output_is_exactly_symmetric():
 def blocks_of(s, part):
     """Center blocks whose wing Schur complement is s, which must have the
     group form s[i, j] = table[beta_i ^ beta_j][alpha_i, alpha_j]."""
-    beta, alpha = part.wing_split
+    labels = build_index_sets(part)
+    beta, alpha = labels.beta, labels.alpha
     a_comp, c_comp = part.wing_complements
     k = (1 << a_comp.dim) + (1 << c_comp.dim) - 2
     table = np.zeros((1 << part.b_span.dim, k, k))

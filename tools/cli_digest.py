@@ -82,6 +82,9 @@ def write_inputs(root):
     put("vec_bad.txt", "1\n2,x\n3\n")
     put("smooth.json", json.dumps(SMOOTH))
     put("grid.json", json.dumps(GRID))
+    # json writes a nan as NaN, which its reader takes back
+    put("nan_smooth.json", json.dumps({**SMOOTH, "u_mean": [[float("nan"), 0.3], [-0.2, -0.4]]}))
+    put("nan_grid.json", json.dumps({**GRID, "v_probs": [float("nan"), 0.25, 0.25, 0.25]}))
     put("bad.csv", "bits,prob\n01,0.5\n")
     # the pmf and sample readers' line, comment, header and field rules
     put("crlf.csv", "# generator: hand\r\n\r\n  # seed: 3\r\nbits,prob\r\n+++,0.5\r\n"
@@ -121,6 +124,12 @@ def calls():
                 ["never.csv"]))
     out.append(("random bad alpha", ["random", "--mode", "ci", "--dims", "1,1,1",
                                      "--alpha", "0", "--out", "{d}/never.csv"], ["never.csv"]))
+    # alpha 0.01 draws exact zeros, which at seed 2 are all a table keeps
+    for seed in (1, 2):
+        out.append((f"random ci small alpha seed {seed}",
+                    ["random", "--mode", "ci", "--dims", "2,2,2", "--alpha", "0.01",
+                     "--zero-prob", "0.5", "--seed", str(seed), "--out", f"{{d}}/alpha{seed}.csv"],
+                    [f"alpha{seed}.csv"]))
     part = {"ci111": "part111", "ci232": "part232", "gen7": "part232",
             "ci333": "part333", "gen11": "part353", "gen4": "part121", "ising": "part121"}
     for name, p in part.items():
@@ -177,6 +186,11 @@ def calls():
                                              "--mode", mode], []))
     out.append(("delta grid out", ["delta", "{d}/grid.json", "--depths", "1..7",
                                    "--out", "{d}/dgrid.csv"], ["dgrid.csv"]))
+    out += [
+        ("delta nan grid", ["delta", "{d}/nan_grid.json", "--depths", "1..3"], []),
+        ("quantize nan grid", ["quantize", "{d}/nan_grid.json", "--depths", "1..3"], []),
+        ("delta nan smooth", ["delta", "{d}/nan_smooth.json", "--depths", "1..3"], []),
+    ]
     for vec in ("vec4", "vec8", "vec_odd", "vec_empty", "vec_bad"):
         for fmt in ("csv", "json"):
             out.append((f"prism {vec} {fmt}", ["prism", f"{{d}}/{vec}.txt", "--format", fmt], []))
