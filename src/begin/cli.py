@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._textrows import format_rows, read_lines
+from ._textrows import distinct_column, format_rows, read_lines
 from .bitgroup import partition_from_json
 from .distribution import (
     Pmf,
@@ -209,14 +209,15 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def _format_matrix(mat: np.ndarray, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(mat.tolist()) + "\n"
-    row = ",".join(["%.17g"] * mat.shape[1]) + "\n"
-    return "".join(format_rows(row, *mat.T))
+    table, index = distinct_column("%.17g", mat.ravel())
+    row = ",".join(["%s"] * mat.shape[1]) + "\n"
+    return "".join(format_rows(row, *((table, col) for col in index.reshape(mat.shape).T)))
 
 
 def _format_vector(vec: np.ndarray, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(vec.tolist()) + "\n"
-    return "".join(format_rows("%.17g\n", vec))
+    return "".join(format_rows("%s\n", distinct_column("%.17g", vec)))
 
 
 def cmd_prism(args: argparse.Namespace) -> int:

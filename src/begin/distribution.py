@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._textrows import field_counts, format_rows, read_lines
+from ._textrows import distinct_column, field_counts, format_rows, read_lines
 from .bitgroup import WIDTH_CAP
 from .hadamard import fwht
 
@@ -308,9 +308,9 @@ def write_pmf_csv(pmf: Pmf, path: str) -> None:
         fh.writelines(f"# {key}: {pmf.meta[key]}\n" for key in sorted(pmf.meta))
         fh.write("bits,prob\n")
         fh.writelines(format_rows(
-            "%s%s,%.17g\n",
+            "%s%s,%s\n",
             (high_signs, cells >> low), (low_signs, cells & ((1 << low) - 1)),
-            pmf.probs[cells],
+            distinct_column("%.17g", pmf.probs[cells]),
         ))
 
 
@@ -370,9 +370,13 @@ def read_pmf_csv(path: str) -> Pmf:
     width = int(widths[0])
     binary = "\n".join(bits).replace("+", "0").replace("-", "1").split("\n")
     cells = np.fromiter(map(int, binary, itertools.repeat(2)), np.int64, stop)
-    again = np.setdiff1d(np.arange(stop), np.unique(cells, return_index=True)[1])
+    # a stable sort keeps each cell's rows in file order, so every row but
+    # the first of its run repeats an earlier one (np.unique would import
+    # numpy.ma)
+    order = np.argsort(cells, kind="stable")
+    again = order[1:][cells[order[1:]] == cells[order[:-1]]]
     if again.size:
-        raise ValueError(f"duplicate cell {int(cells[again[0]]):0{width}b}")
+        raise ValueError(f"duplicate cell {int(cells[again.min()]):0{width}b}")
     probs = np.zeros(1 << width)
     probs[cells] = values
     total = probs.sum()
@@ -391,6 +395,17 @@ def write_samples_csv(data: np.ndarray, path: str) -> None:
         fh.writelines(format_rows(",".join(["%d"] * arr.shape[1]) + "\n", *arr.T))
 
 
+class _SampleTokens(dict):
+    """int() of a sample token, with "1" and "-1" looked up rather than
+    parsed; every other token, " 1" or "+1" or "x" alike, goes to int()."""
+
+    def __missing__(self, token: str) -> int:
+        return int(token)
+
+
+_SAMPLE_TOKENS = _SampleTokens({"1": 1, "-1": -1})
+
+
 def read_samples_csv(path: str) -> np.ndarray:
     """Load a +-1 sample matrix; errors name the first malformed entry, then
     the first row whose field count differs from the first row's."""
@@ -398,10 +413,11 @@ def read_samples_csv(path: str) -> np.ndarray:
     if not lines:
         raise ValueError("sample file has no rows")
     tokens = ",".join(lines).split(",")
+    entry = _SAMPLE_TOKENS.__getitem__
     try:
-        values = np.fromiter(map(int, tokens), np.int64, len(tokens))
+        values = np.fromiter(map(entry, tokens), np.int64, len(tokens))
     except OverflowError:  # past int64, so not +-1; malformed entries first
-        values = np.array(list(map(int, tokens)), dtype=object)
+        values = np.array(list(map(entry, tokens)), dtype=object)
     counts = field_counts(lines)
     i = _first(counts != counts[0])
     if i < len(lines):

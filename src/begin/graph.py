@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ._textrows import format_rows
+from ._textrows import distinct_column, format_rows
 from .bitgroup import IndexSets, Mask, Partition
 from .schur import OmegaMatrix
 
@@ -359,16 +359,18 @@ def _export_dot(g: BeginGraph) -> str:
                 lines.append(f"    n{i} [label={_dot_quote(node.label)}];")
         lines.append("  }")
     edges = g.edges
-    size = np.abs(edges.weights)
-    max_w = float(size.max()) if size.size else 1.0
-    # 0.5 + 2.5 * |w| / max_w, the per-edge float operations in their order;
-    # a weight past 7e307 gives inf, as the Python float product did
-    with np.errstate(over="ignore"):
-        pen = 0.5 + 2.5 * size / max_w
+    max_w = float(np.abs(edges.weights).max()) if edges.weights.size else 1.0
+
+    def pen_text(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # 0.5 + 2.5 * |w| / max_w, the per-edge float operations in their
+        # order; a weight past 7e307 gives inf, as the Python float product did
+        with np.errstate(over="ignore"):
+            return _pen_text(0.5 + 2.5 * np.abs(weights) / max_w)
+
     names = _node_text(len(g.nodes), "n")
     body = format_rows(
-        '  %s -- %s [weight="%.17g", penwidth="%s"];\n',
-        (names, edges.rows), (names, edges.cols), edges.weights, _pen_text(pen),
+        "  %s -- %s [%s];\n", (names, edges.rows), (names, edges.cols),
+        distinct_column('weight="%.17g", penwidth="%s"', edges.weights, pen_text),
     )
     # one join, so no partial copy of the whole text is ever made
     return "".join(["\n".join(lines), "\n", *body, "}\n"])
@@ -382,7 +384,8 @@ def _export_json(g: BeginGraph) -> str:
     edges = g.edges
     # finite weights (BeginGraph refuses others), whose repr is json's
     ids = _node_text(len(g.nodes), "")
-    listed = list(format_rows(",[%s,%s,%r]", (ids, edges.rows), (ids, edges.cols), edges.weights))
+    listed = list(format_rows(",[%s,%s,%s]", (ids, edges.rows), (ids, edges.cols),
+                              distinct_column("%r", edges.weights)))
     if listed:
         listed[0] = listed[0][1:]
     width = g.nodes[0].mask.width if g.nodes else 0

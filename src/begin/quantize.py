@@ -104,6 +104,15 @@ def _check_pmf_rows(tables: Sequence[Tuple[str, np.ndarray]]) -> None:
         raise ValueError(f"{name} must be a probability vector")
 
 
+def _check_constants(source: Source) -> None:
+    """Refuse a declared Holder constant (alpha, l_u, l_w) that is not
+    finite and positive; an undeclared one is None."""
+    for name in ("alpha", "l_u", "l_w"):
+        value = getattr(source, name)
+        if value is not None and not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class GridSource:
     """Piecewise-constant joint density on a dyadic grid, V-conditional.
@@ -125,6 +134,7 @@ class GridSource:
     l_w: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _check_constants(self)
         for depth in (self.v_depth, self.u_depth, self.w_depth):
             if not 0 <= depth <= WIDTH_CAP:
                 raise ValueError(f"bad grid depth {depth}")
@@ -220,6 +230,7 @@ class SmoothSource:
     l_w: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _check_constants(self)
         if not 0 <= self.v_depth <= WIDTH_CAP:
             raise ValueError(f"bad grid depth {self.v_depth}")
         nv = 1 << self.v_depth

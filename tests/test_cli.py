@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import begin
 from begin import (
     GridSource,
     Mask,
@@ -291,6 +295,29 @@ def test_delta_curve_csv(tmp_path, capsys):
     assert float(lines[1].split(",")[4]) == 0.015625
 
 
+FINITE_SOURCES = {
+    "grid": {"kind": "grid", "v_depth": 1, "u_depth": 1, "w_depth": 1, "v_probs": [0.5, 0.5],
+             "u_given_v": [[0.5, 0.5]] * 2, "w_given_v": [[0.5, 0.5]] * 2},
+    "smooth": {"kind": "smooth", "v_depth": 1, "v_probs": [0.5, 0.5],
+               "u_mean": [[0.1, 0.3], [-0.2, -0.4]], "w_mean": [[0.25, -0.35], [0.05, 0.45]]},
+}
+
+
+@pytest.mark.parametrize("kind", ["grid", "smooth"])
+@pytest.mark.parametrize("field", ["alpha", "l_u", "l_w"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_holder_constants_exit_two_naming_the_field(tmp_path, capsys, kind, field, bad):
+    source = {**FINITE_SOURCES[kind], "alpha": 1.0, "l_u": 0.5, "l_w": 0.5}
+    src = tmp_path / "constants.json"
+    src.write_text(json.dumps({**source, field: bad}))
+    assert main(["delta", str(src), "--depths", "1..3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be finite and positive, got {bad}\n"
+    src.write_text(json.dumps(source))
+    assert main(["delta", str(src), "--depths", "1..3"]) == 0
+
+
 NAN_SOURCES = [
     ({"kind": "grid", "v_depth": 1, "u_depth": 1, "w_depth": 1, "v_probs": [float("nan"), 0.5],
       "u_given_v": [[0.5, 0.5]] * 2, "w_given_v": [[0.5, 0.5]] * 2},
@@ -310,6 +337,38 @@ def test_nan_sources_exit_two_naming_the_field(tmp_path, capsys, source, message
     assert main([subcommand, str(src), "--depths", "1..3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_file_commands_leave_numpy_ma_unimported(tmp_path):
+    """The first np.unique or np.setdiff1d in a process imports numpy.ma,
+    10-14 ms that a one-shot begin test or begin graph need not pay."""
+    pmf = make_ci_pmf(2, 1, 2, seed=4, zero_prob=0.3)
+    write_pmf_csv(pmf, str(tmp_path / "pmf.csv"))
+    write_samples_csv(draw_samples(pmf, 300, seed=5), str(tmp_path / "samples.csv"))
+    (tmp_path / "part.json").write_text(partition_to_json(Partition.coordinate_split(2, 1, 2)))
+    (tmp_path / "dup.csv").write_text("bits,prob\n+-,0.5\n--,0.25\n+-,0.25\n")
+    given = ["--partition", str(tmp_path / "part.json")]
+    calls = [
+        ["test", str(tmp_path / "pmf.csv"), *given],
+        ["test", str(tmp_path / "samples.csv"), *given],
+        ["test", str(tmp_path / "dup.csv"), *given],
+        ["graph", str(tmp_path / "pmf.csv"), *given, "--out", str(tmp_path / "g.dot")],
+        ["graph", str(tmp_path / "pmf.csv"), *given, "--format", "json",
+         "--out", str(tmp_path / "g.json")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from begin.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "sys.stderr.write(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(begin.__file__))
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    codes, imported = json.loads(run.stderr.splitlines()[-1])
+    assert codes[0] in (0, 1) and codes[1] in (0, 1) and codes[2:] == [2, 0, 0]
+    assert not imported
 
 
 def test_random_modes_are_deterministic(tmp_path):
@@ -693,6 +752,32 @@ def test_matrix_writers_match_the_reference_byte_for_byte(shape, data_seed, pick
     mat.flat[: len(picked)] = picked
     for fmt in ("csv", "json"):
         assert _format_matrix(mat, fmt) == reference_format_matrix(mat, fmt)
+
+
+# repeated values: one-ulp neighbours, both zeros, NaNs of both signs and
+# another payload, both infinities, subnormals and the largest float
+REPEATED = np.concatenate([
+    [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.1, -0.1, 0.0, -0.0, np.inf,
+     -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1.7976931348623157e308],
+    np.array([0x7FF0000000000001, -0x0008000000000001], dtype=np.int64).view(np.float64),
+])
+
+
+@seed(18)
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (3, 2), (CHUNK_ROWS, 1), (CHUNK_ROWS + 1, 2)]),
+    data_seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, REPEATED.size),
+)
+def test_writers_of_repeated_values_match_the_reference(shape, data_seed, size):
+    rng = np.random.default_rng(data_seed)
+    pool = rng.choice(REPEATED, size, replace=False)
+    mat = rng.choice(pool, shape)
+    for fmt in ("csv", "json"):
+        assert _format_matrix(mat, fmt) == reference_format_matrix(mat, fmt)
+        assert _format_vector(mat[:, 0], fmt) == reference_format_vector(mat[:, 0], fmt)
+    assert _format_vector(np.array([0.0, -0.0, 0.0]), "csv") == "0\n-0\n0\n"
 
 
 @seed(14)

@@ -336,6 +336,18 @@ def test_sample_entries_past_int64_are_refused_as_not_plus_minus_one(tmp_path):
         read_samples_csv(str(path))
 
 
+def test_sample_tokens_other_than_one_and_minus_one_are_read_by_int(tmp_path):
+    path = tmp_path / "tokens.csv"
+    path.write_text("1,-1,+1\n 01 ,-0001,\u0661\n")
+    assert read_samples_csv(str(path)).tolist() == [[1, -1, 1], [1, -1, 1]]
+    path.write_text("1,-1\n1,1_1\n")
+    with pytest.raises(ValueError, match=r"^sample entries must be \+1 or -1$"):
+        read_samples_csv(str(path))
+    path.write_text("1,-1\n-1,1.0\n1,--1\n")
+    with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: '1.0'$"):
+        read_samples_csv(str(path))
+
+
 def test_samples_csv_skips_comments_blank_lines_and_crlf(tmp_path):
     path = tmp_path / "samples.csv"
     path.write_bytes(b"# n: 2\r\n\r\n 1, -1 \r\n\t\r\n-1,+1\r")
@@ -352,6 +364,7 @@ def test_pmf_csv_reports_errors_in_file_order(tmp_path):
     path = tmp_path / "pmf.csv"
     cases = [
         ("bits,prob\n-+,0.25\n++,0.25\n-+,0.5\n++,0\n", r"^duplicate cell 10$"),
+        ("bits,prob\n--,0.25\n+-,0.25\n+-,0\n--,0.25\n+-,0.25\n", r"^duplicate cell 01$"),
         ("bits,prob\n+,x\n++,0.5\n", r"could not convert string to float: 'x'"),
         ("bits,prob\n++,0.5\n+,y\n", r"^inconsistent bits width in \['\+', 'y'\]$"),
         ("bits,prob\n0b1,1\n", r"^bad bits string '0b1'$"),

@@ -622,15 +622,41 @@ def weighted_graphs(draw):
         max_size=min(m, 4),
     ))
     weights[: len(picked)] = picked
+    tol = draw(st.sampled_from([0.0, 1e-300])) if kind != "subnormal" else 0.0
+    weights[np.abs(weights) <= tol] = 1.0
+    return random_graph(rng, weights, tol)
+
+
+def random_graph(rng, weights, tol):
+    """A graph with one edge per weight, on random node pairs and wings."""
     n = 200  # past sqrt(2 (CHUNK_ROWS + 1)), so every edge can be distinct
     pairs = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
-    flat = np.sort(rng.choice(pairs, size=m, replace=False))
+    flat = np.sort(rng.choice(pairs, size=weights.size, replace=False))
     rows, cols = np.divmod(flat, n)
     wings = rng.choice(list("BLR"), n)
     nodes = tuple(node(8, i, str(wing), f"N{i}") for i, wing in enumerate(wings))
-    tol = draw(st.sampled_from([0.0, 1e-300])) if kind != "subnormal" else 0.0
-    weights[np.abs(weights) <= tol] = 1.0
     return BeginGraph(nodes=nodes, edges=EdgeList(rows, cols, weights), tol=tol)
+
+
+# centres of the small weight pools: subnormals, the smallest normal, values
+# whose pen width 0.5 + 2.5 |w| / max_w overflows to inf, and the largest float
+POOL_CENTRES = [5e-324, 3 * 5e-324, 2.2250738585072014e-308, 1e-8, 0.1, 1.0, 1e300,
+                7.3e307, 1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def pooled_graphs(draw):
+    """Graphs whose weights repeat a pool of a few values: each pool centre
+    with its one-ulp neighbours, both signs; tol 0 admits every nonzero weight."""
+    m = draw(st.sampled_from(EDGE_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = np.array(draw(st.lists(st.sampled_from(POOL_CENTRES), min_size=1, max_size=3)))
+    with np.errstate(over="ignore"):  # past the largest float: inf, dropped
+        pool = np.concatenate([centres, np.nextafter(centres, 0), np.nextafter(centres, np.inf)])
+    pool = pool[(pool != 0) & np.isfinite(pool)]
+    pool = np.concatenate([pool, -pool])
+    size = draw(st.integers(1, pool.size))
+    return random_graph(rng, rng.choice(rng.choice(pool, size, replace=False), m), 0.0)
 
 
 @seed(10)
@@ -642,6 +668,15 @@ def test_bulk_exports_match_the_reference_writers_byte_for_byte(g):
     text = export_graph(g, "json")
     assert text == reference_json(g.nodes, triples, g.tol)
     assert graph_from_json(text) == g
+
+
+@seed(18)
+@settings(max_examples=40, deadline=None)
+@given(g=pooled_graphs())
+def test_exports_of_repeated_weights_match_the_reference_writers(g):
+    triples = tuple(g.edges)
+    assert export_graph(g, "dot") == reference_dot(g.nodes, triples)
+    assert export_graph(g, "json") == reference_json(g.nodes, triples, g.tol)
 
 
 def test_dot_pen_width_overflows_to_inf_as_the_reference_does():

@@ -97,6 +97,22 @@ def test_nan_values_and_sources_are_refused():
             SmoothSource(v_depth=0, v_probs=[1.0], **means)
 
 
+def test_declared_holder_constants_must_be_finite_and_positive():
+    half = [[0.5, 0.5], [0.5, 0.5]]
+    grid = dict(v_depth=1, v_probs=[0.5, 0.5], u_depth=1, w_depth=1,
+                u_given_v=half, w_given_v=half)
+    smooth = dict(v_depth=0, v_probs=[1.0], u_mean=[[0.0, 0.5]], w_mean=[[0.0, 0.5]])
+    for make, kwargs in ((GridSource, grid), (SmoothSource, smooth)):
+        for name in ("alpha", "l_u", "l_w"):
+            for bad in (float("nan"), float("inf"), float("-inf"), 0.0, -0.5):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+                    make(**kwargs, **{name: bad})
+        # an undeclared constant stays None; declared ones are kept as given
+        assert make(**kwargs).alpha is None
+        source = make(**kwargs, alpha=0.5, l_u=2.0, l_w=1e-300)
+        assert source.measured_constants() == (0.5, 2.0, 1e-300)
+
+
 def test_config_validation_and_partition():
     cfg = QuantConfig(d=2, r=1, s=1, t=1)
     assert cfg.total_bits == 6

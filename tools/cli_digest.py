@@ -85,6 +85,7 @@ def write_inputs(root):
     # json writes a nan as NaN, which its reader takes back
     put("nan_smooth.json", json.dumps({**SMOOTH, "u_mean": [[float("nan"), 0.3], [-0.2, -0.4]]}))
     put("nan_grid.json", json.dumps({**GRID, "v_probs": [float("nan"), 0.25, 0.25, 0.25]}))
+    put("nan_alpha.json", json.dumps({**SMOOTH, "alpha": float("nan"), "l_u": 0.1, "l_w": 0.1}))
     put("bad.csv", "bits,prob\n01,0.5\n")
     # the pmf and sample readers' line, comment, header and field rules
     put("crlf.csv", "# generator: hand\r\n\r\n  # seed: 3\r\nbits,prob\r\n+++,0.5\r\n"
@@ -190,6 +191,7 @@ def calls():
         ("delta nan grid", ["delta", "{d}/nan_grid.json", "--depths", "1..3"], []),
         ("quantize nan grid", ["quantize", "{d}/nan_grid.json", "--depths", "1..3"], []),
         ("delta nan smooth", ["delta", "{d}/nan_smooth.json", "--depths", "1..3"], []),
+        ("delta nan alpha", ["delta", "{d}/nan_alpha.json", "--depths", "1..3"], []),
     ]
     for vec in ("vec4", "vec8", "vec_odd", "vec_empty", "vec_bad"):
         for fmt in ("csv", "json"):
