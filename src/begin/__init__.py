@@ -88,7 +88,6 @@ from .quantize import (
 )
 from .schur import (
     CenterBlocks,
-    OmegaMatrix,
     SchurResult,
     SigmaPartition,
     pinv_sym,

@@ -139,10 +139,6 @@ class MaskSpan:
             members = np.concatenate([members, members ^ b.bits])
         return members
 
-    def members(self) -> list[Mask]:
-        """All elements sorted ascending by integer value."""
-        return [Mask(int(v), self.width) for v in np.sort(self.member_bits())]
-
     def complement_in(self, other: "MaskSpan") -> "MaskSpan":
         """The rests of other's members: a span that meets this one only in
         0 and, with it, spans everything other does."""

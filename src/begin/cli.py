@@ -180,8 +180,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     pmf = _read_pmf(args.input)
     sp = assemble_sigma(pmf, part)
     sr = schur_complement(sp, args.rank_tol)
-    om = sb_inverse(sp, sr)
-    g = build_graph(om, sp.labels, args.tol)
+    g = build_graph(sb_inverse(sp, sr), sp.labels, args.tol)
     fmt = args.format
     if fmt is None:
         if args.out is not None and args.out.lower().endswith(".json"):

@@ -270,10 +270,10 @@ def test_ci(
     joint = _wing_table(pmf, part)
     sp = assemble_sigma(pmf, part, joint)
     sr = schur_complement(sp, rank_tol)
-    om = sb_inverse(sp, sr)
+    omega = sb_inverse(sp, sr)
 
-    n_l = sp.n_l
-    max_omega = _max_abs(om.wing_block[:n_l, n_l:])
+    n_b, n_l = sp.n_b, sp.n_l
+    max_omega = _max_abs(omega[n_b : n_b + n_l, n_b + n_l :])
     belief_residual = _belief_residual(joint, part)
     # sigma[L, R] factors through the center exactly when every center
     # configuration's block has a zero (left, right complement) corner
@@ -283,7 +283,7 @@ def test_ci(
     # S[L, R] holds 2^-s fwht_b(corners) at (beta_i ^ beta_j, alpha_i,
     # alpha_j), and every (beta, alpha) of a wing occurs in it
     max_s = _max_abs(fwht(corners * (1.0 / len(corners))))
-    separated = separates(build_graph(om, sp.labels, tol))
+    separated = separates(build_graph(omega, sp.labels, tol))
     criteria = {
         "belief": belief_residual <= tol,
         "factorization": max_corner <= tol,

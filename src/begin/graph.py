@@ -17,7 +17,6 @@ import numpy as np
 
 from ._textrows import distinct_column, format_rows
 from .bitgroup import IndexSets, Mask, Partition
-from .schur import OmegaMatrix
 
 __all__ = [
     "GraphNode",
@@ -274,15 +273,13 @@ def _labelled_nodes(labels: IndexSets) -> Tuple[GraphNode, ...]:
     return tuple(nodes)
 
 
-def build_graph(omega: OmegaMatrix, labels: IndexSets, tol: float) -> BeginGraph:
-    """Threshold the block inverse into an undirected wing-labeled graph."""
+def build_graph(omega: np.ndarray, labels: IndexSets, tol: float) -> BeginGraph:
+    """Threshold the n x n block inverse into an undirected wing-labeled graph."""
     _require_tolerance("tol", tol)
     n = labels.b_bits.size + labels.l_bits.size + labels.r_bits.size
-    if omega.omega.shape != (n, n):
-        raise ValueError(
-            f"omega shape {omega.omega.shape} does not match {n} labeled masks"
-        )
-    mat = np.asarray(omega.omega, dtype=np.float64)
+    mat = np.asarray(omega, dtype=np.float64)
+    if mat.shape != (n, n):
+        raise ValueError(f"omega shape {mat.shape} does not match {n} labeled masks")
     # |entry| > tol over the strict upper triangle, with no |omega| temporary
     upper = mat > tol
     upper |= mat < -tol

@@ -23,7 +23,6 @@ __all__ = [
     "CenterBlocks",
     "SigmaPartition",
     "SchurResult",
-    "OmegaMatrix",
     "schur_complement",
     "sb_inverse",
 ]
@@ -33,51 +32,9 @@ _PSD_TOL = -1e-10
 _RESIDUAL_TOL = 1e-8
 
 
-# Edge of the square tiles the symmetric passes go over.  Reading a down
-# its columns costs a cache or TLB miss per entry once a row spans a
-# multiple of 4 KiB (the 1536-mask wing block of a (2,8,2) split); a pair
-# of 128 x 128 float64 tiles (256 KiB) stays in cache while one of them is
-# read transposed.  Up to one tile the plain expressions are used: there
-# the tile loop only adds per-call cost (tools/ab_kernel_branches.py
-# measures each branch on the corpus_small inputs).
-_TILE = 128
-
-
-def _tile_pairs(n: int):
-    """Row and column slices of the square tiles on and above the diagonal."""
-    spans = [slice(i, min(i + _TILE, n)) for i in range(0, n, _TILE)]
-    return [(rows, cols) for k, rows in enumerate(spans) for cols in spans[k:]]
-
-
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """Overwrite a square float64 array with (a + a.T) / 2, bit for bit,
-    and return it.
-
-    Entry (j, i) is the same floating-point sum as entry (i, j), so each
-    pair of mirrored tiles is summed once, after both are read, and written
-    to both places.
-    """
-    if a.shape[0] <= _TILE:
-        return np.divide(a + a.T, 2.0, out=a)
-    for rows, cols in _tile_pairs(a.shape[0]):
-        half = a[rows, cols] + a[cols, rows].T
-        half /= 2.0
-        a[rows, cols] = half
-        if rows != cols:
-            a[cols, rows] = half.T
-    return a
-
-
-def _asymmetry(a: np.ndarray) -> float:
-    """max |a - a.T| of a square array, tile pair by tile pair (nan if a
-    holds a nan, as the plain expression gives); 0.0 for an empty array."""
-    if a.shape[0] <= _TILE:
-        return float(np.abs(a - a.T).max()) if a.size else 0.0
-    gaps = [
-        np.abs(a[rows, cols] - a[cols, rows].T).max()
-        for rows, cols in _tile_pairs(a.shape[0])
-    ]
-    return float(np.max(gaps))
+    """Overwrite a square float64 array with (a + a.T) / 2 and return it."""
+    return np.divide(a + a.T, 2.0, out=a)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -91,10 +48,16 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min())) + 0.0
 
 
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a nan or infinite entry")
+
+
 def _require_symmetric(a: np.ndarray, tol: float = _SYM_TOL) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if _asymmetry(a) > tol:
+    _require_finite(a)
+    if np.abs(a - a.T).max(initial=0.0) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
@@ -132,7 +95,8 @@ def pinv_sym(
 
     Eigenvalues of magnitude <= rank_tol * max|eigenvalue| count as zero;
     rank_tol defaults to dim * binary64 epsilon.  The result is exactly
-    symmetric (symmetrized term by term, which is bitwise safe).
+    symmetric (symmetrized term by term, which is bitwise safe).  A matrix
+    with a nan or infinite entry is refused.
     """
     arr = np.asarray(a, dtype=np.float64)
     _require_symmetric(arr)
@@ -225,8 +189,9 @@ class SigmaPartition:
     describe its wings.  It is then positive semidefinite exactly when the
     center masses are >= 0, the wing rows lie in the row space of B
     (checked by sb_inverse) and every block is PSD (checked by CenterBlocks).
-    A read-only float64 sigma that owns its memory (assemble_sigma's) is
-    kept; any other is copied, so no caller can write the stored sigma.
+    A sigma with a nan or infinite entry is refused.  A read-only float64
+    sigma that owns its memory (assemble_sigma's) is kept; any other is
+    copied, so no caller can write the stored sigma.
     """
 
     sigma: np.ndarray
@@ -241,6 +206,7 @@ class SigmaPartition:
             raise ValueError(
                 f"sigma shape {arr.shape} is not the {n_b} center rows of {n} labeled masks"
             )
+        _require_finite(arr)
         _require_symmetric(arr[:, :n_b], tol=1e-12)
         if arr.flags.writeable or arr.base is not None:
             arr = arr.copy()
@@ -289,18 +255,6 @@ class SchurResult:
     rank_tol: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class OmegaMatrix:
-    """Block generalized inverse over (center, left wing, right wing)."""
-
-    omega: np.ndarray
-    n_b: int
-
-    @property
-    def wing_block(self) -> np.ndarray:
-        return self.omega[self.n_b :, self.n_b :]
-
-
 def _schur_parts(
     rows: np.ndarray, rank_tol: Optional[float], anchor: float
 ) -> Tuple[np.ndarray, int, np.ndarray, float]:
@@ -347,8 +301,9 @@ def schur_complement(
     )
 
 
-def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> OmegaMatrix:
-    """Block generalized inverse assembled from the Schur complement.
+def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> np.ndarray:
+    """The n x n block generalized inverse Omega over (center, left wing,
+    right wing), assembled from the Schur complement.
 
     The wing corner is sr.s_pinv assigned directly (bit-for-bit); the whole
     matrix is symmetric by construction, not by post-hoc symmetrization.
@@ -370,4 +325,4 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> OmegaMatrix:
         np.negative(g, out=omega[:n_b, n_b:])
         omega[n_b:, :n_b] = omega[:n_b, n_b:].T
     omega[n_b:, n_b:] = sr.s_pinv
-    return OmegaMatrix(omega=omega, n_b=n_b)
+    return omega

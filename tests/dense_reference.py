@@ -10,7 +10,8 @@ eigvalsh) by default, and an eigenvalue threshold on S itself under an
 explicit rank_tol.  dense_schur_gap_bound says how far the dense S may lie
 from the block one.  block_s is the S that CenterBlocks.schur gathered off
 the blocks before test_ci read max|S[L, R]| off their Walsh-transformed
-corners, and sigma_residual the sigma omega sigma check OmegaMatrix made.
+corners, and sigma_residual the sigma omega sigma check that sb_inverse's
+former OmegaMatrix wrapper made.
 
 The joint tables of the quantize sources before per-axis refinement: the
 grid's dense depth maps contracted by one four-way einsum, and the smooth

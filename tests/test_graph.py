@@ -11,7 +11,6 @@ from begin import (
     EdgeList,
     GraphNode,
     Mask,
-    OmegaMatrix,
     Partition,
     Pmf,
     assemble_sigma,
@@ -28,7 +27,6 @@ from begin import (
 from begin import test_ci as decide_ci
 from begin._textrows import CHUNK_ROWS
 from begin.graph import _pen_text
-from begin.schur import _TILE
 
 
 def graph_of(pmf, part, tol=1e-8):
@@ -154,7 +152,7 @@ def test_separation_matches_inverse_offblock():
             om = sb_inverse(sp, schur_complement(sp))
             g = build_graph(om, sp.labels, 1e-8)
             n_b, n_l = sp.n_b, sp.n_l
-            off = om.omega[n_b : n_b + n_l, n_b + n_l :]
+            off = om[n_b : n_b + n_l, n_b + n_l :]
             vanished = np.abs(off).max() <= 1e-8 if off.size else True
             assert separates(g) == vanished
 
@@ -229,6 +227,22 @@ def test_graph_validation_errors(split111, halves_pmf):
     wrong = Partition.coordinate_split(1, 2, 1)
     with pytest.raises(ValueError):
         build_graph(om, assemble_sigma(make_ci_pmf(1, 2, 1, seed=0), wrong).labels, 1e-8)
+
+
+def test_build_graph_refuses_an_omega_of_the_wrong_shape_and_takes_a_nested_list():
+    part = Partition.coordinate_split(1, 1, 1)
+    sp = assemble_sigma(make_generic_pmf(3, seed=6), part)
+    om = sb_inverse(sp, schur_complement(sp))
+    n = om.shape[0]
+    for bad in (om[:-1], om[:, :-1], om[0], np.zeros((n + 1, n + 1))):
+        shape = rf"omega shape \({', '.join(map(str, bad.shape))},?\) does not match {n} labeled masks"
+        with pytest.raises(ValueError, match=shape):
+            build_graph(bad, sp.labels, 1e-8)
+    nested = om.tolist()
+    assert type(nested) is list and type(nested[0]) is list
+    assert build_graph(nested, sp.labels, 1e-8) == build_graph(om, sp.labels, 1e-8)
+    with pytest.raises(ValueError, match=rf"omega shape \({n - 1}, {n}\) does not match"):
+        build_graph(nested[:-1], sp.labels, 1e-8)
 
 
 # References for the array-backed graph: the per-entry threshold loop and
@@ -370,7 +384,7 @@ def case_graph(part, kind, seed, tol=1e-8):
 @pytest.mark.parametrize("part,kind,seed", REFERENCE_CASES)
 def test_build_graph_and_exports_match_reference(part, kind, seed):
     om, g = case_graph(part, kind, seed)
-    ref = reference_edges(om.omega, g.tol)
+    ref = reference_edges(om, g.tol)
     assert g.edges == ref
     assert tuple(g.edges) == ref
     assert len(g.edges) == len(ref)
@@ -454,9 +468,7 @@ def test_separation_matches_reference_on_random_symmetric_matrices(part, data):
     upper = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n)))
     mat = np.triu(upper.reshape(n, n))
     mat = mat + np.triu(mat, 1).T
-    n_b = len(labels.b_set)
-    om = OmegaMatrix(omega=mat, n_b=n_b)
-    g = build_graph(om, labels, 1e-8)
+    g = build_graph(mat, labels, 1e-8)
     ref = reference_edges(mat, 1e-8)
     assert g.edges == ref
     assert separates(g) == reference_separates(g.nodes, ref)
@@ -481,7 +493,7 @@ def test_separation_edge_cases_match_reference():
 def test_overlapping_wing_partitions_match_reference():
     for k in range(12):
         om, g = case_graph(OVERLAP_PART, "generic", 600 + k)
-        ref = reference_edges(om.omega, g.tol)
+        ref = reference_edges(om, g.tol)
         assert g.edges == ref
         assert separates(g) == reference_separates(g.nodes, ref)
 
@@ -535,16 +547,16 @@ def test_lazy_nodes_equal_eager_ones():
         g.nodes.wings = None
 
 
-# The one-pass edge extraction and the wing-code separation past one tile of
-# the symmetric passes, and on graphs whose nodes come in any order.
+# The one-pass edge extraction and the wing-code separation past 128 nodes,
+# and on graphs whose nodes come in any order.
 
 
 @pytest.mark.parametrize("kind, seed", [("ci", 20), ("generic", 21)])
 def test_build_graph_matches_the_reference_loop_past_one_tile(kind, seed):
     part = Partition.coordinate_split(1, 6, 1)
     om, g = case_graph(part, kind, seed)
-    assert om.omega.shape[0] > _TILE
-    ref = reference_edges(om.omega, g.tol)
+    assert om.shape[0] > 128
+    ref = reference_edges(om, g.tol)
     assert g.edges == ref and len(g.edges) == len(ref)
     assert g.edges.rows.dtype == np.int64 and g.edges.weights.dtype == np.float64
     assert separates(g) == reference_separates(g.nodes, ref)
@@ -557,11 +569,9 @@ def test_build_graph_thresholds_like_abs_on_a_sparse_matrix_past_one_tile():
     rng = np.random.default_rng(5)
     values = np.array([0.0, -0.0, 1e-8, -1e-8, 2e-8, -0.4, 0.7])
     mat = values[rng.integers(values.size, size=(n, n))]
-    n_b = len(labels.b_set)
-    om = OmegaMatrix(omega=mat, n_b=n_b)
     for tol in (1e-8, 0.5):
-        g = build_graph(om, labels, tol)
-        assert n > _TILE and g.edges == reference_edges(mat, tol)
+        g = build_graph(mat, labels, tol)
+        assert n > 128 and g.edges == reference_edges(mat, tol)
 
 
 def shuffled_json(text, rng):
@@ -741,7 +751,7 @@ def test_build_graph_skips_the_public_edge_checks(monkeypatch):
     part = Partition.coordinate_split(1, 2, 1)
     sp = assemble_sigma(pmf, part)
     om = sb_inverse(sp, schur_complement(sp))
-    public = BeginGraph(nodes=eager_nodes(sp.labels), edges=reference_edges(om.omega, 1e-8),
+    public = BeginGraph(nodes=eager_nodes(sp.labels), edges=reference_edges(om, 1e-8),
                         tol=1e-8)
 
     def refuse(self):

@@ -102,7 +102,7 @@ def check_prism_against_dense_and_oracle(pmf, part):
             scale = float(np.abs(dense.s_pinv).max()) if dense.s_pinv.size else 0.0
             gap = float(np.abs(prism.s_pinv - dense.s_pinv).max()) if scale else 0.0
             assert gap <= RELATIVE_GAP * scale
-        assert sigma_residual(sigma, sb_inverse(sp, prism).omega) <= 1e-8
+        assert sigma_residual(sigma, sb_inverse(sp, prism)) <= 1e-8
         verdict = decide_ci(pmf, part, rank_tol=rank_tol)
         assert verdict.is_ci == expected
         assert set(verdict.criteria.values()) == {expected}

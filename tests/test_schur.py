@@ -16,7 +16,7 @@ from begin import (
     schur_complement,
 )
 from begin import engine
-from begin.schur import _TILE, _asymmetry, _max_abs, _require_symmetric, _symmetrize
+from begin.schur import _max_abs, _require_symmetric, _symmetrize
 
 from dense_reference import (
     block_s,
@@ -60,6 +60,29 @@ def test_pinv_rejects_asymmetric_input():
         pinv_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         pinv_sym(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "where, bad", [((0, 0), np.nan), ((0, 2), np.nan), ((1, 1), np.inf), ((1, 1), -np.inf)]
+)
+def test_pinv_refuses_a_non_finite_entry(where, bad):
+    # without the refusal: a zero "pseudoinverse" of rank 0 for a nan or inf
+    # on the diagonal (with a RuntimeWarning for inf), and LAPACK's
+    # "Eigenvalues did not converge" for the nan pair
+    a = np.eye(3)
+    a[where] = a[where[::-1]] = bad
+    with pytest.raises(ValueError, match="nan or infinite entry"):
+        pinv_sym(a)
+
+
+@pytest.mark.parametrize("block", ["center", "wing"])
+def test_sigma_partition_refuses_a_non_finite_entry(block):
+    sp = assemble_sigma(make_generic_pmf(3, seed=4), Partition.coordinate_split(1, 1, 1))
+    for bad in (np.nan, np.inf):
+        sigma = sp.sigma.copy()
+        sigma[0, 0 if block == "center" else sp.n_b] = bad
+        with pytest.raises(ValueError, match="nan or infinite entry"):
+            SigmaPartition(sigma, sp.labels, sp.blocks, sp.scale)
 
 
 def test_pinv_penrose_identities():
@@ -167,20 +190,20 @@ def test_block_inverse_matches_dense_inverse_when_nonsingular():
         sr = schur_complement(sp)
         om = sb_inverse(sp, sr)
         dense = np.linalg.inv(dense_sigma(pmf, part))
-        assert np.abs(om.omega - dense).max() <= 1e-8
+        assert np.abs(om - dense).max() <= 1e-8
 
 
 def test_block_inverse_decouples_wings_under_ci(halves_pmf, split111):
     sp = assemble_sigma(halves_pmf, split111)
     om = sb_inverse(sp, schur_complement(sp))
-    off = om.omega[sp.n_b : sp.n_b + sp.n_l, sp.n_b + sp.n_l :]
+    off = om[sp.n_b : sp.n_b + sp.n_l, sp.n_b + sp.n_l :]
     assert np.abs(off).max() <= 1e-10
 
 
 def test_block_inverse_couples_wings_for_parity(xor_pmf, split111):
     sp = assemble_sigma(xor_pmf, split111)
     om = sb_inverse(sp, schur_complement(sp))
-    off = om.omega[sp.n_b : sp.n_b + sp.n_l, sp.n_b + sp.n_l :]
+    off = om[sp.n_b : sp.n_b + sp.n_l, sp.n_b + sp.n_l :]
     assert np.abs(off).max() > 0.1
 
 
@@ -188,8 +211,8 @@ def test_wing_corner_is_schur_pinv_bitwise(halves_pmf, split111):
     sp = assemble_sigma(halves_pmf, split111)
     sr = schur_complement(sp)
     om = sb_inverse(sp, sr)
-    assert np.array_equal(om.wing_block, sr.s_pinv)
-    assert np.abs(om.omega - om.omega.T).max() == 0.0
+    assert np.array_equal(om[sp.n_b :, sp.n_b :], sr.s_pinv)
+    assert np.abs(om - om.T).max() == 0.0
 
 
 def test_block_inverse_rejects_broken_rowspace(halves_pmf, split111):
@@ -214,7 +237,7 @@ def test_a_rank_tol_that_cuts_the_center_range_is_named_in_the_refusal():
     pmf = make_ci_pmf(2, 3, 2, seed=11, zero_prob=0.3)
     sp = assemble_sigma(pmf, part)
     om = sb_inverse(sp, schur_complement(sp))
-    assert sigma_residual(dense_sigma(pmf, part), om.omega) <= 1e-8
+    assert sigma_residual(dense_sigma(pmf, part), om) <= 1e-8
     sr = schur_complement(sp, 0.1)
     assert sr.rank_tol == 0.1 and sr.residual > 1e-8
     cut = r"rank_tol 0.1 gave rank\(B\) = 4 where the center support gives 5"
@@ -258,7 +281,7 @@ def test_rowspace_and_sandwich_identities_across_pmf_mix():
         sr = schur_complement(sp)
         om = sb_inverse(sp, sr)
         assert sr.residual <= 1e-8
-        assert sigma_residual(dense_sigma(pmf, part), om.omega) <= 1e-8
+        assert sigma_residual(dense_sigma(pmf, part), om) <= 1e-8
         count += 1
 
 
@@ -359,36 +382,40 @@ def test_center_cutoff_is_anchored_to_the_scale_of_sigma(split111):
     assert pinv_sym(sp.b_block)[1] == 1
 
 
-# The tiled symmetric passes against the plain expressions they replace.
+# The symmetric passes against the plain expressions, at sizes up to and past
+# 128 rows.
 
-TILED_SIZES = [0, 1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3, 1536]
+SIZES = [0, 1, 127, 128, 129, 259, 1536]
 
 
-def tiled_inputs(n, seed):
+def square_inputs(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     a[rng.random((n, n)) < 0.05] = -0.0
     return a, a + a.T
 
 
-@pytest.mark.parametrize("n", TILED_SIZES)
+@pytest.mark.parametrize("n", SIZES)
 def test_symmetrize_is_bitwise_the_plain_expression(n):
-    for a in tiled_inputs(n, n):
+    for a in square_inputs(n, n):
         plain = (a + a.T) / 2.0
-        tiled = a.copy()
-        assert _symmetrize(tiled) is tiled
-        assert tiled.shape == plain.shape and tiled.tobytes() == plain.tobytes()
+        done = a.copy()
+        assert _symmetrize(done) is done
+        assert done.shape == plain.shape and done.tobytes() == plain.tobytes()
 
 
-@pytest.mark.parametrize("n", TILED_SIZES)
+@pytest.mark.parametrize("n", SIZES)
 def test_asymmetry_and_max_abs_are_the_plain_reductions(n):
-    for a in tiled_inputs(n, 100 + n):
-        if n:
-            assert _asymmetry(a) == float(np.abs(a - a.T).max())
-            assert _max_abs(a) == float(np.abs(a).max())
-        else:
-            assert _asymmetry(a) == 0.0 and _max_abs(a) == 0.0
-    assert _asymmetry(tiled_inputs(n, 7)[1]) == 0.0
+    a, symmetric = square_inputs(n, 100 + n)
+    for b in (a, symmetric):
+        assert _max_abs(b) == (float(np.abs(b).max()) if n else 0.0)
+    # a + a.T passes at zero tolerance; a (past 1 x 1) fails at half its
+    # gap and passes at its gap
+    _require_symmetric(symmetric, 0.0)
+    if n > 1:
+        with pytest.raises(ValueError, match="not symmetric within tolerance"):
+            _require_symmetric(a, float(np.abs(a - a.T).max()) / 2.0)
+    _require_symmetric(a, float(np.abs(a - a.T).max(initial=0.0)))
 
 
 def test_max_abs_keeps_the_sign_of_zero_and_nan_of_abs():
@@ -398,17 +425,23 @@ def test_max_abs_keeps_the_sign_of_zero_and_nan_of_abs():
     assert _max_abs(np.array([1.0, -3.0])) == 3.0
 
 
-def test_asymmetry_propagates_nan_like_the_plain_check():
-    a = np.eye(2 * _TILE + 3)
-    a[1, 2 * _TILE + 1] = np.nan
-    assert np.isnan(_asymmetry(a)) and np.isnan(np.abs(a - a.T).max())
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_symmetry_check_refuses_a_non_finite_entry(bad):
+    # a nan anywhere, or an inf on the diagonal, makes abs(a - a.T).max()
+    # nan, and nan > tol is False: the gap alone would pass them
+    a = np.eye(259)
+    a[1, 257] = bad
+    with pytest.raises(ValueError, match="nan or infinite entry"):
+        _require_symmetric(a)
+    a[1, 257], a[5, 5] = 0.0, bad
+    with pytest.raises(ValueError, match="nan or infinite entry"):
+        _require_symmetric(a)
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_symmetry_check_passes_at_the_tolerance_and_raises_above_it(tol):
-    # the gap sits in an off-diagonal tile pair, as far from the corner as a
-    # tile allows
-    n = 2 * _TILE + 3
+    # the gap sits far from the diagonal, past 128 rows and columns
+    n = 259
     i, j = 5, n - 2
     a = np.eye(n)
     a[i, j] = tol
@@ -422,8 +455,8 @@ def test_symmetry_check_passes_at_the_tolerance_and_raises_above_it(tol):
         _require_symmetric(a.T.copy(), tol)
 
 
-def test_pinv_sym_symmetry_check_uses_the_tiled_gap():
-    n = _TILE + 1
+def test_pinv_sym_symmetry_check_keeps_its_tolerance_past_128_rows():
+    n = 129
     a = np.eye(n)
     a[0, n - 1] = 1e-10
     assert pinv_sym(a)[1] == n
@@ -432,11 +465,11 @@ def test_pinv_sym_symmetry_check_uses_the_tiled_gap():
         pinv_sym(a)
 
 
-def test_sigma_partition_check_keeps_its_tolerance_past_one_tile():
+def test_sigma_partition_check_keeps_its_tolerance_past_128_rows():
     part = Partition.coordinate_split(1, 8, 1)
     sp = assemble_sigma(make_generic_pmf(10, seed=3), part)
     n_b = sp.n_b
-    assert n_b > _TILE
+    assert n_b > 128
     sigma = sp.sigma.copy()
     sigma[3, n_b - 1], sigma[n_b - 1, 3] = 1e-12, 0.0
     assert SigmaPartition(sigma, sp.labels, sp.blocks, sp.scale).sigma[3, n_b - 1] == 1e-12
