@@ -179,8 +179,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
         part = partition_from_json(fh.read())
     pmf = _read_pmf(args.input)
     sp = assemble_sigma(pmf, part)
-    sr = schur_complement(sp, args.rank_tol)
-    g = build_graph(sb_inverse(sp, sr), sp.labels, args.tol)
+    # S+ is dropped once Omega holds it, before the graph is built
+    g = build_graph(sb_inverse(sp, schur_complement(sp, args.rank_tol)), sp.labels, args.tol)
     fmt = args.format
     if fmt is None:
         if args.out is not None and args.out.lower().endswith(".json"):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitgroup import IndexSets, Mask, Partition, build_index_sets, span_generate
 from .distribution import _BYTE_LIMIT, Pmf, interaction_cov, moments_from_pmf
-from .graph import _require_tolerance, build_graph, separates
+from .graph import _require_rank_tol, _require_tolerance, build_graph, separates
 from .hadamard import fwht
 from .schur import (
     CenterBlocks,
@@ -265,12 +265,13 @@ def test_ci(
     rank_tol is refused.
     """
     _require_tolerance("tol", tol)
-    if rank_tol is not None:
-        _require_tolerance("rank_tol", rank_tol)
+    _require_rank_tol(rank_tol)
     joint = _wing_table(pmf, part)
     sp = assemble_sigma(pmf, part, joint)
     sr = schur_complement(sp, rank_tol)
+    rank_b = sr.rank_b
     omega = sb_inverse(sp, sr)
+    del sr  # S+ lives on as Omega's wing corner; the graph needs only Omega
 
     n_b, n_l = sp.n_b, sp.n_l
     max_omega = _max_abs(omega[n_b : n_b + n_l, n_b + n_l :])
@@ -296,7 +297,7 @@ def test_ci(
         max_offblock_omega=max_omega,
         belief_residual=belief_residual,
         criteria=criteria,
-        rank_b=sr.rank_b,
+        rank_b=rank_b,
         support_b=int((sp.blocks.mass > 0.0).sum()),
         tol=tol,
         degenerate_wings=not (sp.n_l and sp.n_r),
@@ -320,8 +321,9 @@ def belief_coefficients(
     default 2^s binary64 epsilon times it).  condition_on picks which far
     block joins the center when measuring the two-conditioning residual
     ("C" for left-wing targets, "A" for right-wing, "auto" to infer from
-    the spans).
+    the spans).  A negative or non-finite rank_tol is refused.
     """
+    _require_rank_tol(rank_tol)
     if target.width != pmf.p or part.p != pmf.p:
         raise ValueError("width mismatch")
     span_ab = span_generate(part.a_gens + part.b_gens, width=part.p)
@@ -384,8 +386,11 @@ def verify_block_factorization(
     """Check sigma[L,R] = M1 sigma_B M2' with the row-space coefficients.
 
     Truthy iff the factorization holds within tol; with an empty center the
-    check degenerates to plain uncorrelatedness of the wings.
+    check degenerates to plain uncorrelatedness of the wings.  A negative or
+    non-finite tol or rank_tol is refused.
     """
+    _require_tolerance("tol", tol)
+    _require_rank_tol(rank_tol)
     sp = assemble_sigma(pmf, part)
     sr = schur_complement(sp, rank_tol)
     n_l = sp.n_l
@@ -421,7 +426,9 @@ def subset_offblock(
 
     Replacing the full center index set by a proper subset breaks the CI
     equivalence in both directions; this is the probe used to exhibit that.
+    A negative or non-finite rank_tol is refused.
     """
+    _require_rank_tol(rank_tol)
     if part.p != pmf.p or any(mk.width != pmf.p for mk in subset):
         raise ValueError("width mismatch")
     labels = build_index_sets(part)
@@ -461,8 +468,11 @@ def search_subset_counterexamples(
 
     Every nonempty proper subset of the center index set is probed; findings
     require a clear margin (offblock either <= tol or >= magnitude) so the
-    report never rests on borderline arithmetic.
+    report never rests on borderline arithmetic.  A negative or non-finite
+    tol or magnitude is refused before any case is read.
     """
+    _require_tolerance("tol", tol)
+    _require_tolerance("magnitude", magnitude)
     findings: List[SubsetFinding] = []
     for index, (pmf, part) in enumerate(cases):
         labels = build_index_sets(part)

@@ -241,6 +241,13 @@ def _require_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
+def _require_rank_tol(rank_tol: Optional[float]) -> None:
+    """Refuse a rank_tol that is given and is no tolerance: NaN would keep no
+    eigenvalue, and -1 every one, round-off included."""
+    if rank_tol is not None:
+        _require_tolerance("rank_tol", rank_tol)
+
+
 def _coordinate_names(part: Optional[Partition], width: int) -> Dict[int, str]:
     """Per-coordinate display names; block-aware when the generators are
     disjoint single coordinates, plain X-names otherwise."""
@@ -283,11 +290,15 @@ def build_graph(omega: np.ndarray, labels: IndexSets, tol: float) -> BeginGraph:
     # |entry| > tol over the strict upper triangle, with no |omega| temporary
     upper = mat > tol
     upper |= mat < -tol
-    upper &= ~np.tri(n, dtype=bool)
+    # upper > tri drops the diagonal and below, in place
+    np.greater(upper, np.tri(n, dtype=bool), out=upper)
     # one row-major pass: flat indices give the rows, columns and weights
     flat = np.flatnonzero(upper)
-    rows, cols = np.divmod(flat, n)
-    edges = EdgeList._adopt(rows, cols, mat.ravel()[flat])
+    del upper
+    weights = mat.ravel()[flat]
+    rows = np.empty_like(flat)
+    np.divmod(flat, n, out=(rows, flat))  # flat becomes the column array
+    edges = EdgeList._adopt(rows, flat, weights)
     return BeginGraph._adopt(NodeList.of_index_sets(labels), edges, tol)
 
 

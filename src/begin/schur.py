@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bitgroup import IndexSets
+from .graph import _require_rank_tol
 from .hadamard import fwht
 
 __all__ = [
@@ -30,6 +31,9 @@ __all__ = [
 _SYM_TOL = 1e-10
 _PSD_TOL = -1e-10
 _RESIDUAL_TOL = 1e-8
+# rows of S+ per gather: each chunk's int64 index stays within 2 MiB, as
+# assemble_sigma admits n_w < 4096
+_GATHER_ROWS = 64
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -96,8 +100,10 @@ def pinv_sym(
     Eigenvalues of magnitude <= rank_tol * max|eigenvalue| count as zero;
     rank_tol defaults to dim * binary64 epsilon.  The result is exactly
     symmetric (symmetrized term by term, which is bitwise safe).  A matrix
-    with a nan or infinite entry is refused.
+    with a nan or infinite entry is refused, as is a negative or non-finite
+    rank_tol.
     """
+    _require_rank_tol(rank_tol)
     arr = np.asarray(a, dtype=np.float64)
     _require_symmetric(arr)
     return _pinv_eigh(arr, rank_tol)
@@ -170,14 +176,23 @@ class CenterBlocks:
             keep &= np.abs(vals) > rank_tol * float(np.abs(vals).max())
         inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
         pinv = (vecs * inv_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+        # alpha padded to a power of two k_pad: the flat index (beta_i ^ beta_j)
+        # k_pad^2 + alpha_i k_pad + alpha_j is u_i ^ v_j, its bit fields apart
+        k_pad = 1 << (k - 1).bit_length()
+        table = np.zeros((configs, k_pad, k_pad))
         # scaled by 2^-s in exact power-of-two products
-        pinv_walsh = fwht((pinv + pinv.transpose(0, 2, 1)) * (0.5 / configs)).reshape(-1)
-        # flat index (beta_i ^ beta_j) k^2 + alpha_i k + alpha_j, built in place
-        index = np.bitwise_xor.outer(self.beta, self.beta)
-        index *= k * k
-        index += (self.alpha * k)[:, None]
-        index += self.alpha[None, :]
-        return pinv_walsh[index], int(keep.sum())
+        table[:, :k, :k] = fwht((pinv + pinv.transpose(0, 2, 1)) * (0.5 / configs))
+        table = table.reshape(-1)
+        high = self.beta.astype(np.int64) * (k_pad * k_pad)
+        u, v = high + self.alpha * k_pad, high + self.alpha
+        # gathered a chunk of rows at a time: no n_w x n_w index is formed
+        s_pinv = np.empty((u.size, u.size))
+        for start in range(0, u.size, _GATHER_ROWS):
+            rows = slice(start, start + _GATHER_ROWS)
+            # every index lies in the table, so "clip" only skips the
+            # buffered bounds check of the default mode
+            np.take(table, np.bitwise_xor.outer(u[rows], v), out=s_pinv[rows], mode="clip")
+        return s_pinv, int(keep.sum())
 
 
 @dataclass(frozen=True)
@@ -286,8 +301,10 @@ def schur_complement(
     rank_tol * max|eigenvalue of S|.  No dense D - F' B+ F is formed: it
     goes through B+, so its rounding grows with the condition number of B,
     and it cancels entries at the scale of sigma, so its small eigenvalues
-    carry no usable scale information.  rank_tol also thresholds B.
+    carry no usable scale information.  rank_tol also thresholds B; a
+    negative or non-finite one is refused.
     """
+    _require_rank_tol(rank_tol)
     b_pinv, rank_b, m, residual = _schur_parts(sp.sigma, rank_tol, sp.scale)
     s_pinv, rank_s = sp.blocks.schur(rank_tol)
     return SchurResult(

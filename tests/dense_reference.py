@@ -11,7 +11,9 @@ explicit rank_tol.  dense_schur_gap_bound says how far the dense S may lie
 from the block one.  block_s is the S that CenterBlocks.schur gathered off
 the blocks before test_ci read max|S[L, R]| off their Walsh-transformed
 corners, and sigma_residual the sigma omega sigma check that sb_inverse's
-former OmegaMatrix wrapper made.
+former OmegaMatrix wrapper made.  reference_center_schur is
+CenterBlocks.schur as it was before it gathered S+ a chunk of rows at a
+time: one n_w x n_w int32 index, cast to intp by the fancy index.
 
 The joint tables of the quantize sources before per-axis refinement: the
 grid's dense depth maps contracted by one four-way einsum, and the smooth
@@ -60,6 +62,26 @@ def block_s(blocks):
     index += (blocks.alpha * k)[:, None]
     index += blocks.alpha[None, :]
     return s_walsh[index]
+
+
+def reference_center_schur(blocks, rank_tol=None):
+    """S+ in wing order and rank(S), off the center blocks."""
+    vals, vecs = blocks.values, blocks.vectors
+    configs, k = vals.shape
+    # eigh returns each block's eigenvalues in ascending order
+    keep = np.arange(k) >= k - blocks.rank[:, None]
+    if rank_tol is not None and vals.size:
+        keep &= np.abs(vals) > rank_tol * float(np.abs(vals).max())
+    inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+    pinv = (vecs * inv_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+    # scaled by 2^-s in exact power-of-two products
+    pinv_walsh = fwht((pinv + pinv.transpose(0, 2, 1)) * (0.5 / configs)).reshape(-1)
+    # flat index (beta_i ^ beta_j) k^2 + alpha_i k + alpha_j, built in place
+    index = np.bitwise_xor.outer(blocks.beta, blocks.beta)
+    index *= k * k
+    index += (blocks.alpha * k)[:, None]
+    index += blocks.alpha[None, :]
+    return pinv_walsh[index], int(keep.sum())
 
 
 def sigma_residual(sigma, omega):

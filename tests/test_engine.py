@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -9,11 +11,14 @@ from begin import (
     Pmf,
     assemble_sigma,
     belief_coefficients,
+    build_graph,
     build_index_sets,
     fwht,
     make_ci_pmf,
     make_generic_pmf,
+    sb_inverse,
     scan_markov_chain,
+    schur_complement,
     search_subset_counterexamples,
     subset_offblock,
     verify_block_factorization,
@@ -659,3 +664,80 @@ def test_a_verdict_makes_no_mask_per_index_set_member(monkeypatch):
     assert decide_ci(pmf, part) == first
     # the bases of span(A,B), span(B,C) and their intersection, of 1791 masks
     assert len(made) <= 3 * part.p
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), -1.0]
+
+
+def bad_tolerance(name, value):
+    return f"{name} must be finite and non-negative, got {value!r}"
+
+
+def ci_121():
+    return make_ci_pmf(1, 2, 1, seed=3), Partition.coordinate_split(1, 2, 1)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_block_factorization_refuses_a_bad_tol_or_rank_tol(bad):
+    # rank_tol nan once reported "does not factorize" on this CI pmf, and -1 a nan gap
+    pmf, part = ci_121()
+    assert verify_block_factorization(pmf, part)
+    with pytest.raises(ValueError, match=bad_tolerance("rank_tol", bad)):
+        verify_block_factorization(pmf, part, rank_tol=bad)
+    with pytest.raises(ValueError, match=bad_tolerance("tol", bad)):
+        verify_block_factorization(pmf, part, tol=bad)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_belief_coefficients_refuse_a_bad_rank_tol(bad):
+    # rank_tol nan once gave all-zero coefficients with residual 1.0
+    pmf, part = ci_121()
+    with pytest.raises(ValueError, match=bad_tolerance("rank_tol", bad)):
+        belief_coefficients(pmf, part, Mask(0b1000, 4), rank_tol=bad)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_subset_offblock_refuses_a_bad_rank_tol(bad):
+    pmf, part = ci_121()
+    with pytest.raises(ValueError, match=bad_tolerance("rank_tol", bad)):
+        subset_offblock(pmf, part, [Mask(0b0100, 4)], rank_tol=bad)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_subset_search_refuses_a_bad_magnitude_before_reading_a_case(bad):
+    def cases():
+        raise AssertionError("a case was read")
+        yield
+
+    with pytest.raises(ValueError, match=bad_tolerance("magnitude", bad)):
+        search_subset_counterexamples(cases(), magnitude=bad)
+    with pytest.raises(ValueError, match=bad_tolerance("tol", bad)):
+        search_subset_counterexamples(cases(), tol=bad)
+
+
+@pytest.mark.parametrize("kind", ["ci", "generic"])
+@pytest.mark.parametrize("shape", [(3, 5, 3), (2, 7, 2)])
+def test_a_dense_verdict_holds_little_beyond_omega_and_its_edges(shape, kind):
+    """A verdict's traced peak stays within 1.3 times what Omega (8 n^2
+    bytes) and its edge arrays (24 bytes an edge) take: S+ is freed once
+    Omega holds it, and no n_w x n_w gather index, extra n x n mask or
+    second flat edge index is formed."""
+    part = Partition.coordinate_split(*shape)
+    if kind == "ci":
+        pmf = make_ci_pmf(*shape, seed=7, zero_prob=0.3)
+    else:
+        pmf = make_generic_pmf(sum(shape), seed=7, zero_fraction=0.3)
+    sp = assemble_sigma(pmf, part)
+    omega = sb_inverse(sp, schur_complement(sp))
+    n, edges = omega.shape[0], len(build_graph(omega, sp.labels, 1e-8).edges)
+    del sp, omega
+    decide_ci(pmf, part)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        decide_ci(pmf, part)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (8 * n * n + 24 * edges)

@@ -3,6 +3,7 @@ import pytest
 
 from begin import (
     CenterBlocks,
+    Mask,
     Partition,
     SchurResult,
     SigmaPartition,
@@ -16,12 +17,13 @@ from begin import (
     schur_complement,
 )
 from begin import engine
-from begin.schur import _max_abs, _require_symmetric, _symmetrize
+from begin.schur import _GATHER_ROWS, _max_abs, _require_symmetric, _symmetrize
 
 from dense_reference import (
     block_s,
     dense_schur_gap_bound,
     dense_sigma,
+    reference_center_schur,
     reference_pinv_eigh,
     reference_schur,
     sigma_residual,
@@ -502,3 +504,62 @@ def test_sigma_partition_keeps_a_private_sigma_and_copies_a_shared_one(monkeypat
         assert not np.shares_memory(kept, writable)
         assert not kept.flags.writeable
         assert np.array_equal(kept, sp.sigma)
+
+
+def gather_cases():
+    """(pmf, partition) pairs for the S+ gather: an empty center (s = 0),
+    one complement character (k = 1), k not a power of two, an empty wing,
+    no wings at all, a last chunk of fewer rows than the others, and random
+    parity partitions, overlapping wings among them."""
+    cases = []
+    for shape in ((2, 0, 2), (1, 0, 1), (1, 1, 0), (0, 2, 0), (2, 1, 2), (1, 2, 2), (3, 2, 1),
+                  (3, 4, 2)):
+        part = Partition.coordinate_split(*shape)
+        cases.append((make_ci_pmf(*shape, seed=5, zero_prob=0.3), part))
+        cases.append((make_generic_pmf(sum(shape), seed=5, zero_fraction=0.3), part))
+    rng = np.random.default_rng(20)
+    while len(cases) < 80:
+        p = int(rng.integers(3, 8))
+        gens = [
+            tuple(Mask(int(rng.integers(1, 1 << p)), p) for _ in range(int(rng.integers(lo, 4))))
+            for lo in (1, 0, 1)
+        ]
+        try:
+            part = Partition(p, *gens)
+        except ValueError:
+            continue
+        cases.append((make_generic_pmf(p, seed=len(cases), zero_fraction=0.3), part))
+    return cases
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-10])
+def test_s_pinv_gather_is_bitwise_the_whole_index_formula(rank_tol):
+    ks, wings, overlapping = set(), set(), 0
+    for pmf, part in gather_cases():
+        sp = assemble_sigma(pmf, part)
+        got, rank = sp.blocks.schur(rank_tol)
+        ref, ref_rank = reference_center_schur(sp.blocks, rank_tol)
+        assert rank == ref_rank
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        ks.add(sp.blocks.values.shape[1])
+        wings.add(got.shape[0])
+        overlapping += bool(sp.labels.overlap_count)
+    assert {0, 1, 2, 6} <= ks
+    assert any(n_w > _GATHER_ROWS and n_w % _GATHER_ROWS for n_w in wings)
+    assert overlapping
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), -1.0]
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_pinv_sym_refuses_a_bad_rank_tol(bad):
+    with pytest.raises(ValueError, match=f"rank_tol must be finite and non-negative, got {bad!r}"):
+        pinv_sym(np.eye(3), bad)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_schur_complement_refuses_a_bad_rank_tol(bad):
+    sp = assemble_sigma(make_ci_pmf(1, 2, 1, seed=3), Partition.coordinate_split(1, 2, 1))
+    with pytest.raises(ValueError, match=f"rank_tol must be finite and non-negative, got {bad!r}"):
+        schur_complement(sp, bad)
