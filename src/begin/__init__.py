@@ -53,7 +53,6 @@ from .graph import (
     BeginGraph,
     EdgeList,
     GraphNode,
-    NodeList,
     build_graph,
     export_graph,
     graph_from_json,

@@ -84,22 +84,21 @@ def mask_product(a: Mask, b: Mask) -> Mask:
 
 
 def _echelon_basis(vectors: Iterable[int]) -> list[int]:
-    """Reduced row-echelon GF(2) basis as ints, descending by pivot bit."""
-    basis: dict[int, int] = {}
+    """Reduced row-echelon GF(2) basis as ints, descending by pivot bit.
+
+    Each vector is reduced by the rows so far; a nonzero rest joins them,
+    and its pivot bit (its top bit) is cleared from the other rows.
+    """
+    rows: list[int] = []
     for v in vectors:
-        while v:
-            pivot = v.bit_length() - 1
-            if pivot in basis:
-                v ^= basis[pivot]
-            else:
-                basis[pivot] = v
-                break
-    # clear every pivot column from the other rows
-    for p in sorted(basis):
-        for q in list(basis):
-            if q != p and (basis[q] >> p) & 1:
-                basis[q] ^= basis[p]
-    return [basis[p] for p in sorted(basis, reverse=True)]
+        for r in rows:
+            if v >> (r.bit_length() - 1) & 1:
+                v ^= r
+        if v:
+            pivot = 1 << (v.bit_length() - 1)
+            rows = [r ^ v if r & pivot else r for r in rows]
+            rows.append(v)
+    return sorted(rows, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -166,19 +165,10 @@ def span_intersect(u: MaskSpan, v: MaskSpan) -> MaskSpan:
         raise ValueError(f"width mismatch: {u.width} != {v.width}")
     w = u.width
     # rows (x | x) for x in u and (y | 0) for y in v; after elimination the
-    # rows whose high half vanished carry a basis of the intersection low.
+    # rows whose high half vanished are a reduced basis of the intersection
     rows = [(b.bits << w) | b.bits for b in u.basis] + [b.bits << w for b in v.basis]
-    basis: dict[int, int] = {}
-    for r in rows:
-        while r:
-            pivot = r.bit_length() - 1
-            if pivot in basis:
-                r ^= basis[pivot]
-            else:
-                basis[pivot] = r
-                break
-    low = [r & ((1 << w) - 1) for p, r in basis.items() if p < w]
-    return MaskSpan(tuple(Mask(b, w) for b in _echelon_basis(low)), w)
+    low = [r for r in _echelon_basis(rows) if r < 1 << w]
+    return MaskSpan(tuple(Mask(b, w) for b in low), w)
 
 
 @dataclass(frozen=True)
@@ -202,9 +192,8 @@ class Partition:
                     raise ValueError(f"generator width {g.width} != base width {self.p}")
                 if g.is_identity:
                     raise ValueError("generator masks must be nonzero")
-        all_gens = self.a_gens + self.b_gens + self.c_gens
-        union_dim = span_generate(all_gens, width=self.p).dim if all_gens else 0
-        if union_dim < 1:
+        # nonzero generators span at least a line
+        if not (self.a_gens or self.b_gens or self.c_gens):
             raise ValueError("the union of the generator spans must be nondegenerate")
 
     # the generator spans are computed on first read and kept; they are not

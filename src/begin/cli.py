@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="rank/support report of a pmf")
     p_rank.add_argument("input", metavar="CSV")
-    common(p_rank)
+    p_rank.add_argument("--rank-tol", type=float, default=None)
 
     for name, text in (("prism", "dense group-circulant of a vector"),
                        ("wht", "Walsh transform of a vector")):

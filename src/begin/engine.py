@@ -128,6 +128,17 @@ def _config_mass(pmf: Pmf, gens: Sequence[Mask]) -> np.ndarray:
     return np.bincount(keys, weights=pmf.probs[cells], minlength=1 << len(gens))
 
 
+def _admit_sigma(n: int) -> None:
+    """Refuse a sigma over n masks whose n x n form passes the byte limit,
+    before any of it is allocated."""
+    sigma_bytes = 8 * n * n
+    if sigma_bytes > _BYTE_LIMIT:
+        raise ValueError(
+            f"sigma over n = {n} masks needs {sigma_bytes} bytes, "
+            f"beyond the {_BYTE_LIMIT}-byte limit"
+        )
+
+
 def assemble_sigma(
     pmf: Pmf, part: Partition, joint: Optional[np.ndarray] = None
 ) -> SigmaPartition:
@@ -140,12 +151,7 @@ def assemble_sigma(
         raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
     labels = build_index_sets(part)
     bits = np.concatenate([labels.b_bits, labels.l_bits, labels.r_bits])
-    sigma_bytes = 8 * len(bits) ** 2
-    if sigma_bytes > _BYTE_LIMIT:
-        raise ValueError(
-            f"sigma over n = {len(bits)} masks needs {sigma_bytes} bytes, "
-            f"beyond the {_BYTE_LIMIT}-byte limit"
-        )
+    _admit_sigma(bits.size)
     # B exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
     rows = interaction_cov(pmf, labels.b_bits, bits)
     rows.flags.writeable = False  # private, so SigmaPartition keeps it uncopied
@@ -392,10 +398,11 @@ def verify_block_factorization(
     _require_tolerance("tol", tol)
     _require_rank_tol(rank_tol)
     sp = assemble_sigma(pmf, part)
-    sr = schur_complement(sp, rank_tol)
+    # the row-space coefficients of schur_complement, without its S+
+    m = _schur_parts(sp.sigma, rank_tol, sp.scale)[2]
     n_l = sp.n_l
     lhs = interaction_cov(pmf, sp.labels.l_bits, sp.labels.r_bits)
-    m1, m2 = sr.m[:n_l], sr.m[n_l:]
+    m1, m2 = m[:n_l], m[n_l:]
     rhs = m1 @ sp.b_block @ m2.T if sp.n_b else np.zeros_like(lhs)
     gap = _max_abs(lhs - rhs)
     return FactorizationWitness(ok=gap <= tol, m1=m1, m2=m2, lhs=lhs, rhs=rhs, gap=gap)
@@ -426,7 +433,8 @@ def subset_offblock(
 
     Replacing the full center index set by a proper subset breaks the CI
     equivalence in both directions; this is the probe used to exhibit that.
-    A negative or non-finite rank_tol is refused.
+    A negative or non-finite rank_tol is refused, and so is a sigma past
+    the byte limit, before it is formed.
     """
     _require_rank_tol(rank_tol)
     if part.p != pmf.p or any(mk.width != pmf.p for mk in subset):
@@ -434,6 +442,7 @@ def subset_offblock(
     labels = build_index_sets(part)
     center = np.array([mk.bits for mk in subset], dtype=np.int64)
     bits = np.concatenate([center, labels.l_bits, labels.r_bits])
+    _admit_sigma(bits.size)
     sigma = interaction_cov(pmf, bits, bits)
     n_b, n_l = len(subset), labels.l_bits.size
     # a subset of the center is not a group, so S has no center blocks

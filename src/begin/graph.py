@@ -20,7 +20,6 @@ from .bitgroup import IndexSets, Mask, Partition
 
 __all__ = [
     "GraphNode",
-    "NodeList",
     "EdgeList",
     "BeginGraph",
     "build_graph",
@@ -45,75 +44,6 @@ class GraphNode:
 
 _WINGS = "BLR"
 _WING_CODES = np.arange(3, dtype=np.int8)
-_WING_LETTERS = np.array(list(_WINGS))
-
-
-class NodeList:
-    """Read-only sequence of GraphNodes whose wings are held as an array.
-
-    Iterates, indexes, measures and compares equal like the tuple of nodes
-    it stands for.  codes holds each node's wing as its index in "BLR"
-    (int8).  A graph built from index sets makes its nodes, with
-    their display labels, only when they are first read: a verdict needs
-    only the wings.
-    """
-
-    __slots__ = ("codes", "_index_sets", "_nodes")
-
-    def __init__(self, nodes: Iterable[GraphNode]) -> None:
-        nodes = tuple(nodes)
-        codes = np.array([_WINGS.index(node.wing) for node in nodes], dtype=np.int8)
-        self._set(codes, None, nodes)
-
-    @classmethod
-    def of_index_sets(cls, labels: IndexSets) -> "NodeList":
-        """Center, left and right wing masks in order, labelled on first read."""
-        out = cls.__new__(cls)
-        counts = (labels.b_bits.size, labels.l_bits.size, labels.r_bits.size)
-        out._set(np.repeat(_WING_CODES, counts), labels, None)
-        return out
-
-    def _set(self, codes: np.ndarray, labels: Optional[IndexSets], nodes) -> None:
-        codes.flags.writeable = False
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "_index_sets", labels)
-        object.__setattr__(self, "_nodes", nodes)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NodeList is read-only")
-
-    @property
-    def wings(self) -> np.ndarray:
-        """Each node's wing letter."""
-        return _WING_LETTERS[self.codes]
-
-    @property
-    def _tuple(self) -> Tuple[GraphNode, ...]:
-        if self._nodes is None:
-            object.__setattr__(self, "_nodes", _labelled_nodes(self._index_sets))
-        return self._nodes
-
-    def __len__(self) -> int:
-        return int(self.codes.shape[0])
-
-    def __iter__(self) -> Iterator[GraphNode]:
-        return iter(self._tuple)
-
-    def __getitem__(self, index):
-        return self._tuple[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NodeList):
-            return self._tuple == other._tuple
-        if isinstance(other, tuple):
-            return self._tuple == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._tuple)
-
-    def __repr__(self) -> str:
-        return f"NodeList({self._tuple!r})"
 
 
 Edge = Tuple[int, int, float]
@@ -189,32 +119,29 @@ class EdgeList:
         return f"EdgeList({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
 class BeginGraph:
     """Thresholded adjacency of the block inverse, wing-annotated.
 
     nodes may be given as any iterable of GraphNodes and edges as any
-    iterable of (i, j, weight) triples; they are stored as a NodeList and
-    an EdgeList.
+    iterable of (i, j, weight) triples; they are stored as a tuple and an
+    EdgeList.  codes holds each node's wing as its index in "BLR" (int8),
+    all a verdict reads: a graph that build_graph made labels its nodes
+    only when they are first read.
     """
 
-    nodes: NodeList
-    edges: EdgeList
-    tol: float
+    __slots__ = ("codes", "edges", "tol", "_labels", "_nodes")
 
-    def __post_init__(self) -> None:
-        _require_tolerance("tol", self.tol)
-        if not isinstance(self.nodes, NodeList):
-            object.__setattr__(self, "nodes", NodeList(self.nodes))
-        edges = self.edges
+    def __init__(self, nodes: Iterable[GraphNode], edges: Iterable[Edge], tol: float) -> None:
+        _require_tolerance("tol", tol)
+        nodes = tuple(nodes)
+        codes = np.array([_WINGS.index(node.wing) for node in nodes], dtype=np.int8)
         if not isinstance(edges, EdgeList):
             edges = EdgeList.from_triples(edges)
-            object.__setattr__(self, "edges", edges)
-        n = len(self.nodes)
+        n = len(nodes)
         rows, cols, weights = edges.rows, edges.cols, edges.weights
         bad_index = (rows < 0) | (rows >= cols) | (cols >= n)
         finite = np.isfinite(weights)
-        bad = bad_index | ~finite | (np.abs(weights) <= self.tol)
+        bad = bad_index | ~finite | (np.abs(weights) <= tol)
         if bad.any():
             k = int(np.argmax(bad))
             i, j, w = edges[k]
@@ -223,15 +150,46 @@ class BeginGraph:
             if not finite[k]:
                 raise ValueError(f"edge ({i},{j}) weight {w} is not finite")
             raise ValueError(f"edge ({i},{j}) weight {w} inside tolerance")
+        self._set(codes, edges, tol, None, nodes)
 
     @classmethod
-    def _adopt(cls, nodes: NodeList, edges: EdgeList, tol: float) -> "BeginGraph":
-        """A graph over nodes, edges and a tolerance the caller made valid
-        together, as build_graph does: they are not checked again."""
+    def _adopt(cls, labels: IndexSets, edges: EdgeList, tol: float) -> "BeginGraph":
+        """A graph over the center, left and right wing masks of labels, in
+        order, with edges and a tolerance the caller made valid together, as
+        build_graph does: they are not checked again."""
         out = cls.__new__(cls)
-        for name, value in (("nodes", nodes), ("edges", edges), ("tol", tol)):
-            object.__setattr__(out, name, value)
+        counts = (labels.b_bits.size, labels.l_bits.size, labels.r_bits.size)
+        out._set(np.repeat(_WING_CODES, counts), edges, tol, labels, None)
         return out
+
+    def _set(self, codes: np.ndarray, edges: EdgeList, tol: float,
+             labels: Optional[IndexSets], nodes: Optional[Tuple[GraphNode, ...]]) -> None:
+        codes.flags.writeable = False
+        for name, value in zip(self.__slots__, (codes, edges, tol, labels, nodes)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BeginGraph is read-only")
+
+    @property
+    def nodes(self) -> Tuple[GraphNode, ...]:
+        if self._nodes is None:
+            object.__setattr__(self, "_nodes", _labelled_nodes(self._labels))
+        return self._nodes
+
+    def _key(self) -> Tuple[Tuple[GraphNode, ...], EdgeList, float]:
+        return self.nodes, self.edges, self.tol
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BeginGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"BeginGraph(nodes={self.nodes!r}, edges={self.edges!r}, tol={self.tol!r})"
 
 
 def _require_tolerance(name: str, value: float) -> None:
@@ -299,7 +257,7 @@ def build_graph(omega: np.ndarray, labels: IndexSets, tol: float) -> BeginGraph:
     rows = np.empty_like(flat)
     np.divmod(flat, n, out=(rows, flat))  # flat becomes the column array
     edges = EdgeList._adopt(rows, flat, weights)
-    return BeginGraph._adopt(NodeList.of_index_sets(labels), edges, tol)
+    return BeginGraph._adopt(labels, edges, tol)
 
 
 def separates(g: BeginGraph) -> bool:
@@ -309,7 +267,7 @@ def separates(g: BeginGraph) -> bool:
     wing to the right one that avoids the center must cross a left-right
     edge somewhere; separation is the absence of such an edge.
     """
-    codes = g.nodes.codes
+    codes = g.codes
     # B, L, R are codes 0, 1, 2: only a left-right edge XORs to 3
     return not ((codes[g.edges.rows] ^ codes[g.edges.cols]) == 3).any()
 

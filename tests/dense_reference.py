@@ -28,15 +28,20 @@ The index sets as build_index_sets made them before it sorted each wing's
 XOR table: Python set differences of span members, wrapped in Masks, with
 the overlap as their set intersection and the wing split worked out again
 by MaskSpan.split (Partition.wing_split), which had no other reader.
+
+The GF(2) elimination before it was one incremental reduced-echelon pass:
+reference_echelon_basis stacked the vectors in echelon form and then
+cleared each pivot column from the other rows, and reference_span_intersect
+eliminated the Zassenhaus rows inline and reduced their low halves again.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from begin.bitgroup import Mask, Partition, build_index_sets, span_generate
+from begin.bitgroup import Mask, MaskSpan, Partition, build_index_sets, span_generate
 from begin.distribution import Pmf, interaction_cov, moments_from_pmf
 from begin.engine import BeliefCoefficients
 from begin.hadamard import fwht
@@ -442,3 +447,43 @@ def reference_wing_split(part: Partition):
     beta.flags.writeable = False
     alpha.flags.writeable = False
     return beta, alpha
+
+
+def reference_echelon_basis(vectors: Iterable[int]) -> list[int]:
+    """Reduced row-echelon GF(2) basis as ints, descending by pivot bit."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            pivot = v.bit_length() - 1
+            if pivot in basis:
+                v ^= basis[pivot]
+            else:
+                basis[pivot] = v
+                break
+    # clear every pivot column from the other rows
+    for p in sorted(basis):
+        for q in list(basis):
+            if q != p and (basis[q] >> p) & 1:
+                basis[q] ^= basis[p]
+    return [basis[p] for p in sorted(basis, reverse=True)]
+
+
+def reference_span_intersect(u: MaskSpan, v: MaskSpan) -> MaskSpan:
+    """Intersection of two spans (Zassenhaus over GF(2) with paired bits)."""
+    if u.width != v.width:
+        raise ValueError(f"width mismatch: {u.width} != {v.width}")
+    w = u.width
+    # rows (x | x) for x in u and (y | 0) for y in v; after elimination the
+    # rows whose high half vanished carry a basis of the intersection low.
+    rows = [(b.bits << w) | b.bits for b in u.basis] + [b.bits << w for b in v.basis]
+    basis: dict[int, int] = {}
+    for r in rows:
+        while r:
+            pivot = r.bit_length() - 1
+            if pivot in basis:
+                r ^= basis[pivot]
+            else:
+                basis[pivot] = r
+                break
+    low = [r & ((1 << w) - 1) for p, r in basis.items() if p < w]
+    return MaskSpan(tuple(Mask(b, w) for b in reference_echelon_basis(low)), w)

@@ -17,7 +17,14 @@ from begin import (
     span_generate,
     span_intersect,
 )
-from dense_reference import reference_index_sets, reference_split, reference_wing_split
+from begin.bitgroup import _echelon_basis
+from dense_reference import (
+    reference_echelon_basis,
+    reference_index_sets,
+    reference_span_intersect,
+    reference_split,
+    reference_wing_split,
+)
 
 WIDTH = 8
 mask_bits = st.integers(min_value=0, max_value=(1 << WIDTH) - 1)
@@ -74,6 +81,20 @@ def test_span_generate_examples():
 
     empty = span_generate([], width=3)
     assert len(empty) == 1 and Mask(0, 3) in empty
+
+
+@seed(5)
+@settings(max_examples=300)
+@given(
+    vectors=st.lists(st.integers(0, 63), max_size=12),
+    u=st.lists(mask_bits, max_size=6),
+    v=st.lists(mask_bits, max_size=6),
+)
+def test_one_pass_elimination_matches_the_two_pass_reference(vectors, u, v):
+    # the reduced echelon basis of a span is unique, so the two agree exactly
+    assert _echelon_basis(vectors) == reference_echelon_basis(vectors)
+    spans = [span_generate([Mask(b, WIDTH) for b in gens], width=WIDTH) for gens in (u, v)]
+    assert span_intersect(*spans) == reference_span_intersect(*spans)
 
 
 def test_span_membership():

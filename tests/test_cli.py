@@ -243,6 +243,17 @@ def test_rank_report(tmp_path, capsys):
     assert capsys.readouterr().out == "rank: 0\nsupport: 1\nidentity: pass\n"
 
 
+def test_rank_takes_no_tol(tmp_path, capsys):
+    # rank reads only --rank-tol; a --tol it would ignore is refused
+    full = tmp_path / "full.csv"
+    write_pmf_csv(make_ci_pmf(1, 1, 1, seed=5), str(full))
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", str(full), "--tol", "1e-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --tol 1e-3" in captured.err
+
+
 def test_prism_and_wht_match_library(tmp_path, capsys):
     vec = tmp_path / "v.txt"
     vec.write_text("1\n0.5\n")

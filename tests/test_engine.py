@@ -594,6 +594,20 @@ def test_sigma_past_the_byte_limit_is_refused_before_allocation(monkeypatch):
         decide_ci(pmf, part)
 
 
+def test_subset_sigma_past_the_byte_limit_is_refused_before_allocation(monkeypatch):
+    from begin.distribution import _BYTE_LIMIT
+
+    refuse_to_allocate(monkeypatch)
+    part = Partition.coordinate_split(1, 11, 1)
+    labels = build_index_sets(part)
+    # one center mask and both wings: n = 4097, the first n past the limit
+    n = 1 + labels.l_bits.size + labels.r_bits.size
+    assert n == 4097 and 8 * n * n > _BYTE_LIMIT >= 8 * (n - 1) ** 2
+    message = rf"n = {n} masks needs {8 * n * n} bytes, beyond the {_BYTE_LIMIT}-byte limit"
+    with pytest.raises(ValueError, match=message):
+        subset_offblock(make_generic_pmf(13, seed=1), part, [labels.b_set[0]])
+
+
 @pytest.mark.parametrize("shape", [(3, 5, 3), (2, 7, 2), (2, 8, 2), (2, 9, 2)])
 def test_benchmark_and_roadmap_shapes_are_admitted(monkeypatch, shape):
     refuse_to_allocate(monkeypatch)
@@ -686,6 +700,25 @@ def test_block_factorization_refuses_a_bad_tol_or_rank_tol(bad):
         verify_block_factorization(pmf, part, rank_tol=bad)
     with pytest.raises(ValueError, match=bad_tolerance("tol", bad)):
         verify_block_factorization(pmf, part, tol=bad)
+
+
+def test_block_factorization_forms_no_schur_pseudoinverse(monkeypatch):
+    from begin.schur import CenterBlocks
+
+    cases = [ci_121(), (make_generic_pmf(5, seed=3), Partition.coordinate_split(1, 3, 1))]
+    expected = [verify_block_factorization(pmf, part, rank_tol=rank_tol)
+                for pmf, part in cases for rank_tol in (None, 1e-10)]
+
+    def refuse(self, rank_tol=None):
+        raise AssertionError("S+ formed")
+
+    monkeypatch.setattr(CenterBlocks, "schur", refuse)
+    found = [verify_block_factorization(pmf, part, rank_tol=rank_tol)
+             for pmf, part in cases for rank_tol in (None, 1e-10)]
+    for old, new in zip(expected, found):
+        assert (new.ok, new.gap) == (old.ok, old.gap)
+        for name in ("m1", "m2", "lhs", "rhs"):
+            assert np.array_equal(getattr(new, name), getattr(old, name))
 
 
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)

@@ -173,6 +173,7 @@ def calls():
         ("rank gen7", ["rank", "{d}/gen7.csv"], []),
         ("rank ci333", ["rank", "{d}/ci333.csv"], []),
         ("rank gen7 rank-tol", ["rank", "{d}/gen7.csv", "--rank-tol", "1e-10"], []),
+        ("rank gen7 tol", ["rank", "{d}/gen7.csv", "--tol", "1e-3"], []),
         ("rank renormalised", ["rank", "{d}/off.csv"], []),
         ("quantize smooth", ["quantize", "{d}/smooth.json", "--depths", "1..4"], []),
         ("quantize grid out", ["quantize", "{d}/grid.json", "--depths", "1..4",
@@ -207,7 +208,10 @@ def calls():
 def digest(root, argv, written):
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = main([arg.format(d=root) for arg in argv])
+        try:
+            code = main([arg.format(d=root) for arg in argv])
+        except SystemExit as exc:  # an argparse usage error, exit 2
+            code = exc.code
     h = hashlib.sha256(f"exit {code}\0".encode())
     for text in (stdout.getvalue(), stderr.getvalue()):
         h.update(text.replace(root, "<dir>").encode() + b"\0")
