@@ -65,9 +65,9 @@ def distinct_column(spec: str, column: np.ndarray,
 
     The row of a value v is (v, *(f(v) for f in derived)): each derived
     function maps the array of distinct values to one more column, an array
-    or a (table, index) pair, so a text computed from the value (a DOT pen
-    width) is also made once per distinct value.  Sorting the bit patterns
-    takes no np.unique, whose first call imports numpy.ma.
+    or a (table, index) pair, so a field computed from the value (a DOT pen
+    width) is also computed and formatted once per distinct value.  Sorting
+    the bit patterns takes no np.unique, whose first call imports numpy.ma.
     """
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
     order = np.argsort(bits)

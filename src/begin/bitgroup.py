@@ -11,6 +11,7 @@ index sets are span differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -31,8 +32,20 @@ __all__ = [
     "partition_from_json",
 ]
 
-# dense 2^p objects downstream become infeasible past this
+# the size rules: masks and pmfs are at most WIDTH_CAP bits wide, and no call
+# allocates a dense float64 array past _BYTE_LIMIT (128 MiB: a sigma over
+# n <= 4096 masks, a 2^p x 2^p prism or transform up to p = 12, a (2^d)^3
+# delta joint table up to d = 8, a grid atom table of 2^24 atoms)
 WIDTH_CAP = 24
+_BYTE_LIMIT = 1 << 27
+
+
+def _admit(what: str, *shape: int) -> None:
+    """Refuse an array of 8-byte entries of this shape past the byte limit,
+    before any of it, or anything sized by it, is built."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > _BYTE_LIMIT:
+        raise ValueError(f"{what} needs {nbytes} bytes, beyond the {_BYTE_LIMIT}-byte limit")
 
 
 @dataclass(frozen=True, order=True)

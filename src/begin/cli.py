@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._textrows import distinct_column, format_rows, read_lines
-from .bitgroup import partition_from_json
+from .bitgroup import _admit, partition_from_json
 from .distribution import (
     Pmf,
     _is_pmf_header,
@@ -35,8 +35,6 @@ from .quantize import delta_curve, quantized_ci_scan, source_from_json
 from .schur import pinv_sym, sb_inverse, schur_complement
 
 __all__ = ["main"]
-
-_RANK_WIDTH_CAP = 12
 
 
 def _parse_depths(text: str) -> Tuple[int, ...]:
@@ -193,9 +191,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     pmf = _read_pmf(args.input)
-    if pmf.p > _RANK_WIDTH_CAP:
-        raise ValueError(f"rank report capped at p <= {_RANK_WIDTH_CAP}")
-    bits = np.arange(1, 1 << pmf.p)
+    n = (1 << pmf.p) - 1
+    _admit(f"sigma over n = {n} masks", n, n)
+    bits = np.arange(1, n + 1)
     sigma = interaction_cov(pmf, bits, bits)
     # exactly symmetric, as interaction_cov of one mask list with itself
     _, rank = pinv_sym(sigma, args.rank_tol)

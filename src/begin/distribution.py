@@ -35,12 +35,6 @@ __all__ = [
     "read_samples_csv",
 ]
 
-# largest dense float64 table a call may allocate: 128 MiB admits
-# delta_curve's (2^d)^3 joint table up to d = 8 (the depth bound
-# QuantConfig's bit cap gives quantize), a grid source's atom table and the
-# n x n sigma of a partition with n <= 4096 masks
-_BYTE_LIMIT = 1 << 27
-
 # denominator exponent for dyadic rounding: three factors of 2^-14 still
 # multiply exactly inside a binary64 mantissa
 DYADIC_BITS = 14
@@ -217,7 +211,7 @@ def make_ci_pmf(
     rng = np.random.default_rng(seed)
     na, nb, nc = 1 << r, 1 << s, 1 << t
     pb = _dirichlet_table(rng, nb, alpha, zero_prob)
-    probs = np.zeros(na * nb * nc)
+    probs = np.zeros((na, nb, nc))
     positive = np.count_nonzero(pb)
     for b in range(nb):
         pa = _dirichlet_table(rng, na, alpha, zero_prob)
@@ -225,10 +219,7 @@ def make_ci_pmf(
         positive = max(positive, np.count_nonzero(pa), np.count_nonzero(pc))
         if pb[b] == 0.0:
             continue
-        block = pb[b] * np.outer(pa, pc)
-        for a in range(na):
-            base = (a * nb + b) * nc
-            probs[base : base + nc] = block[a]
+        probs[:, b, :] = pb[b] * np.outer(pa, pc)
     meta = {
         "generator": "ci",
         "r": r,
@@ -239,7 +230,7 @@ def make_ci_pmf(
         "alpha": alpha,
         "denom_bits": _dyadic_bits(int(positive)),
     }
-    return Pmf(r + s + t, probs, meta=meta)
+    return Pmf(r + s + t, probs.ravel(), meta=meta)
 
 
 def make_generic_pmf(p: int, seed: int, zero_fraction: float = 0.0) -> Pmf:

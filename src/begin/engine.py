@@ -14,8 +14,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitgroup import IndexSets, Mask, Partition, build_index_sets, span_generate
-from .distribution import _BYTE_LIMIT, Pmf, interaction_cov, moments_from_pmf
+from .bitgroup import IndexSets, Mask, Partition, _admit, build_index_sets, span_generate
+from .distribution import Pmf, interaction_cov, moments_from_pmf
 from .graph import _require_rank_tol, _require_tolerance, build_graph, separates
 from .hadamard import fwht
 from .schur import (
@@ -128,15 +128,13 @@ def _config_mass(pmf: Pmf, gens: Sequence[Mask]) -> np.ndarray:
     return np.bincount(keys, weights=pmf.probs[cells], minlength=1 << len(gens))
 
 
-def _admit_sigma(n: int) -> None:
-    """Refuse a sigma over n masks whose n x n form passes the byte limit,
-    before any of it is allocated."""
-    sigma_bytes = 8 * n * n
-    if sigma_bytes > _BYTE_LIMIT:
-        raise ValueError(
-            f"sigma over n = {n} masks needs {sigma_bytes} bytes, "
-            f"beyond the {_BYTE_LIMIT}-byte limit"
-        )
+def _admit_sigma(part: Partition, n_b: int) -> None:
+    """Refuse a sigma over n_b center masks and the wings whose n x n form
+    passes the byte limit, before the index sets are built: a wing holds
+    (2^r - 1) 2^s masks, r its complement's dimension, s the center's."""
+    a_comp, c_comp = part.wing_complements
+    n = n_b + (((1 << a_comp.dim) + (1 << c_comp.dim) - 2) << part.b_span.dim)
+    _admit(f"sigma over n = {n} masks", n, n)
 
 
 def assemble_sigma(
@@ -149,9 +147,9 @@ def assemble_sigma(
     """
     if pmf.p != part.p:
         raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
+    _admit_sigma(part, (1 << part.b_span.dim) - 1)
     labels = build_index_sets(part)
     bits = np.concatenate([labels.b_bits, labels.l_bits, labels.r_bits])
-    _admit_sigma(bits.size)
     # B exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
     rows = interaction_cov(pmf, labels.b_bits, bits)
     rows.flags.writeable = False  # private, so SigmaPartition keeps it uncopied
@@ -268,10 +266,11 @@ def test_ci(
     The primary verdict thresholds the wing off-block of the generalized
     Schur complement; the other three criteria are computed as cross-checks
     and reported in the criteria map.  A negative or non-finite tol or
-    rank_tol is refused.
+    rank_tol is refused, and so is a sigma past the byte limit.
     """
     _require_tolerance("tol", tol)
     _require_rank_tol(rank_tol)
+    _admit_sigma(part, (1 << part.b_span.dim) - 1)
     joint = _wing_table(pmf, part)
     sp = assemble_sigma(pmf, part, joint)
     sr = schur_complement(sp, rank_tol)
@@ -439,10 +438,10 @@ def subset_offblock(
     _require_rank_tol(rank_tol)
     if part.p != pmf.p or any(mk.width != pmf.p for mk in subset):
         raise ValueError("width mismatch")
+    _admit_sigma(part, len(subset))
     labels = build_index_sets(part)
     center = np.array([mk.bits for mk in subset], dtype=np.int64)
     bits = np.concatenate([center, labels.l_bits, labels.r_bits])
-    _admit_sigma(bits.size)
     sigma = interaction_cov(pmf, bits, bits)
     n_b, n_l = len(subset), labels.l_bits.size
     # a subset of the center is not a group, so S has no center blocks

@@ -292,29 +292,6 @@ def _node_text(n: int, prefix: str) -> np.ndarray:
     return np.array([f"{prefix}{i}" for i in range(n)], dtype=object)
 
 
-# the text of every "%.3f" pen width a table lookup gives: widths lie in [0.5, 3]
-_PEN_TEXT = np.array([f"{k // 1000}.{k % 1000:03d}" for k in range(3001)], dtype=object)
-
-
-def _pen_text(pen: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """A (table, index) column giving "%.3f" % v for each pen width v.
-
-    fl(1000 v) lies within 2^-41 of the exact 1000 v for v < 4, so where it is
-    more than 1e-6 from a half-integer both round to the same thousandth,
-    whose text _PEN_TEXT holds.  The rest, near-ties and inf, are formatted
-    by "%.3f" itself and appended to the table.
-    """
-    thousandths = pen * 1000.0
-    k = np.rint(thousandths)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        clear = (np.abs(thousandths - k) < 0.5 - 1e-6) & (k <= 3000)
-    index = np.where(clear, k, 0.0).astype(np.int64)
-    unclear = np.flatnonzero(~clear)
-    index[unclear] = _PEN_TEXT.size + np.arange(unclear.size)
-    extra = np.array(["%.3f" % v for v in pen[unclear].tolist()], dtype=object)
-    return np.concatenate([_PEN_TEXT, extra]), index
-
-
 def _export_dot(g: BeginGraph) -> str:
     lines = ["graph begin {", "  node [shape=ellipse];"]
     for wing in ("L", "B", "R"):
@@ -327,16 +304,16 @@ def _export_dot(g: BeginGraph) -> str:
     edges = g.edges
     max_w = float(np.abs(edges.weights).max()) if edges.weights.size else 1.0
 
-    def pen_text(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def pen_width(weights: np.ndarray) -> np.ndarray:
         # 0.5 + 2.5 * |w| / max_w, the per-edge float operations in their
         # order; a weight past 7e307 gives inf, as the Python float product did
         with np.errstate(over="ignore"):
-            return _pen_text(0.5 + 2.5 * np.abs(weights) / max_w)
+            return 0.5 + 2.5 * np.abs(weights) / max_w
 
     names = _node_text(len(g.nodes), "n")
     body = format_rows(
         "  %s -- %s [%s];\n", (names, edges.rows), (names, edges.cols),
-        distinct_column('weight="%.17g", penwidth="%s"', edges.weights, pen_text),
+        distinct_column('weight="%.17g", penwidth="%.3f"', edges.weights, pen_width),
     )
     # one join, so no partial copy of the whole text is ever made
     return "".join(["\n".join(lines), "\n", *body, "}\n"])

@@ -14,6 +14,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .bitgroup import _admit
+
 __all__ = [
     "fwht",
     "dense_hadamard",
@@ -21,9 +23,6 @@ __all__ = [
     "prism",
     "prism_recursion_check",
 ]
-
-# past this order a dense 2^p x 2^p materialization stops being reasonable
-_DENSE_ORDER_CAP = 12
 
 
 def _as_symbol(y: Sequence[float], stacked: bool = False) -> tuple[np.ndarray, int]:
@@ -75,10 +74,7 @@ class PrismMatrix:
         return self.symbol[np.bitwise_xor.outer(r, c)]
 
     def dense(self) -> np.ndarray:
-        if self.p > _DENSE_ORDER_CAP:
-            raise ValueError(
-                f"dense prism capped at order {_DENSE_ORDER_CAP}; use block()"
-            )
+        _admit(f"the dense prism of order {self.p}", self.symbol.size, self.symbol.size)
         idx = np.arange(self.symbol.size, dtype=np.int64)
         return self.symbol[np.bitwise_xor.outer(idx, idx)]
 
@@ -97,8 +93,9 @@ def prism(y: Sequence[float]) -> PrismMatrix:
 
 def dense_hadamard(p: int) -> np.ndarray:
     """Dense transform matrix, entry (i,j) = (-1)^popcount(i AND j)."""
-    if not 0 <= p <= _DENSE_ORDER_CAP:
-        raise ValueError(f"dense transform capped at order {_DENSE_ORDER_CAP}")
+    if p < 0:
+        raise ValueError(f"transform order must be >= 0, got {p}")
+    _admit(f"the dense transform of order {p}", 1 << p, 1 << p)
     idx = np.arange(1 << p, dtype=np.int64)
     parity = np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1
     return 1.0 - 2.0 * parity

@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bitgroup import WIDTH_CAP, Partition
-from .distribution import _BYTE_LIMIT, Pmf
+from .bitgroup import WIDTH_CAP, Partition, _admit
+from .distribution import Pmf
 from .engine import CiVerdict, test_ci
 
 __all__ = [
@@ -138,14 +138,9 @@ class GridSource:
         for depth in (self.v_depth, self.u_depth, self.w_depth):
             if not 0 <= depth <= WIDTH_CAP:
                 raise ValueError(f"bad grid depth {depth}")
-        atom_bytes = 8 << (self.u_depth + self.v_depth + self.w_depth)
-        if atom_bytes > _BYTE_LIMIT:
-            raise ValueError(
-                f"grid depths u={self.u_depth}, v={self.v_depth}, w={self.w_depth} "
-                f"need a {atom_bytes}-byte atom table, beyond the "
-                f"{_BYTE_LIMIT}-byte limit"
-            )
         nv, nu, nw = 1 << self.v_depth, 1 << self.u_depth, 1 << self.w_depth
+        depths = f"u={self.u_depth}, v={self.v_depth}, w={self.w_depth}"
+        _admit(f"the atom table of grid depths {depths}", nu, nv, nw)
         vp = np.asarray(self.v_probs, dtype=np.float64).reshape(nv)
         _check_pmf_rows([("v_probs", vp.reshape(1, nv))])
         object.__setattr__(self, "v_probs", vp)
@@ -481,13 +476,10 @@ def delta_curve(
     # each depth's joint table holds (2^d)^3 float64 cells, so every depth
     # is checked before any table is built
     for d in depths:
+        if d < 0:
+            raise ValueError(f"depth must be >= 0, got {d}")
         cells = 1 << d
-        table_bytes = 8 * cells**3
-        if table_bytes > _BYTE_LIMIT:
-            raise ValueError(
-                f"depth {d} needs a {table_bytes}-byte joint table, beyond the "
-                f"{_BYTE_LIMIT}-byte limit in every mode"
-            )
+        _admit(f"the depth {d} joint table", cells, cells, cells)
         if mode == "exact" and cells > _EXACT_ATOM_CAP:
             raise ValueError(
                 f"exact mode needs <= {_EXACT_ATOM_CAP} atoms per side, got {cells}"

@@ -17,7 +17,7 @@ from begin import (
     span_generate,
     span_intersect,
 )
-from begin.bitgroup import _echelon_basis
+from begin.bitgroup import _admit, _echelon_basis
 from dense_reference import (
     reference_echelon_basis,
     reference_index_sets,
@@ -371,3 +371,15 @@ def test_wing_split_indexes_the_block_layout(parity_feature_case):
         assert [center[b] ^ chars[a] for b, a in zip(beta, alpha)] == [m.bits for m in wing]
         with pytest.raises(ValueError):
             beta[0] = 0
+
+
+def test_the_byte_rule_admits_dense_arrays_up_to_128_mib():
+    # 8 bytes an entry: 4096 x 4096 is exactly 2^27 bytes
+    _admit("sigma over n = 4095 masks", 4095, 4095)
+    _admit("sigma over n = 4096 masks", 4096, 4096)
+    with pytest.raises(
+        ValueError,
+        match=r"^sigma over n = 8191 masks needs 536739848 bytes, "
+        r"beyond the 134217728-byte limit$",
+    ):
+        _admit("sigma over n = 8191 masks", 8191, 8191)

@@ -243,6 +243,22 @@ def test_rank_report(tmp_path, capsys):
     assert capsys.readouterr().out == "rank: 0\nsupport: 1\nidentity: pass\n"
 
 
+def test_rank_past_the_byte_limit_exits_two_before_sigma(tmp_path, capsys, monkeypatch):
+    import begin.cli as cli_module
+
+    def allocate(*args):
+        raise AssertionError("sigma allocated")
+
+    monkeypatch.setattr(cli_module, "interaction_cov", allocate)
+    wide = tmp_path / "p13.csv"
+    write_pmf_csv(make_generic_pmf(13, seed=1), str(wide))
+    assert main(["rank", str(wide)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sigma over n = 8191 masks needs 536739848 bytes, "
+        "beyond the 134217728-byte limit\n"
+    )
+
+
 def test_rank_takes_no_tol(tmp_path, capsys):
     # rank reads only --rank-tol; a --tol it would ignore is refused
     full = tmp_path / "full.csv"
@@ -275,6 +291,16 @@ def test_vector_input_accepts_commas_and_comments(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
     assert main(["wht", str(empty)]) == 2
+
+
+def test_delta_refuses_a_negative_depth(tmp_path, capsys):
+    src = tmp_path / "smooth.json"
+    src.write_text(
+        '{"kind":"smooth","v_depth":0,"v_probs":[1.0],'
+        '"u_mean":[[0.0,1.0]],"w_mean":[[0.0,1.0]]}'
+    )
+    assert main(["delta", str(src), "--depths", "-1"]) == 2
+    assert capsys.readouterr().err == "error: depth must be >= 0, got -1\n"
 
 
 def test_quantize_scan_csv(tmp_path, capsys):
@@ -525,7 +551,7 @@ def test_grid_atom_tables_past_the_byte_limit_exit_two(tmp_path, capsys, monkeyp
     for cmd in ("delta", "quantize"):
         assert main([cmd, str(src), "--depths", "1..2"]) == 2
         assert capsys.readouterr().err == (
-            "error: grid depths u=10, v=10, w=10 need a 8589934592-byte atom table, "
+            "error: the atom table of grid depths u=10, v=10, w=10 needs 8589934592 bytes, "
             "beyond the 134217728-byte limit\n"
         )
 

@@ -27,6 +27,7 @@ from begin import test_ci as decide_ci
 
 from conftest import cell_index, random_chain_pmf
 from dense_reference import dense_sigma
+from test_bitgroup import OVERLAP, partitions
 
 
 def direction_one_case():
@@ -580,7 +581,7 @@ def refuse_to_allocate(monkeypatch):
 
 
 def test_sigma_past_the_byte_limit_is_refused_before_allocation(monkeypatch):
-    from begin.distribution import _BYTE_LIMIT
+    from begin.bitgroup import _BYTE_LIMIT
 
     refuse_to_allocate(monkeypatch)
     part = Partition.coordinate_split(2, 10, 2)
@@ -595,7 +596,7 @@ def test_sigma_past_the_byte_limit_is_refused_before_allocation(monkeypatch):
 
 
 def test_subset_sigma_past_the_byte_limit_is_refused_before_allocation(monkeypatch):
-    from begin.distribution import _BYTE_LIMIT
+    from begin.bitgroup import _BYTE_LIMIT
 
     refuse_to_allocate(monkeypatch)
     part = Partition.coordinate_split(1, 11, 1)
@@ -614,6 +615,41 @@ def test_benchmark_and_roadmap_shapes_are_admitted(monkeypatch, shape):
     part = Partition.coordinate_split(*shape)
     with pytest.raises(Allocated):
         assemble_sigma(make_generic_pmf(sum(shape), seed=2), part)
+
+
+def test_a_refused_sigma_builds_no_index_sets(monkeypatch):
+    import begin.engine as engine_module
+
+    def build(*args):
+        raise AssertionError("index sets or mass table built")
+
+    monkeypatch.setattr(engine_module, "build_index_sets", build)
+    monkeypatch.setattr(engine_module, "_wing_table", build)
+    part = Partition.coordinate_split(2, 10, 2)
+    pmf = make_generic_pmf(14, seed=1)
+    # a verdict's sigma holds 1023 + (3 + 3) 1024 masks, a one-mask probe's 1 + 6144
+    for n, call in ((7167, lambda: decide_ci(pmf, part)),
+                    (6145, lambda: subset_offblock(pmf, part, part.b_gens[:1]))):
+        with pytest.raises(ValueError, match=rf"^sigma over n = {n} masks needs {8 * n * n} "):
+            call()
+
+
+@seed(23)
+@settings(max_examples=300, deadline=None)
+@given(part=partitions(), n_b=st.integers(0, 3))
+@example(part=OVERLAP, n_b=1)  # overlapping wings
+@example(part=Partition.coordinate_split(2, 0, 3), n_b=0)  # empty center
+def test_the_admitted_sigma_size_is_the_index_set_size(part, n_b):
+    import begin.engine as engine_module
+
+    labels = build_index_sets(part)
+    shapes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module, "_admit", lambda what, *shape: shapes.append(shape))
+        engine_module._admit_sigma(part, labels.b_bits.size)
+        engine_module._admit_sigma(part, n_b)
+    wings = labels.l_bits.size + labels.r_bits.size
+    assert shapes == [(labels.b_bits.size + wings,) * 2, (n_b + wings,) * 2]
 
 
 # Sigma enters a verdict and a graph export only through its center rows:

@@ -26,7 +26,6 @@ from begin import (
 )
 from begin import test_ci as decide_ci
 from begin._textrows import CHUNK_ROWS
-from begin.graph import _pen_text
 
 
 def graph_of(pmf, part, tol=1e-8):
@@ -699,15 +698,24 @@ def test_dot_pen_width_overflows_to_inf_as_the_reference_does():
 
 def test_pen_widths_match_percent_format_at_and_near_ties():
     # odd sixteenths are the only exact ties at three decimals; the floats at
-    # and next to (k + 0.5) / 1000 lie within an ulp of the other midpoints
+    # and next to (k + 0.5) / 1000 lie within an ulp of the other midpoints.
+    # With max_w = 1 a pen width is 0.5 + 2.5 |w|, so the weights (v - 0.5) / 2.5
+    # and their one-ulp neighbours give pen widths at the targets v
+    ties = np.arange(9, 48, 2) / 16
     near = (np.arange(500, 3000) + 0.5) / 1000
-    pens = np.concatenate([
-        np.arange(9, 48, 2) / 16, near, np.nextafter(near, 0), np.nextafter(near, 4),
-        np.random.default_rng(5).uniform(0.5, 3.0, 20000),
-        [0.5, 3.0, np.nextafter(3.0, 4), np.inf],
-    ])
-    table, index = _pen_text(pens)
-    assert table[index].tolist() == ["%.3f" % v for v in pens.tolist()]
+    targets = np.concatenate([ties, near, np.nextafter(near, 0), np.nextafter(near, 4)])
+    w = (targets - 0.5) / 2.5
+    rng = np.random.default_rng(5)
+    weights = np.concatenate([
+        w, np.nextafter(w, 0), np.nextafter(w, 2), rng.uniform(0.0, 1.0, 20000), [5e-324, 1.0],
+    ]) * rng.choice([-1.0, 1.0], 3 * w.size + 20002)
+    pens = 0.5 + 2.5 * np.abs(weights)
+    assert np.isin(ties, pens).all() and np.isin(targets, pens).mean() > 0.95
+    n = 300
+    rows, cols = (idx[: weights.size] for idx in np.triu_indices(n, 1))
+    nodes = tuple(node(9, i, "BLR"[i % 3], f"N{i}") for i in range(n))
+    g = BeginGraph(nodes=nodes, edges=EdgeList(rows, cols, weights), tol=0.0)
+    assert export_graph(g, "dot") == reference_dot(g.nodes, tuple(g.edges))
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,44 @@ def test_prism_symbol_is_locked():
     assert isinstance(pm, PrismMatrix)
     with pytest.raises(ValueError):
         pm.symbol[0] = 2.0
+
+
+def test_dense_forms_past_the_byte_limit_are_refused_before_allocation():
+    pm = prism(np.ones(1 << 13))
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError,
+            match=r"^the dense prism of order 13 needs 536870912 bytes, "
+            r"beyond the 134217728-byte limit$",
+        ):
+            pm.dense()
+        with pytest.raises(
+            ValueError,
+            match=r"^the dense transform of order 13 needs 536870912 bytes, "
+            r"beyond the 134217728-byte limit$",
+        ):
+            dense_hadamard(13)
+        with pytest.raises(ValueError, match=r"^transform order must be >= 0, got -1$"):
+            dense_hadamard(-1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+class Built(Exception):
+    pass
+
+
+def test_dense_forms_at_the_byte_limit_are_admitted(monkeypatch):
+    # order 12 is 2^27 bytes exactly: admitted, so it reaches its index range
+    pm = prism(np.ones(1 << 12))
+
+    def arange(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(np, "arange", arange)
+    for build in (pm.dense, lambda: dense_hadamard(12)):
+        with pytest.raises(Built):
+            build()

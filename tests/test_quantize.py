@@ -262,11 +262,13 @@ def test_grid_atom_tables_past_the_byte_limit_are_refused(monkeypatch):
     tiny = dict(v_probs=[1.0], u_given_v=[[1.0]], w_given_v=[[1.0]])
     with pytest.raises(
         ValueError,
-        match="grid depths u=10, v=10, w=10 need a 8589934592-byte atom table, "
+        match="the atom table of grid depths u=10, v=10, w=10 needs 8589934592 bytes, "
         "beyond the 134217728-byte limit",
     ):
         GridSource(v_depth=10, u_depth=10, w_depth=10, **tiny)
-    with pytest.raises(ValueError, match="need a 268435456-byte atom table"):
+    with pytest.raises(
+        ValueError, match="atom table of grid depths u=8, v=9, w=8 needs 268435456 bytes"
+    ):
         GridSource(v_depth=9, u_depth=8, w_depth=8, **tiny)
     # 2^24 atoms is exactly the limit: admitted, then the tiny arrays fail
     # to reshape
@@ -369,7 +371,7 @@ def test_delta_depth_cap_is_checked_before_the_joint_table(monkeypatch):
     for mode in ("rect", "upper", "auto", "exact"):
         with pytest.raises(
             ValueError,
-            match="depth 13 needs a 4398046511104-byte joint table, "
+            match="the depth 13 joint table needs 4398046511104 bytes, "
             "beyond the 134217728-byte limit",
         ):
             delta_curve(linear_source(), [13], mode=mode)
@@ -385,8 +387,21 @@ def test_delta_admits_joint_tables_up_to_the_byte_limit(monkeypatch):
 
     monkeypatch.setattr(SmoothSource, "joint_table", refuse)
     for d, size in ((9, 1 << 30), (12, 1 << 39)):
-        with pytest.raises(ValueError, match=f"depth {d} needs a {size}-byte"):
+        with pytest.raises(ValueError, match=f"depth {d} joint table needs {size} bytes"):
             delta_curve(linear_source(), [1, d], mode="rect")
+
+
+def test_delta_refuses_a_negative_depth_before_any_table(monkeypatch):
+    # depth 0, one atom per side, is a valid curve point
+    assert delta_curve(linear_source(), [0]).points[0].delta_upper == 0.0
+
+    def refuse(self, d):
+        raise AssertionError(f"joint table built at depth {d}")
+
+    monkeypatch.setattr(SmoothSource, "joint_table", refuse)
+    for depths in ([-1], [2, -1]):
+        with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
+            delta_curve(linear_source(), depths)
 
 
 def test_delta_point_tier_ordering_enforced():

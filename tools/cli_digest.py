@@ -193,6 +193,7 @@ def calls():
         ("quantize nan grid", ["quantize", "{d}/nan_grid.json", "--depths", "1..3"], []),
         ("delta nan smooth", ["delta", "{d}/nan_smooth.json", "--depths", "1..3"], []),
         ("delta nan alpha", ["delta", "{d}/nan_alpha.json", "--depths", "1..3"], []),
+        ("delta negative depth", ["delta", "{d}/smooth.json", "--depths", "-1"], []),
     ]
     for vec in ("vec4", "vec8", "vec_odd", "vec_empty", "vec_bad"):
         for fmt in ("csv", "json"):
