@@ -23,7 +23,6 @@ from .schur import (
     SigmaPartition,
     _max_abs,
     _schur_parts,
-    _symmetrize,
     sb_inverse,
     schur_complement,
 )
@@ -128,10 +127,13 @@ def _config_mass(pmf: Pmf, gens: Sequence[Mask]) -> np.ndarray:
     return np.bincount(keys, weights=pmf.probs[cells], minlength=1 << len(gens))
 
 
-def _admit_sigma(part: Partition, n_b: int) -> None:
-    """Refuse a sigma over n_b center masks and the wings whose n x n form
-    passes the byte limit, before the index sets are built: a wing holds
-    (2^r - 1) 2^s masks, r its complement's dimension, s the center's."""
+def _admit_sigma(pmf: Pmf, part: Partition, n_b: int) -> None:
+    """Refuse a partition of another width than the pmf, then a sigma over
+    n_b center masks and the wings whose n x n form passes the byte limit,
+    before the index sets are built: a wing holds (2^r - 1) 2^s masks, r its
+    complement's dimension, s the center's."""
+    if pmf.p != part.p:
+        raise ValueError(f"width mismatch: pmf width {pmf.p} != partition width {part.p}")
     a_comp, c_comp = part.wing_complements
     n = n_b + (((1 << a_comp.dim) + (1 << c_comp.dim) - 2) << part.b_span.dim)
     _admit(f"sigma over n = {n} masks", n, n)
@@ -145,9 +147,7 @@ def assemble_sigma(
     configuration (CenterBlocks).  joint, the pmf's (b, a, c) mass array
     (_wing_table), is built here unless the caller already has it.
     """
-    if pmf.p != part.p:
-        raise ValueError(f"pmf width {pmf.p} != partition width {part.p}")
-    _admit_sigma(part, (1 << part.b_span.dim) - 1)
+    _admit_sigma(pmf, part, (1 << part.b_span.dim) - 1)
     labels = build_index_sets(part)
     bits = np.concatenate([labels.b_bits, labels.l_bits, labels.r_bits])
     # B exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
@@ -270,7 +270,7 @@ def test_ci(
     """
     _require_tolerance("tol", tol)
     _require_rank_tol(rank_tol)
-    _admit_sigma(part, (1 << part.b_span.dim) - 1)
+    _admit_sigma(pmf, part, (1 << part.b_span.dim) - 1)
     joint = _wing_table(pmf, part)
     sp = assemble_sigma(pmf, part, joint)
     sr = schur_complement(sp, rank_tol)
@@ -396,13 +396,27 @@ def verify_block_factorization(
     """
     _require_tolerance("tol", tol)
     _require_rank_tol(rank_tol)
-    sp = assemble_sigma(pmf, part)
-    # the row-space coefficients of schur_complement, without its S+
-    m = _schur_parts(sp.sigma, rank_tol, sp.scale)[2]
-    n_l = sp.n_l
-    lhs = interaction_cov(pmf, sp.labels.l_bits, sp.labels.r_bits)
-    m1, m2 = m[:n_l], m[n_l:]
-    rhs = m1 @ sp.b_block @ m2.T if sp.n_b else np.zeros_like(lhs)
+    _admit_sigma(pmf, part, (1 << part.b_span.dim) - 1)
+    labels = build_index_sets(part)
+    return _factorization_witness(pmf, labels, labels.b_bits, tol, rank_tol)
+
+
+def _factorization_witness(
+    pmf: Pmf, labels: IndexSets, center: np.ndarray, tol: float, rank_tol: Optional[float]
+) -> FactorizationWitness:
+    """sigma[L, R] against M1 B M2' over these center mask bits, from sigma's
+    center rows [B | F] and L x R corner; with M = F' B+ the gap is max|S[L, R]|
+    of the Schur complement over them, as M1 B M2' = F_L' B+ B B+ F_R = F_L' B+ F_R.
+    """
+    n_b, n_l = center.size, labels.l_bits.size
+    bits = np.concatenate([center, labels.l_bits, labels.r_bits])
+    rows = interaction_cov(pmf, center, bits)
+    m = moments_from_pmf(pmf)
+    coef = _schur_parts(rows, rank_tol, _max_abs(m[0] - m[bits] * m[bits]))[2]
+    lhs = interaction_cov(pmf, labels.l_bits, labels.r_bits)
+    m1, m2 = coef[:n_l], coef[n_l:]
+    # an empty center gives n_l x 0 and 0 x n_r factors, whose product is 0
+    rhs = m1 @ rows[:, :n_b] @ m2.T
     gap = _max_abs(lhs - rhs)
     return FactorizationWitness(ok=gap <= tol, m1=m1, m2=m2, lhs=lhs, rhs=rhs, gap=gap)
 
@@ -432,24 +446,20 @@ def subset_offblock(
 
     Replacing the full center index set by a proper subset breaks the CI
     equivalence in both directions; this is the probe used to exhibit that.
-    A negative or non-finite rank_tol is refused, and so is a sigma past
-    the byte limit, before it is formed.
+    The subset's masks must be distinct nonzero members of span(B).  A
+    negative or non-finite rank_tol is refused, and so is a sigma past the
+    byte limit.
     """
     _require_rank_tol(rank_tol)
-    if part.p != pmf.p or any(mk.width != pmf.p for mk in subset):
-        raise ValueError("width mismatch")
-    _admit_sigma(part, len(subset))
-    labels = build_index_sets(part)
+    seen = set()
+    for mk in subset:
+        # a mask of another width is refused by the membership test
+        if mk not in part.b_span or mk.is_identity or mk.bits in seen:
+            raise ValueError(f"subset mask {mk} is not a distinct nonzero center mask")
+        seen.add(mk.bits)
+    _admit_sigma(pmf, part, len(subset))
     center = np.array([mk.bits for mk in subset], dtype=np.int64)
-    bits = np.concatenate([center, labels.l_bits, labels.r_bits])
-    sigma = interaction_cov(pmf, bits, bits)
-    n_b, n_l = len(subset), labels.l_bits.size
-    # a subset of the center is not a group, so S has no center blocks
-    m = _schur_parts(sigma[:n_b], rank_tol, _max_abs(sigma))[2]
-    s = m @ sigma[:n_b, n_b:]
-    np.subtract(sigma[n_b:, n_b:], s, out=s)
-    _symmetrize(s)
-    return _max_abs(s[:n_l, n_l:])
+    return _factorization_witness(pmf, build_index_sets(part), center, DEFAULT_TOL, rank_tol).gap
 
 
 @dataclass(frozen=True)
@@ -489,10 +499,10 @@ def search_subset_counterexamples(
             continue
         full = test_ci(pmf, part, tol)
         for pattern in range(1, (1 << len(center)) - 1):
-            subset = tuple(
-                mk for i, mk in enumerate(center) if (pattern >> i) & 1
-            )
-            off = subset_offblock(pmf, part, subset)
+            chosen = [i for i in range(len(center)) if (pattern >> i) & 1]
+            subset = tuple(center[i] for i in chosen)
+            # test_ci admitted the whole center, so no subset needs admitting
+            off = _factorization_witness(pmf, labels, labels.b_bits[chosen], tol, None).gap
             if full.is_ci and off >= magnitude:
                 findings.append(
                     SubsetFinding(index, subset, 2, off, full.max_offblock_s)

@@ -74,9 +74,20 @@ class PrismMatrix:
         return self.symbol[np.bitwise_xor.outer(r, c)]
 
     def dense(self) -> np.ndarray:
-        _admit(f"the dense prism of order {self.p}", self.symbol.size, self.symbol.size)
-        idx = np.arange(self.symbol.size, dtype=np.int64)
-        return self.symbol[np.bitwise_xor.outer(idx, idx)]
+        n = self.symbol.size
+        _admit(f"the dense prism of order {self.p}", n, n)
+        out = np.empty((n, n))
+        out[0] = self.symbol
+        # filled in place by doubling, with no index as large as the result:
+        # entry (i + h, j) is symbol[i ^ j ^ h], row i with the adjacent
+        # column blocks of width h swapped
+        h = 1
+        while h < n:
+            top = out[:h].reshape(h, -1, 2, h)
+            bot = out[h : 2 * h].reshape(h, -1, 2, h)
+            bot[:, :, 0], bot[:, :, 1] = top[:, :, 1], top[:, :, 0]
+            h *= 2
+        return out
 
     def eigenvalues(self) -> np.ndarray:
         """Exactly fwht(symbol): the 2^p scaling of the conjugation cancels."""
@@ -96,9 +107,18 @@ def dense_hadamard(p: int) -> np.ndarray:
     if p < 0:
         raise ValueError(f"transform order must be >= 0, got {p}")
     _admit(f"the dense transform of order {p}", 1 << p, 1 << p)
-    idx = np.arange(1 << p, dtype=np.int64)
-    parity = np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1
-    return 1.0 - 2.0 * parity
+    out = np.empty((1 << p, 1 << p))
+    out[0, 0] = 1.0
+    # filled in place by doubling, [[H, H], [H, -H]], with no index; each
+    # block is copied from one in other rows, whose memory cannot overlap
+    # it, so numpy makes no temporary
+    h = 1
+    while h < 1 << p:
+        out[h : 2 * h, :h] = out[:h, :h]
+        out[:h, h : 2 * h] = out[h : 2 * h, :h]
+        np.negative(out[:h, :h], out=out[h : 2 * h, h : 2 * h])
+        h *= 2
+    return out
 
 
 def prism_recursion_check(

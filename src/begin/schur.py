@@ -243,10 +243,6 @@ class SigmaPartition:
         return self.labels.r_bits.size
 
     @property
-    def b_block(self) -> np.ndarray:
-        return self.sigma[: self.n_b, : self.n_b]
-
-    @property
     def f_block(self) -> np.ndarray:
         """Coupling block: center rows against both wings."""
         return self.sigma[: self.n_b, self.n_b :]

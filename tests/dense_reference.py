@@ -15,6 +15,11 @@ former OmegaMatrix wrapper made.  reference_center_schur is
 CenterBlocks.schur as it was before it gathered S+ a chunk of rows at a
 time: one n_w x n_w int32 index, cast to intp by the fancy index.
 
+reference_subset_offblock is subset_offblock as it was before it read the
+factorization gap off sigma's center rows and L x R corner: the whole n x n
+sigma over the subset and the wings, the n_w x n_w S = D - M F, symmetrized,
+and its L x R corner.
+
 The joint tables of the quantize sources before per-axis refinement: the
 grid's dense depth maps contracted by one four-way einsum, and the smooth
 source's loop over every (cell, atom) pair.
@@ -45,7 +50,7 @@ from begin.bitgroup import Mask, MaskSpan, Partition, build_index_sets, span_gen
 from begin.distribution import Pmf, interaction_cov, moments_from_pmf
 from begin.engine import BeliefCoefficients
 from begin.hadamard import fwht
-from begin.schur import pinv_sym
+from begin.schur import _max_abs, _schur_parts, _symmetrize, pinv_sym
 
 
 def dense_sigma(pmf, part):
@@ -193,6 +198,20 @@ def dense_schur_gap_bound(sigma, n_b, rank_tol):
     kept = np.abs(vals[np.abs(vals) > cutoff])
     kappa = top / float(kept.min()) if kept.size else 1.0
     return 16.0 * kappa * eps * scale
+
+
+def reference_subset_offblock(pmf, part, subset, rank_tol=None):
+    labels = build_index_sets(part)
+    center = np.array([mk.bits for mk in subset], dtype=np.int64)
+    bits = np.concatenate([center, labels.l_bits, labels.r_bits])
+    sigma = interaction_cov(pmf, bits, bits)
+    n_b, n_l = len(subset), labels.l_bits.size
+    # a subset of the center is not a group, so S has no center blocks
+    m = _schur_parts(sigma[:n_b], rank_tol, _max_abs(sigma))[2]
+    s = m @ sigma[:n_b, n_b:]
+    np.subtract(sigma[n_b:, n_b:], s, out=s)
+    _symmetrize(s)
+    return _max_abs(s[:n_l, n_l:])
 
 
 def reference_depth_map(d, atom_depth):

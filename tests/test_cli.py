@@ -408,6 +408,19 @@ def test_file_commands_leave_numpy_ma_unimported(tmp_path):
     assert not imported
 
 
+def test_the_cli_digest_is_identical_over_two_runs():
+    """tools/cli_digest.py hashes what every CLI call lets a user see; two
+    runs of one tree must print the same lines."""
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cli_digest.py")
+    src = os.path.dirname(os.path.dirname(begin.__file__))
+    runs = [subprocess.run([sys.executable, tool], env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=600) for _ in range(2)]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+        assert re.fullmatch(r"([0-9a-f]{64}  \S.*\n)+", run.stdout)
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_random_modes_are_deterministic(tmp_path):
     for argv_tail, name in (
         (["--mode", "ci", "--dims", "1,2,1", "--seed", "9",

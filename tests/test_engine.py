@@ -14,6 +14,7 @@ from begin import (
     build_graph,
     build_index_sets,
     fwht,
+    interaction_cov,
     make_ci_pmf,
     make_generic_pmf,
     sb_inverse,
@@ -471,6 +472,100 @@ def test_subset_search_skips_single_mask_centers(halves_pmf, split111):
     assert search_subset_counterexamples([(halves_pmf, split111)]) == []
 
 
+def test_a_subset_mask_that_is_no_distinct_center_mask_is_refused_naming_it(monkeypatch):
+    import begin.engine as engine_module
+
+    def build(*args):
+        raise AssertionError("admitted or index sets built")
+
+    monkeypatch.setattr(engine_module, "_admit_sigma", build)
+    monkeypatch.setattr(engine_module, "build_index_sets", build)
+    pmf, part = make_generic_pmf(4, seed=1), Partition.coordinate_split(1, 2, 1)
+    # A's coordinate and the zero mask once read as 0.3534 and 0.3545
+    for subset, named in (([Mask(0b1000, 4)], "1000"), ([Mask(0, 4)], "0000"),
+                          ([Mask(0b0100, 4), Mask(0b0110, 4), Mask(0b0100, 4)], "0100")):
+        with pytest.raises(ValueError, match=rf"^subset mask {named} is not a distinct nonzero "):
+            subset_offblock(pmf, part, subset)
+
+
+def test_a_width_mismatch_is_refused_before_the_size_rule():
+    # a 24-bit partition's sigma is also past the byte limit, which was the
+    # refusal test_ci gave
+    pmf, part = make_generic_pmf(4, seed=1), Partition.coordinate_split(2, 20, 2)
+    calls = (lambda: decide_ci(pmf, part), lambda: assemble_sigma(pmf, part),
+             lambda: verify_block_factorization(pmf, part),
+             lambda: subset_offblock(pmf, part, part.b_gens[:1]))
+    message = r"^width mismatch: pmf width 4 != partition width 24$"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+# A subset probe is the factorization gap over the subset's center masks, read
+# off sigma's center rows and its L x R corner, with no n x n sigma.
+
+OVERLAP7 = Partition(
+    7,
+    (Mask(0b1100000, 7), Mask(0b0011000, 7)),
+    (Mask(0b0110000, 7), Mask(0b0000100, 7)),
+    (Mask(0b0011000, 7), Mask(0b0000011, 7)),
+)
+
+
+@seed(24)
+@settings(max_examples=80, deadline=None)
+@given(case=belief_case(), pattern=st.integers(0, (1 << 20) - 1),
+       rank_tol=st.sampled_from([None, 1e-10]))
+@example(case=(make_generic_pmf(7, seed=4, zero_fraction=0.3), OVERLAP7), pattern=0b10110,
+         rank_tol=None)
+@example(case=(make_ci_pmf(1, 5, 1, seed=4, zero_prob=0.3), OVERLAP7), pattern=0b1011,
+         rank_tol=1e-10)
+def test_a_subset_probe_matches_the_dense_schur_corner(case, pattern, rank_tol):
+    from dense_reference import dense_schur_gap_bound, reference_subset_offblock
+
+    pmf, part = case
+    labels = build_index_sets(part)
+    subset = [mk for i, mk in enumerate(labels.b_set) if pattern >> i & 1]
+    center = np.array([mk.bits for mk in subset], dtype=np.int64)
+    bits = np.concatenate([center, labels.l_bits, labels.r_bits])
+    bound = dense_schur_gap_bound(interaction_cov(pmf, bits, bits), len(subset), rank_tol)
+    old = reference_subset_offblock(pmf, part, subset, rank_tol)
+    assert abs(subset_offblock(pmf, part, subset, rank_tol) - old) <= bound
+
+
+@seed(25)
+@settings(max_examples=80, deadline=None)
+@given(case=belief_case(), rank_tol=st.sampled_from([None, 1e-10]))
+@example(case=(make_generic_pmf(7, seed=4, zero_fraction=0.3), OVERLAP7), rank_tol=None)
+def test_the_whole_center_probe_is_the_verdicts_schur_offblock(case, rank_tol):
+    from dense_reference import dense_schur_gap_bound
+
+    pmf, part = case
+    center = build_index_sets(part).b_set
+    bound = dense_schur_gap_bound(dense_sigma(pmf, part), len(center), rank_tol)
+    verdict = decide_ci(pmf, part, rank_tol=rank_tol)
+    assert abs(subset_offblock(pmf, part, center, rank_tol) - verdict.max_offblock_s) <= bound
+
+
+@pytest.mark.parametrize("shape", [(2, 7, 2), (2, 8, 2)])
+def test_a_subset_probe_holds_little_beyond_the_wing_corner(shape):
+    """Its traced peak stays within 4 times the L x R corner (8 n_l n_r
+    bytes): sigma[L, R], M1 B M2' and their difference."""
+    part = Partition.coordinate_split(*shape)
+    pmf = make_generic_pmf(sum(shape), seed=7, zero_fraction=0.3)
+    labels = build_index_sets(part)
+    subset = labels.b_set[:3]
+    subset_offblock(pmf, part, subset)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        subset_offblock(pmf, part, subset)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * labels.l_bits.size * labels.r_bits.size
+
+
 def test_support_b_counts_positive_mass_center_configurations():
     part = Partition.coordinate_split(1, 3, 1)
     thinned = 0
@@ -643,11 +738,12 @@ def test_the_admitted_sigma_size_is_the_index_set_size(part, n_b):
     import begin.engine as engine_module
 
     labels = build_index_sets(part)
+    pmf = Pmf(part.p, np.full(1 << part.p, 0.5**part.p))
     shapes = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine_module, "_admit", lambda what, *shape: shapes.append(shape))
-        engine_module._admit_sigma(part, labels.b_bits.size)
-        engine_module._admit_sigma(part, n_b)
+        engine_module._admit_sigma(pmf, part, labels.b_bits.size)
+        engine_module._admit_sigma(pmf, part, n_b)
     wings = labels.l_bits.size + labels.r_bits.size
     assert shapes == [(labels.b_bits.size + wings,) * 2, (n_b + wings,) * 2]
 

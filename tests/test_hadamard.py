@@ -178,13 +178,41 @@ class Built(Exception):
 
 
 def test_dense_forms_at_the_byte_limit_are_admitted(monkeypatch):
-    # order 12 is 2^27 bytes exactly: admitted, so it reaches its index range
+    # order 12 is 2^27 bytes exactly: admitted, so it reaches its allocation
     pm = prism(np.ones(1 << 12))
 
-    def arange(*args, **kwargs):
+    def empty(*args, **kwargs):
         raise Built
 
-    monkeypatch.setattr(np, "arange", arange)
+    monkeypatch.setattr(np, "empty", empty)
     for build in (pm.dense, lambda: dense_hadamard(12)):
         with pytest.raises(Built):
             build()
+
+
+# The dense forms are filled in place by doubling; the index formulas they
+# replaced are the references, bit for bit, at every order up to 9.
+
+
+@pytest.mark.parametrize("p", range(10))
+def test_dense_forms_equal_their_index_formulas(p):
+    idx = np.arange(1 << p, dtype=np.int64)
+    y = RNG.standard_normal(1 << p)
+    y[-1] = -0.0
+    assert prism(y).dense().tobytes() == y[np.bitwise_xor.outer(idx, idx)].tobytes()
+    parity = np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1
+    assert dense_hadamard(p).tobytes() == (1.0 - 2.0 * parity).tobytes()
+
+
+def test_dense_forms_hold_little_beyond_their_result():
+    # an index as large as the result once doubled the peak
+    pm = prism(RNG.standard_normal(1 << 10))
+    result = 8 << 20
+    for build in (pm.dense, lambda: dense_hadamard(10)):
+        tracemalloc.start()
+        try:
+            out = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == result and peak <= 1.25 * result

@@ -381,7 +381,7 @@ def test_center_cutoff_is_anchored_to_the_scale_of_sigma(split111):
     sr = schur_complement(sp)
     assert sr.rank_b == 0
     assert np.array_equal(sr.b_pinv, np.zeros((1, 1)))
-    assert pinv_sym(sp.b_block)[1] == 1
+    assert pinv_sym(sp.sigma[:, :sp.n_b])[1] == 1
 
 
 # The symmetric passes against the plain expressions, at sizes up to and past
