@@ -10,7 +10,7 @@ The four must agree; the Schur off-block is the primary verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,13 +127,17 @@ def _config_mass(pmf: Pmf, gens: Sequence[Mask]) -> np.ndarray:
     return np.bincount(keys, weights=pmf.probs[cells], minlength=1 << len(gens))
 
 
+def _require_width(pmf: Pmf, part: Partition) -> None:
+    if pmf.p != part.p:
+        raise ValueError(f"width mismatch: pmf width {pmf.p} != partition width {part.p}")
+
+
 def _admit_sigma(pmf: Pmf, part: Partition, n_b: int) -> None:
     """Refuse a partition of another width than the pmf, then a sigma over
     n_b center masks and the wings whose n x n form passes the byte limit,
     before the index sets are built: a wing holds (2^r - 1) 2^s masks, r its
     complement's dimension, s the center's."""
-    if pmf.p != part.p:
-        raise ValueError(f"width mismatch: pmf width {pmf.p} != partition width {part.p}")
+    _require_width(pmf, part)
     a_comp, c_comp = part.wing_complements
     n = n_b + (((1 << a_comp.dim) + (1 << c_comp.dim) - 2) << part.b_span.dim)
     _admit(f"sigma over n = {n} masks", n, n)
@@ -329,8 +333,9 @@ def belief_coefficients(
     the spans).  A negative or non-finite rank_tol is refused.
     """
     _require_rank_tol(rank_tol)
-    if target.width != pmf.p or part.p != pmf.p:
-        raise ValueError("width mismatch")
+    _require_width(pmf, part)
+    if target.width != pmf.p:
+        raise ValueError(f"width mismatch: target width {target.width} != pmf width {pmf.p}")
     span_ab = span_generate(part.a_gens + part.b_gens, width=part.p)
     span_bc = span_generate(part.b_gens + part.c_gens, width=part.p)
     if condition_on == "auto":
@@ -398,27 +403,35 @@ def verify_block_factorization(
     _require_rank_tol(rank_tol)
     _admit_sigma(pmf, part, (1 << part.b_span.dim) - 1)
     labels = build_index_sets(part)
-    return _factorization_witness(pmf, labels, labels.b_bits, tol, rank_tol)
+    return next(_factorization_witnesses(pmf, labels, labels.b_bits, tol, rank_tol))
 
 
-def _factorization_witness(
-    pmf: Pmf, labels: IndexSets, center: np.ndarray, tol: float, rank_tol: Optional[float]
-) -> FactorizationWitness:
-    """sigma[L, R] against M1 B M2' over these center mask bits, from sigma's
-    center rows [B | F] and L x R corner; with M = F' B+ the gap is max|S[L, R]|
-    of the Schur complement over them, as M1 B M2' = F_L' B+ B B+ F_R = F_L' B+ F_R.
-    """
+def _factorization_witnesses(
+    pmf: Pmf, labels: IndexSets, center: np.ndarray, tol: float, rank_tol: Optional[float],
+    subsets: Optional[Iterable[np.ndarray]] = None,
+) -> Iterator[FactorizationWitness]:
+    """sigma[L, R] against M1 B M2' over each subset (positions into these
+    center mask bits; the whole center by default).  Sigma's center rows
+    against (center, L, R), their variances and sigma[L, R] are read once,
+    and each subset selects its entries of them.  With M = F' B+ from the
+    subset's rows [B | F], the gap is max|S[L, R]| of the Schur complement
+    over them, as M1 B M2' = F_L' B+ B B+ F_R = F_L' B+ F_R."""
     n_b, n_l = center.size, labels.l_bits.size
     bits = np.concatenate([center, labels.l_bits, labels.r_bits])
     rows = interaction_cov(pmf, center, bits)
     m = moments_from_pmf(pmf)
-    coef = _schur_parts(rows, rank_tol, _max_abs(m[0] - m[bits] * m[bits]))[2]
+    variances = m[0] - m[bits] * m[bits]
     lhs = interaction_cov(pmf, labels.l_bits, labels.r_bits)
-    m1, m2 = coef[:n_l], coef[n_l:]
-    # an empty center gives n_l x 0 and 0 x n_r factors, whose product is 0
-    rhs = m1 @ rows[:, :n_b] @ m2.T
-    gap = _max_abs(lhs - rhs)
-    return FactorizationWitness(ok=gap <= tol, m1=m1, m2=m2, lhs=lhs, rhs=rhs, gap=gap)
+    wings = np.arange(n_b, bits.size)
+    for chosen in [np.arange(n_b)] if subsets is None else subsets:
+        cols = np.concatenate([chosen, wings])
+        sub = rows[chosen[:, None], cols]
+        coef = _schur_parts(sub, rank_tol, _max_abs(variances[cols]))[2]
+        m1, m2 = coef[:n_l], coef[n_l:]
+        # an empty center gives n_l x 0 and 0 x n_r factors, whose product is 0
+        rhs = m1 @ sub[:, : chosen.size] @ m2.T
+        gap = _max_abs(lhs - rhs)
+        yield FactorizationWitness(ok=gap <= tol, m1=m1, m2=m2, lhs=lhs, rhs=rhs, gap=gap)
 
 
 def scan_markov_chain(
@@ -459,7 +472,8 @@ def subset_offblock(
         seen.add(mk.bits)
     _admit_sigma(pmf, part, len(subset))
     center = np.array([mk.bits for mk in subset], dtype=np.int64)
-    return _factorization_witness(pmf, build_index_sets(part), center, DEFAULT_TOL, rank_tol).gap
+    labels = build_index_sets(part)
+    return next(_factorization_witnesses(pmf, labels, center, DEFAULT_TOL, rank_tol)).gap
 
 
 @dataclass(frozen=True)
@@ -494,21 +508,18 @@ def search_subset_counterexamples(
     findings: List[SubsetFinding] = []
     for index, (pmf, part) in enumerate(cases):
         labels = build_index_sets(part)
-        center = labels.b_set
-        if len(center) < 2:
+        n_b = labels.b_bits.size
+        if n_b < 2:
             continue
         full = test_ci(pmf, part, tol)
-        for pattern in range(1, (1 << len(center)) - 1):
-            chosen = [i for i in range(len(center)) if (pattern >> i) & 1]
-            subset = tuple(center[i] for i in chosen)
-            # test_ci admitted the whole center, so no subset needs admitting
-            off = _factorization_witness(pmf, labels, labels.b_bits[chosen], tol, None).gap
-            if full.is_ci and off >= magnitude:
-                findings.append(
-                    SubsetFinding(index, subset, 2, off, full.max_offblock_s)
-                )
-            elif not full.is_ci and off <= tol:
-                findings.append(
-                    SubsetFinding(index, subset, 1, off, full.max_offblock_s)
-                )
+        direction = 2 if full.is_ci else 1
+        patterns = range(1, (1 << n_b) - 1)
+        subsets = (np.flatnonzero(pattern >> np.arange(n_b) & 1) for pattern in patterns)
+        # test_ci admitted the whole center, so no subset needs admitting
+        witnesses = _factorization_witnesses(pmf, labels, labels.b_bits, tol, None, subsets)
+        for pattern, witness in zip(patterns, witnesses):
+            off = witness.gap
+            if (off >= magnitude) if full.is_ci else (off <= tol):
+                subset = tuple(mk for i, mk in enumerate(labels.b_set) if pattern >> i & 1)
+                findings.append(SubsetFinding(index, subset, direction, off, full.max_offblock_s))
     return findings

@@ -362,11 +362,12 @@ def quantized_pmf(data, cfg: QuantConfig) -> Pmf:
     if isinstance(data, (GridSource, SmoothSource)):
         if cfg.dims != (1, 1, 1):
             raise ValueError("analytic sources are scalar: dims must be (1,1,1)")
-        table = data.joint_table(cfg.d)
-        return _pmf_from_table(table, cfg.d, meta={"generator": "quantized-source"})
+        # sign bits are the complemented cell number: each axis flips
+        table = data.joint_table(cfg.d)[::-1, ::-1, ::-1]
+        return Pmf(cfg.total_bits, table.reshape(-1), meta={"generator": "quantized-source"})
     arr = np.asarray(data, dtype=np.float64)
     n_coords = cfg.r + cfg.s + cfg.t
-    if arr.ndim != 2 or arr.shape[1] != n_coords:
+    if arr.ndim != 2 or arr.shape[1] != n_coords or not arr.shape[0]:
         raise ValueError(f"expected n x {n_coords} samples, got shape {arr.shape}")
     top = (1 << cfg.d) - 1
     cells = np.zeros(arr.shape[0], dtype=np.int64)
@@ -375,21 +376,6 @@ def quantized_pmf(data, cfg: QuantConfig) -> Pmf:
     counts = np.bincount(cells, minlength=1 << cfg.total_bits)
     meta = {"generator": "quantized-samples", "n": arr.shape[0], "d": cfg.d}
     return Pmf(cfg.total_bits, counts / arr.shape[0], meta=meta)
-
-
-def _pmf_from_table(table: np.ndarray, d: int, meta: dict) -> Pmf:
-    """Joint cell table (U,V,W) to a pmf over 3d sign bits."""
-    n = 1 << d
-    top = n - 1
-    comp = top ^ np.arange(n)
-    cell = (
-        (comp[:, None, None] << (2 * d))
-        | (comp[None, :, None] << d)
-        | comp[None, None, :]
-    )
-    probs = np.zeros(1 << (3 * d))
-    probs[cell.reshape(-1)] = table.reshape(-1)
-    return Pmf(3 * d, probs, meta=meta)
 
 
 def quantized_ci_scan(
@@ -467,7 +453,8 @@ def delta_curve(
     rect restricts events to single-atom rectangles; exact enumerates every
     event pair (feasible only for small atom counts); upper is the half-L1
     envelope, always valid.  The sup sits outside the expectation over the
-    conditioning cell in every tier.
+    conditioning cell in every tier.  Mode only picks the exact tier (exact;
+    auto within the atom cap): rect and upper both skip it, byte-equal CSVs.
     """
     if mode not in ("auto", "rect", "exact", "upper"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -2,13 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from begin import (
     Mask,
     Partition,
     Pmf,
+    SubsetFinding,
     assemble_sigma,
     belief_coefficients,
     build_graph,
@@ -494,11 +495,19 @@ def test_a_width_mismatch_is_refused_before_the_size_rule():
     pmf, part = make_generic_pmf(4, seed=1), Partition.coordinate_split(2, 20, 2)
     calls = (lambda: decide_ci(pmf, part), lambda: assemble_sigma(pmf, part),
              lambda: verify_block_factorization(pmf, part),
-             lambda: subset_offblock(pmf, part, part.b_gens[:1]))
+             lambda: subset_offblock(pmf, part, part.b_gens[:1]),
+             lambda: belief_coefficients(pmf, part, Mask(0b1000, 4)))
     message = r"^width mismatch: pmf width 4 != partition width 24$"
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_belief_coefficients_name_the_target_width_of_a_mismatch():
+    # once a bare "width mismatch"
+    pmf, part = ci_121()
+    with pytest.raises(ValueError, match=r"^width mismatch: target width 3 != pmf width 4$"):
+        belief_coefficients(pmf, part, Mask(0b100, 3))
 
 
 # A subset probe is the factorization gap over the subset's center masks, read
@@ -545,6 +554,61 @@ def test_the_whole_center_probe_is_the_verdicts_schur_offblock(case, rank_tol):
     bound = dense_schur_gap_bound(dense_sigma(pmf, part), len(center), rank_tol)
     verdict = decide_ci(pmf, part, rank_tol=rank_tol)
     assert abs(subset_offblock(pmf, part, center, rank_tol) - verdict.max_offblock_s) <= bound
+
+
+@st.composite
+def search_case(draw):
+    """A belief_case whose center has 2 to 7 masks, so at most 126 subsets."""
+    pmf, part = draw(belief_case())
+    assume(2 <= build_index_sets(part).b_bits.size <= 7)
+    return pmf, part
+
+
+@seed(26)
+@settings(max_examples=60, deadline=None)
+@given(case=search_case())
+@example(case=direction_one_case())
+@example(case=(make_ci_pmf(1, 2, 1, seed=1), Partition.coordinate_split(1, 2, 1)))
+@example(case=(make_generic_pmf(7, seed=4, zero_fraction=0.3), OVERLAP7))
+@example(case=(make_ci_pmf(1, 5, 1, seed=4, zero_prob=0.3), OVERLAP7))
+def test_search_findings_are_the_subset_probe_loop(case):
+    """Every finding, floats included, is what subset_offblock gives over the
+    same subset under the same rule, in subset order."""
+    pmf, part = case
+    full = decide_ci(pmf, part)
+    center = build_index_sets(part).b_set
+    expected = []
+    for pattern in range(1, (1 << len(center)) - 1):
+        subset = tuple(mk for i, mk in enumerate(center) if pattern >> i & 1)
+        off = subset_offblock(pmf, part, subset)
+        if full.is_ci and off >= 1e-2:
+            expected.append(SubsetFinding(0, subset, 2, off, full.max_offblock_s))
+        elif not full.is_ci and off <= 1e-8:
+            expected.append(SubsetFinding(0, subset, 1, off, full.max_offblock_s))
+    assert search_subset_counterexamples([case]) == expected
+
+
+def test_the_search_reads_each_case_once_whatever_its_subset_count(monkeypatch):
+    import begin.engine as engine_module
+
+    calls = []
+    for name in ("interaction_cov", "moments_from_pmf"):
+        def counted(*args, _name=name, _real=getattr(engine_module, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(engine_module, name, counted)
+    counts = []
+    # 6, 126, 6 and 6 proper center subsets; the third has overlapping wings
+    for case in ((make_generic_pmf(4, seed=2), Partition.coordinate_split(1, 2, 1)),
+                 (make_ci_pmf(1, 3, 1, seed=2), Partition.coordinate_split(1, 3, 1)),
+                 (make_generic_pmf(7, seed=4, zero_fraction=0.3), OVERLAP7),
+                 direction_one_case()):
+        calls.clear()
+        search_subset_counterexamples([case])
+        counts.append((calls.count("interaction_cov"), calls.count("moments_from_pmf")))
+    # the verdict's center rows and moments, then the probe's rows, corner and moments
+    assert counts == [(3, 2)] * 4
 
 
 @pytest.mark.parametrize("shape", [(2, 7, 2), (2, 8, 2)])

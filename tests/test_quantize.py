@@ -156,6 +156,40 @@ def test_quantized_pmf_input_validation():
         quantized_pmf(staircase_grid(), QuantConfig(d=1, r=2, s=1, t=1))
 
 
+def test_empty_samples_are_refused_at_the_boundary():
+    # they once divided by zero, then failed on nan probabilities
+    for cols in (1, 3):
+        cfg = QuantConfig(d=2, r=1, s=cols - 1, t=0)
+        with pytest.raises(ValueError, match=rf"^expected n x {cols} samples, got shape \(0, {cols}\)$"):
+            quantized_pmf(np.empty((0, cols)), cfg)
+
+
+def tilted_source():
+    rng = np.random.default_rng(5)
+    return SmoothSource(
+        v_depth=2,
+        v_probs=[0.125, 0.375, 0.25, 0.25],
+        u_mean=rng.uniform(-0.5, 0.5, size=(4, 2)),
+        w_mean=rng.uniform(-0.5, 0.5, size=(4, 2)),
+    )
+
+
+@pytest.mark.parametrize("source", [staircase_grid(), tilted_source()], ids=["grid", "smooth"])
+def test_source_pmf_cells_decode_to_their_joint_table_cells(source):
+    """Each coordinate's d sign bits, the first most significant and a 1 bit
+    meaning -1, expand to its cell center sum_j s_j 2^-j; the pmf's cell
+    holds the joint table's mass at the three centers' cells."""
+    for d in range(1, 6):
+        pmf = quantized_pmf(source, QuantConfig(d=d, r=1, s=1, t=1))
+        cells = np.arange(1 << (3 * d))
+        places = 2.0 ** -np.arange(1, d + 1)
+        index = []
+        for shift in (2 * d, d, 0):
+            bits = (cells[:, None] >> (shift + np.arange(d - 1, -1, -1))) & 1
+            index.append(quantize_index((1 - 2 * bits) @ places, d))
+        assert pmf.probs.tobytes() == source.joint_table(d)[tuple(index)].tobytes()
+
+
 def test_grid_source_pmf_is_exactly_dyadic():
     pmf = quantized_pmf(staircase_grid(), QuantConfig(d=1, r=1, s=1, t=1))
     scaled = pmf.probs * 256
@@ -355,6 +389,8 @@ def test_delta_modes_and_caps():
     rect_only = delta_curve(src, [1, 2], mode="rect")
     assert all(pt.delta_exact is None for pt in rect_only.points)
     assert rect_only.mode == "rect"
+    # rect and upper both skip the exact tier and report the same table
+    assert delta_curve(src, [1, 2], mode="upper").to_csv() == rect_only.to_csv()
     with pytest.raises(ValueError):
         delta_curve(src, [5], mode="exact")
     with pytest.raises(ValueError):
