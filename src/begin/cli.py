@@ -177,7 +177,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
         part = partition_from_json(fh.read())
     pmf = _read_pmf(args.input)
     sp = assemble_sigma(pmf, part)
-    # S+ is dropped once Omega holds it, before the graph is built
+    # S+ is gathered once, into Omega's wing corner, and the graph keeps
+    # Omega uncopied until the export reads its edges
     g = build_graph(sb_inverse(sp, schur_complement(sp, args.rank_tol)), sp.labels, args.tol)
     fmt = args.format
     if fmt is None:

@@ -280,7 +280,7 @@ def test_ci(
     sr = schur_complement(sp, rank_tol)
     rank_b = sr.rank_b
     omega = sb_inverse(sp, sr)
-    del sr  # S+ lives on as Omega's wing corner; the graph needs only Omega
+    del sr  # its M and B+ are not read past Omega, which holds the only S+
 
     n_b, n_l = sp.n_b, sp.n_l
     max_omega = _max_abs(omega[n_b : n_b + n_l, n_b + n_l :])
@@ -293,6 +293,7 @@ def test_ci(
     # S[L, R] holds 2^-s fwht_b(corners) at (beta_i ^ beta_j, alpha_i,
     # alpha_j), and every (beta, alpha) of a wing occurs in it
     max_s = _max_abs(fwht(corners * (1.0 / len(corners))))
+    # the graph keeps Omega uncopied and answers from its L x R block
     separated = separates(build_graph(omega, sp.labels, tol))
     criteria = {
         "belief": belief_residual <= tol,

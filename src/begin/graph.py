@@ -124,12 +124,14 @@ class BeginGraph:
 
     nodes may be given as any iterable of GraphNodes and edges as any
     iterable of (i, j, weight) triples; they are stored as a tuple and an
-    EdgeList.  codes holds each node's wing as its index in "BLR" (int8),
-    all a verdict reads: a graph that build_graph made labels its nodes
-    only when they are first read.
+    EdgeList.  codes holds each node's wing as its index in "BLR" (int8).
+    A graph that build_graph made holds the read-only block inverse instead
+    of edges and labels: separates reads the block inverse, all a verdict
+    needs, and nodes and edges are formed when first read, the block
+    inverse dropped once the edges exist.
     """
 
-    __slots__ = ("codes", "edges", "tol", "_labels", "_nodes")
+    __slots__ = ("codes", "tol", "_edges", "_omega", "_labels", "_nodes")
 
     def __init__(self, nodes: Iterable[GraphNode], edges: Iterable[Edge], tol: float) -> None:
         _require_tolerance("tol", tol)
@@ -150,22 +152,23 @@ class BeginGraph:
             if not finite[k]:
                 raise ValueError(f"edge ({i},{j}) weight {w} is not finite")
             raise ValueError(f"edge ({i},{j}) weight {w} inside tolerance")
-        self._set(codes, edges, tol, None, nodes)
+        self._set(codes, tol, edges, None, None, nodes)
 
     @classmethod
-    def _adopt(cls, labels: IndexSets, edges: EdgeList, tol: float) -> "BeginGraph":
+    def _adopt(cls, labels: IndexSets, omega: np.ndarray, tol: float) -> "BeginGraph":
         """A graph over the center, left and right wing masks of labels, in
-        order, with edges and a tolerance the caller made valid together, as
-        build_graph does: they are not checked again."""
+        order, thresholding omega, a read-only n x n float64 array that no
+        caller writes, at a valid tol, as build_graph makes them."""
         out = cls.__new__(cls)
         counts = (labels.b_bits.size, labels.l_bits.size, labels.r_bits.size)
-        out._set(np.repeat(_WING_CODES, counts), edges, tol, labels, None)
+        out._set(np.repeat(_WING_CODES, counts), tol, None, omega, labels, None)
         return out
 
-    def _set(self, codes: np.ndarray, edges: EdgeList, tol: float,
-             labels: Optional[IndexSets], nodes: Optional[Tuple[GraphNode, ...]]) -> None:
+    def _set(self, codes: np.ndarray, tol: float, edges: Optional[EdgeList],
+             omega: Optional[np.ndarray], labels: Optional[IndexSets],
+             nodes: Optional[Tuple[GraphNode, ...]]) -> None:
         codes.flags.writeable = False
-        for name, value in zip(self.__slots__, (codes, edges, tol, labels, nodes)):
+        for name, value in zip(self.__slots__, (codes, tol, edges, omega, labels, nodes)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -176,6 +179,13 @@ class BeginGraph:
         if self._nodes is None:
             object.__setattr__(self, "_nodes", _labelled_nodes(self._labels))
         return self._nodes
+
+    @property
+    def edges(self) -> EdgeList:
+        if self._edges is None:
+            object.__setattr__(self, "_edges", _threshold(self._omega, self.tol))
+            object.__setattr__(self, "_omega", None)
+        return self._edges
 
     def _key(self) -> Tuple[Tuple[GraphNode, ...], EdgeList, float]:
         return self.nodes, self.edges, self.tol
@@ -238,13 +248,34 @@ def _labelled_nodes(labels: IndexSets) -> Tuple[GraphNode, ...]:
     return tuple(nodes)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr itself when it is read-only and owns its memory, else a read-only
+    copy, so that no caller can write the array kept."""
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 def build_graph(omega: np.ndarray, labels: IndexSets, tol: float) -> BeginGraph:
-    """Threshold the n x n block inverse into an undirected wing-labeled graph."""
+    """The undirected wing-labeled graph of the n x n block inverse at tol.
+
+    The graph keeps omega, not its edges (see BeginGraph): a read-only
+    float64 omega that owns its memory (sb_inverse's) as is, any other as a
+    read-only copy.
+    """
     _require_tolerance("tol", tol)
     n = labels.b_bits.size + labels.l_bits.size + labels.r_bits.size
     mat = np.asarray(omega, dtype=np.float64)
     if mat.shape != (n, n):
         raise ValueError(f"omega shape {mat.shape} does not match {n} labeled masks")
+    return BeginGraph._adopt(labels, _frozen(mat), tol)
+
+
+def _threshold(mat: np.ndarray, tol: float) -> EdgeList:
+    """The edges of an n x n matrix: its strict upper triangle's entries
+    with |entry| > tol, in row-major order."""
+    n = mat.shape[0]
     # |entry| > tol over the strict upper triangle, with no |omega| temporary
     upper = mat > tol
     upper |= mat < -tol
@@ -256,8 +287,7 @@ def build_graph(omega: np.ndarray, labels: IndexSets, tol: float) -> BeginGraph:
     weights = mat.ravel()[flat]
     rows = np.empty_like(flat)
     np.divmod(flat, n, out=(rows, flat))  # flat becomes the column array
-    edges = EdgeList._adopt(rows, flat, weights)
-    return BeginGraph._adopt(labels, edges, tol)
+    return EdgeList._adopt(rows, flat, weights)
 
 
 def separates(g: BeginGraph) -> bool:
@@ -265,8 +295,16 @@ def separates(g: BeginGraph) -> bool:
 
     Every node outside the center lies on a wing, so a path from the left
     wing to the right one that avoids the center must cross a left-right
-    edge somewhere; separation is the absence of such an edge.
+    edge somewhere; separation is the absence of such an edge.  A graph
+    that still holds its block inverse answers from the inverse's L x R
+    block, the only entries a left-right edge can come from; any other
+    reads its edges' wing codes.
     """
+    if g._omega is not None:
+        lo = g._labels.b_bits.size
+        hi = lo + g._labels.l_bits.size
+        corner = g._omega[lo:hi, hi:]
+        return not ((corner > g.tol).any() or (corner < -g.tol).any())
     codes = g.codes
     # B, L, R are codes 0, 1, 2: only a left-right edge XORs to 3
     return not ((codes[g.edges.rows] ^ codes[g.edges.cols]) == 3).any()

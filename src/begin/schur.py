@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bitgroup import IndexSets
-from .graph import _require_rank_tol
+from .graph import _frozen, _require_rank_tol
 from .hadamard import fwht
 
 __all__ = [
@@ -158,8 +158,8 @@ class CenterBlocks:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "vectors", vecs)
 
-    def schur(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, int]:
-        """The pseudoinverse of S in wing order, and the rank of S.
+    def pinv_table(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, int]:
+        """S+ as a flat table that gather reads in wing order, and the rank of S.
 
         S is 2^-s fwht_b(stack) read at (beta_i ^ beta_j, alpha_i, alpha_j).
         For S+ the top rank[b] eigenvalues of each block are inverted and
@@ -182,17 +182,33 @@ class CenterBlocks:
         table = np.zeros((configs, k_pad, k_pad))
         # scaled by 2^-s in exact power-of-two products
         table[:, :k, :k] = fwht((pinv + pinv.transpose(0, 2, 1)) * (0.5 / configs))
-        table = table.reshape(-1)
+        return table.reshape(-1), int(keep.sum())
+
+    def gather(self, table: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The n_w x n_w matrix in wing order that a pinv_table table holds,
+        written into out when given."""
+        k_pad = 1 << (self.values.shape[1] - 1).bit_length()
         high = self.beta.astype(np.int64) * (k_pad * k_pad)
         u, v = high + self.alpha * k_pad, high + self.alpha
-        # gathered a chunk of rows at a time: no n_w x n_w index is formed
-        s_pinv = np.empty((u.size, u.size))
+        if out is None:
+            out = np.empty((u.size, u.size))
+        # gathered a chunk of rows at a time into one contiguous buffer: no
+        # n_w x n_w index is formed, and no chunk of a strided out (Omega's
+        # corner) is copied in and back by np.take
+        buf = np.empty((min(_GATHER_ROWS, u.size), u.size))
         for start in range(0, u.size, _GATHER_ROWS):
             rows = slice(start, start + _GATHER_ROWS)
+            chunk = buf[: u[rows].size]
             # every index lies in the table, so "clip" only skips the
             # buffered bounds check of the default mode
-            np.take(table, np.bitwise_xor.outer(u[rows], v), out=s_pinv[rows], mode="clip")
-        return s_pinv, int(keep.sum())
+            np.take(table, np.bitwise_xor.outer(u[rows], v), out=chunk, mode="clip")
+            out[rows] = chunk
+        return out
+
+    def schur(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, int]:
+        """The pseudoinverse of S in wing order, and the rank of S."""
+        table, rank = self.pinv_table(rank_tol)
+        return self.gather(table), rank
 
 
 @dataclass(frozen=True)
@@ -223,10 +239,7 @@ class SigmaPartition:
             )
         _require_finite(arr)
         _require_symmetric(arr[:, :n_b], tol=1e-12)
-        if arr.flags.writeable or arr.base is not None:
-            arr = arr.copy()
-            arr.flags.writeable = False
-        object.__setattr__(self, "sigma", arr)
+        object.__setattr__(self, "sigma", _frozen(arr))
         if self.blocks.beta.shape != (n - n_b,):
             raise ValueError("center blocks do not index the wings of sigma")
 
@@ -252,12 +265,16 @@ class SigmaPartition:
 class SchurResult:
     """Generalized Schur complement of the center block, plus row-space data.
 
-    s_pinv and rank_s come from the center blocks (CenterBlocks.schur);
-    b_pinv, rank_b, the row-space coefficients m = F' B+ and residual come
-    from the center rows.  rank_tol is the cutoff they were formed with, if any.
+    S+ is not held: s_table is its flat table from the center blocks
+    (CenterBlocks.pinv_table), and s_pinv gathers it in wing order when
+    read; sb_inverse gathers it straight into Omega's wing corner.  rank_s
+    comes from the blocks too; b_pinv, rank_b, the row-space coefficients
+    m = F' B+ and residual come from the center rows.  rank_tol is the
+    cutoff they were formed with, if any.
     """
 
-    s_pinv: np.ndarray
+    blocks: CenterBlocks = field(repr=False, compare=False)
+    s_table: np.ndarray
     m: np.ndarray
     rank_b: int
     residual: float
@@ -265,49 +282,58 @@ class SchurResult:
     b_pinv: np.ndarray
     rank_tol: Optional[float] = None
 
+    @property
+    def s_pinv(self) -> np.ndarray:
+        """S+ in wing order, bit for bit Omega's wing corner."""
+        return self.blocks.gather(self.s_table)
+
 
 def _schur_parts(
     rows: np.ndarray, rank_tol: Optional[float], anchor: float
-) -> Tuple[np.ndarray, int, np.ndarray, float]:
-    """B+, rank(B), M = F' B+ and the row-space residual max |F' - M B| of
-    a covariance given by its center rows [B | F].
+) -> Tuple[np.ndarray, int, np.ndarray]:
+    """B+, rank(B) and M = F' B+ of a covariance given by its center rows [B | F].
 
     The default rank cutoff for B is anchored to the covariance's max|entry|.
     """
     n_b = rows.shape[0]
-    b = rows[:, :n_b]
-    f = rows[:, n_b:]
-    b_pinv, rank_b = _pinv_eigh(b, rank_tol, anchor)
-    m = f.T @ b_pinv
-    gap = m @ b
-    np.subtract(f.T, gap, out=gap)
-    return b_pinv, rank_b, m, _max_abs(gap)
+    b_pinv, rank_b = _pinv_eigh(rows[:, :n_b], rank_tol, anchor)
+    return b_pinv, rank_b, rows[:, n_b:].T @ b_pinv
+
+
+def _row_space_residual(rows: np.ndarray, m: np.ndarray) -> float:
+    """max |F' - M B| over the center rows [B | F]."""
+    n_b = rows.shape[0]
+    gap = m @ rows[:, :n_b]
+    np.subtract(rows[:, n_b:].T, gap, out=gap)
+    return _max_abs(gap)
 
 
 def schur_complement(
     sp: SigmaPartition, rank_tol: Optional[float] = None
 ) -> SchurResult:
-    """S+ for S = D - F' B+ F over the wings, with the row-space coefficients M.
+    """S = D - F' B+ F over the wings, as the table of S+, with the row-space
+    coefficients M.
 
     residual = max |sigma[wings, center] - M @ B|, which vanishes for any
     covariance because wing rows lie in the row space of the center block.
 
-    S+ and rank(S) come from the center blocks (CenterBlocks.schur): the
-    structural rank of each block, and with rank_tol also the cutoff
-    rank_tol * max|eigenvalue of S|.  No dense D - F' B+ F is formed: it
-    goes through B+, so its rounding grows with the condition number of B,
-    and it cancels entries at the scale of sigma, so its small eigenvalues
-    carry no usable scale information.  rank_tol also thresholds B; a
-    negative or non-finite one is refused.
+    S+ and rank(S) come from the center blocks (CenterBlocks.pinv_table):
+    the structural rank of each block, and with rank_tol also the cutoff
+    rank_tol * max|eigenvalue of S|.  No n_w x n_w array is formed, and no
+    dense D - F' B+ F: it goes through B+, so its rounding grows with the
+    condition number of B, and it cancels entries at the scale of sigma, so
+    its small eigenvalues carry no usable scale information.  rank_tol also
+    thresholds B; a negative or non-finite one is refused.
     """
     _require_rank_tol(rank_tol)
-    b_pinv, rank_b, m, residual = _schur_parts(sp.sigma, rank_tol, sp.scale)
-    s_pinv, rank_s = sp.blocks.schur(rank_tol)
+    b_pinv, rank_b, m = _schur_parts(sp.sigma, rank_tol, sp.scale)
+    s_table, rank_s = sp.blocks.pinv_table(rank_tol)
     return SchurResult(
-        s_pinv=s_pinv,
+        blocks=sp.blocks,
+        s_table=s_table,
         m=m,
         rank_b=rank_b,
-        residual=residual,
+        residual=_row_space_residual(sp.sigma, m),
         rank_s=rank_s,
         b_pinv=b_pinv,
         rank_tol=rank_tol,
@@ -316,10 +342,11 @@ def schur_complement(
 
 def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> np.ndarray:
     """The n x n block generalized inverse Omega over (center, left wing,
-    right wing), assembled from the Schur complement.
+    right wing), assembled from the Schur complement, read-only.
 
-    The wing corner is sr.s_pinv assigned directly (bit-for-bit); the whole
-    matrix is symmetric by construction, not by post-hoc symmetrization.
+    S+ is gathered once, straight into the wing corner (bit for bit
+    sr.s_pinv), and the center rows are formed from it; the whole matrix
+    is symmetric by construction, not by post-hoc symmetrization.
     """
     if sr.residual > _RESIDUAL_TOL:
         # center characters span the functions on positive-mass configurations
@@ -328,14 +355,16 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> np.ndarray:
             f"support gives {int((sp.blocks.mass > 0.0).sum()) - 1}")
         raise ValueError(f"row-space residual {sr.residual} exceeds {_RESIDUAL_TOL}; {cause}")
     n_b = sp.n_b
-    n_w = sp.n_l + sp.n_r
-    omega = np.zeros((n_b + n_w, n_b + n_w))
+    n = n_b + sp.n_l + sp.n_r
+    # every entry is written below
+    omega = np.empty((n, n))
+    s_pinv = sr.blocks.gather(sr.s_table, out=omega[n_b:, n_b:])
     if n_b:
         k = sr.b_pinv @ sp.f_block
-        g = k @ sr.s_pinv
+        g = k @ s_pinv
         corner = g @ k.T
         np.add(sr.b_pinv, _symmetrize(corner), out=omega[:n_b, :n_b])
         np.negative(g, out=omega[:n_b, n_b:])
         omega[n_b:, :n_b] = omega[:n_b, n_b:].T
-    omega[n_b:, n_b:] = sr.s_pinv
+    omega.flags.writeable = False
     return omega

@@ -38,8 +38,12 @@ The GF(2) elimination before it was one incremental reduced-echelon pass:
 reference_echelon_basis stacked the vectors in echelon form and then
 cleared each pivot column from the other rows, and reference_span_intersect
 eliminated the Zassenhaus rows inline and reduced their low halves again.
+
+reference_edges and reference_separates are the per-entry threshold loop
+and the adjacency-list BFS that build_graph and separates replaced.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -506,3 +510,36 @@ def reference_span_intersect(u: MaskSpan, v: MaskSpan) -> MaskSpan:
                 break
     low = [r & ((1 << w) - 1) for p, r in basis.items() if p < w]
     return MaskSpan(tuple(Mask(b, w) for b in reference_echelon_basis(low)), w)
+
+
+def reference_edges(mat, tol):
+    n = mat.shape[0]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = float(mat[i, j])
+            if abs(w) > tol:
+                edges.append((i, j, w))
+    return tuple(edges)
+
+
+def reference_separates(nodes, edges):
+    adj = [[] for _ in nodes]
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    blocked = [nd.wing == "B" for nd in nodes]
+    seen = [False] * len(nodes)
+    queue = deque(i for i, nd in enumerate(nodes) if nd.wing == "L")
+    for i in queue:
+        seen[i] = True
+    while queue:
+        i = queue.popleft()
+        for j in adj[i]:
+            if blocked[j] or seen[j]:
+                continue
+            if nodes[j].wing == "R":
+                return False
+            seen[j] = True
+            queue.append(j)
+    return True

@@ -19,6 +19,7 @@ from begin import (
     Pmf,
     SmoothSource,
     assemble_sigma,
+    build_graph,
     delta_curve,
     fwht,
     interaction_cov,
@@ -37,6 +38,7 @@ from begin import (
     sb_inverse,
     scan_markov_chain,
     schur_complement,
+    separates,
     write_pmf_csv,
 )
 from begin.cli import main as cli_main
@@ -44,7 +46,13 @@ from begin.distribution import _dyadic_probs
 from begin.engine import test_ci as decide_ci
 
 from conftest import naive_wht, random_chain_pmf
-from dense_reference import block_s, dense_sigma, sigma_residual
+from dense_reference import (
+    block_s,
+    dense_sigma,
+    reference_edges,
+    reference_separates,
+    sigma_residual,
+)
 
 TOL = 1e-8
 SHAPES = [
@@ -163,6 +171,16 @@ def test_block_inverse_identities_on_corpus(corpus):
         if sr.rank_b < sp.n_b or sr.rank_s < sp.n_l + sp.n_r:
             saw_singular = True
     assert saw_singular
+
+
+def test_separation_reads_the_same_off_omega_as_off_its_edges(corpus):
+    for rec in corpus:
+        g = build_graph(rec["om"], rec["sp"].labels, TOL)
+        from_omega = separates(g)
+        ref = reference_edges(rec["om"], TOL)
+        assert g.edges == ref
+        assert separates(g) == from_omega == reference_separates(g.nodes, ref)
+        assert from_omega == rec["verdict"].criteria["separation"]
 
 
 def test_wing_rows_lie_in_center_row_space(corpus):

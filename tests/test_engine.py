@@ -12,15 +12,12 @@ from begin import (
     SubsetFinding,
     assemble_sigma,
     belief_coefficients,
-    build_graph,
     build_index_sets,
     fwht,
     interaction_cov,
     make_ci_pmf,
     make_generic_pmf,
-    sb_inverse,
     scan_markov_chain,
-    schur_complement,
     search_subset_counterexamples,
     subset_offblock,
     verify_block_factorization,
@@ -946,20 +943,17 @@ def test_subset_search_refuses_a_bad_magnitude_before_reading_a_case(bad):
 
 @pytest.mark.parametrize("kind", ["ci", "generic"])
 @pytest.mark.parametrize("shape", [(3, 5, 3), (2, 7, 2)])
-def test_a_dense_verdict_holds_little_beyond_omega_and_its_edges(shape, kind):
-    """A verdict's traced peak stays within 1.3 times what Omega (8 n^2
-    bytes) and its edge arrays (24 bytes an edge) take: S+ is freed once
-    Omega holds it, and no n_w x n_w gather index, extra n x n mask or
-    second flat edge index is formed."""
+def test_a_dense_verdict_holds_little_beyond_omega(shape, kind):
+    """A verdict's traced peak stays within 1.7 times what Omega takes
+    (8 n^2 bytes): S+ is gathered once, into Omega's wing corner, the graph
+    keeps Omega uncopied and reads separation off its L x R block, and no
+    edge array, n_w x n_w gather index or extra n x n mask is formed."""
     part = Partition.coordinate_split(*shape)
     if kind == "ci":
         pmf = make_ci_pmf(*shape, seed=7, zero_prob=0.3)
     else:
         pmf = make_generic_pmf(sum(shape), seed=7, zero_fraction=0.3)
-    sp = assemble_sigma(pmf, part)
-    omega = sb_inverse(sp, schur_complement(sp))
-    n, edges = omega.shape[0], len(build_graph(omega, sp.labels, 1e-8).edges)
-    del sp, omega
+    n = len(build_index_sets(part).all_masks())
     decide_ci(pmf, part)
     tracemalloc.start()
     try:
@@ -969,4 +963,20 @@ def test_a_dense_verdict_holds_little_beyond_omega_and_its_edges(shape, kind):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * (8 * n * n + 24 * edges)
+    assert peak <= 1.7 * 8 * n * n
+
+
+def test_probes_form_no_row_space_residual(monkeypatch):
+    import begin.schur as schur_module
+
+    def refuse(*args):
+        raise AssertionError("row-space residual formed")
+
+    pmf, part = ci_121()
+    subset = build_index_sets(part).b_set[:1]
+    expected = (verify_block_factorization(pmf, part).gap, subset_offblock(pmf, part, subset))
+    monkeypatch.setattr(schur_module, "_row_space_residual", refuse)
+    assert (verify_block_factorization(pmf, part).gap, subset_offblock(pmf, part, subset)) == expected
+    # a verdict still checks the row space
+    with pytest.raises(AssertionError, match="row-space residual formed"):
+        decide_ci(pmf, part)

@@ -1,5 +1,4 @@
 import json
-from collections import deque
 
 import numpy as np
 import pytest
@@ -26,6 +25,8 @@ from begin import (
 )
 from begin import test_ci as decide_ci
 from begin._textrows import CHUNK_ROWS
+
+from dense_reference import reference_edges, reference_separates
 
 
 def graph_of(pmf, part, tol=1e-8):
@@ -244,42 +245,9 @@ def test_build_graph_refuses_an_omega_of_the_wrong_shape_and_takes_a_nested_list
         build_graph(nested[:-1], sp.labels, 1e-8)
 
 
-# References for the array-backed graph: the per-entry threshold loop and
-# adjacency-list BFS that build_graph and separates replaced, and the
-# exporters as written for a plain tuple of (i, j, weight) triples.
-
-
-def reference_edges(mat, tol):
-    n = mat.shape[0]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = float(mat[i, j])
-            if abs(w) > tol:
-                edges.append((i, j, w))
-    return tuple(edges)
-
-
-def reference_separates(nodes, edges):
-    adj = [[] for _ in nodes]
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    blocked = [nd.wing == "B" for nd in nodes]
-    seen = [False] * len(nodes)
-    queue = deque(i for i, nd in enumerate(nodes) if nd.wing == "L")
-    for i in queue:
-        seen[i] = True
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if blocked[j] or seen[j]:
-                continue
-            if nodes[j].wing == "R":
-                return False
-            seen[j] = True
-            queue.append(j)
-    return True
+# References for the array-backed graph: the exporters as written for a
+# plain tuple of (i, j, weight) triples (the threshold loop and BFS that
+# build_graph and separates replaced are in dense_reference).
 
 
 def reference_dot(nodes, edges):
@@ -490,11 +458,48 @@ def test_separation_edge_cases_match_reference():
 
 
 def test_overlapping_wing_partitions_match_reference():
-    for k in range(12):
-        om, g = case_graph(OVERLAP_PART, "generic", 600 + k)
+    fixed = [(OVERLAP_PART, make_generic_pmf(3, seed=600 + k)) for k in range(12)]
+    answers = set()
+    for part, pmf in fixed + overlapping_parity_cases():
+        sp = assemble_sigma(pmf, part)
+        om = sb_inverse(sp, schur_complement(sp))
+        g = build_graph(om, sp.labels, 1e-8)
+        # read off Omega's L x R block, before the edges are formed
+        from_omega = separates(g)
         ref = reference_edges(om, g.tol)
         assert g.edges == ref
-        assert separates(g) == reference_separates(g.nodes, ref)
+        assert separates(g) == from_omega == reference_separates(g.nodes, ref)
+        assert decide_ci(pmf, part).criteria["separation"] == from_omega
+        answers.add(from_omega)
+    assert answers == {True, False}
+
+
+def overlapping_parity_cases(count=60):
+    """Seeded parity partitions whose wings share masks, with a generic, a
+    coordinate-split ci or a uniform pmf in turn."""
+    rng = np.random.default_rng(26)
+    cases = []
+    while len(cases) < count:
+        p = int(rng.integers(3, 7))
+        gens = [
+            tuple(Mask(int(rng.integers(1, 1 << p)), p) for _ in range(int(rng.integers(lo, 3))))
+            for lo in (1, 0, 1)
+        ]
+        try:
+            part = Partition(p, *gens)
+        except ValueError:
+            continue
+        if not build_index_sets(part).overlap:
+            continue
+        kind = len(cases) % 3
+        if kind == 0:
+            pmf = make_generic_pmf(p, seed=len(cases), zero_fraction=0.3)
+        elif kind == 1:
+            pmf = make_ci_pmf(1, p - 2, 1, seed=len(cases), zero_prob=0.3)
+        else:
+            pmf = Pmf(p, np.full(1 << p, 1.0 / (1 << p)))
+        cases.append((part, pmf))
+    return cases
 
 
 def eager_nodes(labels):
@@ -768,3 +773,46 @@ def test_build_graph_skips_the_public_edge_checks(monkeypatch):
     monkeypatch.setattr(BeginGraph, "__init__", refuse)
     g = build_graph(om, sp.labels, 1e-8)
     assert g == public and g.tol == 1e-8
+
+
+# A graph that build_graph made holds Omega: separates reads its L x R
+# block, and the edges are formed on first read.
+
+
+def test_writing_omega_after_build_graph_does_not_change_the_graph():
+    part = Partition.coordinate_split(1, 1, 1)
+    labels = build_index_sets(part)
+    om, _ = case_graph(part, "generic", 4)
+    ref = reference_edges(om, 1e-8)
+    assert ref and not reference_separates(eager_nodes(labels), ref)
+    # sb_inverse's read-only Omega is kept as is, anything else is copied
+    assert build_graph(om, labels, 1e-8)._omega is om
+    mat = om.copy()
+    view = mat[:]
+    view.flags.writeable = False
+    graphs = [build_graph(m, labels, 1e-8) for m in (mat, mat, view, view)]
+    mat[...] = 0.0
+    for g in graphs[::2]:
+        assert not separates(g)
+    for g in graphs:
+        assert g.edges == ref and not separates(g)
+
+
+def test_verdicts_form_no_edge_list(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("edge list formed")
+
+    monkeypatch.setattr(EdgeList, "_adopt", refuse)
+    part = Partition.coordinate_split(2, 2, 1)
+    cases = [
+        (make_ci_pmf(2, 2, 1, seed=4), part, True),
+        (make_generic_pmf(5, seed=4), part, False),
+        (make_generic_pmf(3, seed=9), OVERLAP_PART, False),
+        (make_generic_pmf(8, seed=21), Partition.coordinate_split(1, 6, 1), False),
+    ]
+    for pmf, case_part, separated in cases:
+        assert decide_ci(pmf, case_part).criteria["separation"] == separated
+    g = graph_of(make_generic_pmf(5, seed=4), part)
+    assert not separates(g)
+    with pytest.raises(AssertionError, match="edge list formed"):
+        g.edges

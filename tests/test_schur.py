@@ -221,7 +221,8 @@ def test_block_inverse_rejects_broken_rowspace(halves_pmf, split111):
     sp = assemble_sigma(halves_pmf, split111)
     sr = schur_complement(sp)
     broken = SchurResult(
-        s_pinv=sr.s_pinv,
+        blocks=sr.blocks,
+        s_table=sr.s_table,
         m=sr.m,
         rank_b=sr.rank_b,
         residual=1.0,
@@ -541,6 +542,11 @@ def test_s_pinv_gather_is_bitwise_the_whole_index_formula(rank_tol):
         ref, ref_rank = reference_center_schur(sp.blocks, rank_tol)
         assert rank == ref_rank
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        # sb_inverse gathers the same bits, once, into Omega's wing corner
+        sr = schur_complement(sp, rank_tol)
+        om = sb_inverse(sp, sr)
+        assert om[sp.n_b :, sp.n_b :].tobytes() == got.tobytes() == sr.s_pinv.tobytes()
+        assert not om.flags.writeable
         ks.add(sp.blocks.values.shape[1])
         wings.add(got.shape[0])
         overlapping += bool(sp.labels.overlap_count)
