@@ -86,6 +86,7 @@ from .quantize import (
     source_from_json,
 )
 from .schur import (
+    BlockInverse,
     CenterBlocks,
     SchurResult,
     SigmaPartition,

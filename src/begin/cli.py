@@ -29,10 +29,10 @@ from .distribution import (
     write_pmf_csv,
 )
 from .engine import assemble_sigma, test_ci
-from .graph import _require_tolerance, build_graph, export_graph
+from .graph import build_graph, export_graph
 from .hadamard import fwht, prism
 from .quantize import delta_curve, quantized_ci_scan, source_from_json
-from .schur import pinv_sym, sb_inverse, schur_complement
+from .schur import _require_tolerance, pinv_sym, sb_inverse, schur_complement
 
 __all__ = ["main"]
 
@@ -177,8 +177,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
         part = partition_from_json(fh.read())
     pmf = _read_pmf(args.input)
     sp = assemble_sigma(pmf, part)
-    # S+ is gathered once, into Omega's wing corner, and the graph keeps
-    # Omega uncopied until the export reads its edges
+    # the graph keeps the block inverse uncopied; the export reads its
+    # edges, which form Omega once
     g = build_graph(sb_inverse(sp, schur_complement(sp, args.rank_tol)), sp.labels, args.tol)
     fmt = args.format
     if fmt is None:

@@ -4,7 +4,9 @@ Assembles the covariance of the interaction features ordered (center, left
 wing, right wing), then decides CI four ways: vanishing wing off-block of the
 generalized Schur complement, block factorization of the cross-covariance,
 conditional-expectation tables, and graph separation on the block inverse.
-The four must agree; the Schur off-block is the primary verdict.
+The four must agree; the Schur off-block is the primary verdict.  A verdict
+holds the block inverse by its blocks and reads its L x R block off the
+table of S+, so it forms no n x n array.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ import numpy as np
 
 from .bitgroup import IndexSets, Mask, Partition, _admit, build_index_sets, span_generate
 from .distribution import Pmf, interaction_cov, moments_from_pmf
-from .graph import _require_rank_tol, _require_tolerance, build_graph, separates
+from .graph import build_graph, separates
 from .hadamard import fwht
 from .schur import (
     CenterBlocks,
     SigmaPartition,
     _max_abs,
+    _require_rank_tol,
+    _require_tolerance,
     _schur_parts,
     sb_inverse,
     schur_complement,
@@ -269,8 +273,10 @@ def test_ci(
 
     The primary verdict thresholds the wing off-block of the generalized
     Schur complement; the other three criteria are computed as cross-checks
-    and reported in the criteria map.  A negative or non-finite tol or
-    rank_tol is refused, and so is a sigma past the byte limit.
+    and reported in the criteria map.  max|Omega[L, R]| and graph separation
+    are read off the offblock() of sb_inverse's BlockInverse, so no n x n
+    Omega is formed.  A negative or non-finite tol or rank_tol is refused,
+    and so is a sigma past the byte limit.
     """
     _require_tolerance("tol", tol)
     _require_rank_tol(rank_tol)
@@ -278,12 +284,10 @@ def test_ci(
     joint = _wing_table(pmf, part)
     sp = assemble_sigma(pmf, part, joint)
     sr = schur_complement(sp, rank_tol)
-    rank_b = sr.rank_b
-    omega = sb_inverse(sp, sr)
-    del sr  # its M and B+ are not read past Omega, which holds the only S+
-
-    n_b, n_l = sp.n_b, sp.n_l
-    max_omega = _max_abs(omega[n_b : n_b + n_l, n_b + n_l :])
+    # Omega held by its blocks, B+ and S+'s table: no n x n array is formed
+    inverse = sb_inverse(sp, sr)
+    # Omega[L, R]'s entries are the left-right corner of S+'s table
+    max_omega = _max_abs(inverse.offblock())
     belief_residual = _belief_residual(joint, part)
     # sigma[L, R] factors through the center exactly when every center
     # configuration's block has a zero (left, right complement) corner
@@ -293,8 +297,8 @@ def test_ci(
     # S[L, R] holds 2^-s fwht_b(corners) at (beta_i ^ beta_j, alpha_i,
     # alpha_j), and every (beta, alpha) of a wing occurs in it
     max_s = _max_abs(fwht(corners * (1.0 / len(corners))))
-    # the graph keeps Omega uncopied and answers from its L x R block
-    separated = separates(build_graph(omega, sp.labels, tol))
+    # the graph keeps the inverse uncopied and answers from its off-block
+    separated = separates(build_graph(inverse, sp.labels, tol))
     criteria = {
         "belief": belief_residual <= tol,
         "factorization": max_corner <= tol,
@@ -307,7 +311,7 @@ def test_ci(
         max_offblock_omega=max_omega,
         belief_residual=belief_residual,
         criteria=criteria,
-        rank_b=rank_b,
+        rank_b=sr.rank_b,
         support_b=int((sp.blocks.mass > 0.0).sum()),
         tol=tol,
         degenerate_wings=not (sp.n_l and sp.n_r),

@@ -9,14 +9,14 @@ verdict.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ._textrows import distinct_column, format_rows
 from .bitgroup import IndexSets, Mask, Partition
+from .schur import BlockInverse, _require_tolerance
 
 __all__ = [
     "GraphNode",
@@ -125,13 +125,14 @@ class BeginGraph:
     nodes may be given as any iterable of GraphNodes and edges as any
     iterable of (i, j, weight) triples; they are stored as a tuple and an
     EdgeList.  codes holds each node's wing as its index in "BLR" (int8).
-    A graph that build_graph made holds the read-only block inverse instead
-    of edges and labels: separates reads the block inverse, all a verdict
-    needs, and nodes and edges are formed when first read, the block
-    inverse dropped once the edges exist.
+    A graph that build_graph made holds labels instead of nodes, labelled
+    when first read, and either its edges or the BlockInverse it was given:
+    separates reads the inverse's off-block, all a verdict needs, and the
+    edges are formed from its dense form when first read, the inverse
+    dropped once they exist.
     """
 
-    __slots__ = ("codes", "tol", "_edges", "_omega", "_labels", "_nodes")
+    __slots__ = ("codes", "tol", "_edges", "_inverse", "_labels", "_nodes")
 
     def __init__(self, nodes: Iterable[GraphNode], edges: Iterable[Edge], tol: float) -> None:
         _require_tolerance("tol", tol)
@@ -155,20 +156,21 @@ class BeginGraph:
         self._set(codes, tol, edges, None, None, nodes)
 
     @classmethod
-    def _adopt(cls, labels: IndexSets, omega: np.ndarray, tol: float) -> "BeginGraph":
+    def _adopt(cls, labels: IndexSets, tol: float, edges: Optional[EdgeList],
+               inverse: Optional[BlockInverse]) -> "BeginGraph":
         """A graph over the center, left and right wing masks of labels, in
-        order, thresholding omega, a read-only n x n float64 array that no
-        caller writes, at a valid tol, as build_graph makes them."""
+        order, at a valid tol, with the edges that build_graph found or the
+        block inverse it keeps."""
         out = cls.__new__(cls)
         counts = (labels.b_bits.size, labels.l_bits.size, labels.r_bits.size)
-        out._set(np.repeat(_WING_CODES, counts), tol, None, omega, labels, None)
+        out._set(np.repeat(_WING_CODES, counts), tol, edges, inverse, labels, None)
         return out
 
     def _set(self, codes: np.ndarray, tol: float, edges: Optional[EdgeList],
-             omega: Optional[np.ndarray], labels: Optional[IndexSets],
+             inverse: Optional[BlockInverse], labels: Optional[IndexSets],
              nodes: Optional[Tuple[GraphNode, ...]]) -> None:
         codes.flags.writeable = False
-        for name, value in zip(self.__slots__, (codes, tol, edges, omega, labels, nodes)):
+        for name, value in zip(self.__slots__, (codes, tol, edges, inverse, labels, nodes)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -183,8 +185,8 @@ class BeginGraph:
     @property
     def edges(self) -> EdgeList:
         if self._edges is None:
-            object.__setattr__(self, "_edges", _threshold(self._omega, self.tol))
-            object.__setattr__(self, "_omega", None)
+            object.__setattr__(self, "_edges", _threshold(self._inverse.dense(), self.tol))
+            object.__setattr__(self, "_inverse", None)
         return self._edges
 
     def _key(self) -> Tuple[Tuple[GraphNode, ...], EdgeList, float]:
@@ -200,20 +202,6 @@ class BeginGraph:
 
     def __repr__(self) -> str:
         return f"BeginGraph(nodes={self.nodes!r}, edges={self.edges!r}, tol={self.tol!r})"
-
-
-def _require_tolerance(name: str, value: float) -> None:
-    """Refuse a negative or non-finite tolerance: -1 would make every pair an
-    edge, and NaN or infinity none."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-
-
-def _require_rank_tol(rank_tol: Optional[float]) -> None:
-    """Refuse a rank_tol that is given and is no tolerance: NaN would keep no
-    eigenvalue, and -1 every one, round-off included."""
-    if rank_tol is not None:
-        _require_tolerance("rank_tol", rank_tol)
 
 
 def _coordinate_names(part: Optional[Partition], width: int) -> Dict[int, str]:
@@ -248,28 +236,27 @@ def _labelled_nodes(labels: IndexSets) -> Tuple[GraphNode, ...]:
     return tuple(nodes)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """arr itself when it is read-only and owns its memory, else a read-only
-    copy, so that no caller can write the array kept."""
-    if arr.flags.writeable or arr.base is not None:
-        arr = arr.copy()
-        arr.flags.writeable = False
-    return arr
-
-
-def build_graph(omega: np.ndarray, labels: IndexSets, tol: float) -> BeginGraph:
+def build_graph(
+    omega: Union[BlockInverse, np.ndarray], labels: IndexSets, tol: float
+) -> BeginGraph:
     """The undirected wing-labeled graph of the n x n block inverse at tol.
 
-    The graph keeps omega, not its edges (see BeginGraph): a read-only
-    float64 omega that owns its memory (sb_inverse's) as is, any other as a
-    read-only copy.
+    A BlockInverse (sb_inverse's) is kept uncopied, not its edges (see
+    BeginGraph); its wings must split as labels' do.  Any other omega is
+    read as an n x n float64 array and thresholded at once.
     """
     _require_tolerance("tol", tol)
-    n = labels.b_bits.size + labels.l_bits.size + labels.r_bits.size
-    mat = np.asarray(omega, dtype=np.float64)
+    n_b, n_l = labels.b_bits.size, labels.l_bits.size
+    n = n_b + n_l + labels.r_bits.size
+    held = isinstance(omega, BlockInverse)
+    mat = omega if held else np.asarray(omega, dtype=np.float64)
     if mat.shape != (n, n):
         raise ValueError(f"omega shape {mat.shape} does not match {n} labeled masks")
-    return BeginGraph._adopt(labels, _frozen(mat), tol)
+    if held:
+        if (omega.sigma.n_b, omega.sigma.n_l) != (n_b, n_l):
+            raise ValueError("block inverse's center and wings differ from the labeled masks'")
+        return BeginGraph._adopt(labels, tol, None, omega)
+    return BeginGraph._adopt(labels, tol, _threshold(mat, tol), None)
 
 
 def _threshold(mat: np.ndarray, tol: float) -> EdgeList:
@@ -296,14 +283,12 @@ def separates(g: BeginGraph) -> bool:
     Every node outside the center lies on a wing, so a path from the left
     wing to the right one that avoids the center must cross a left-right
     edge somewhere; separation is the absence of such an edge.  A graph
-    that still holds its block inverse answers from the inverse's L x R
-    block, the only entries a left-right edge can come from; any other
-    reads its edges' wing codes.
+    that still holds its block inverse answers from the inverse's
+    off-block, the entries of Omega[L, R], the only ones a left-right edge
+    can come from; any other reads its edges' wing codes.
     """
-    if g._omega is not None:
-        lo = g._labels.b_bits.size
-        hi = lo + g._labels.l_bits.size
-        corner = g._omega[lo:hi, hi:]
+    if g._inverse is not None:
+        corner = g._inverse.offblock()
         return not ((corner > g.tol).any() or (corner < -g.tol).any())
     codes = g.codes
     # B, L, R are codes 0, 1, 2: only a left-right edge XORs to 3

@@ -5,18 +5,20 @@ Schur complement and its block inverse keep exact structural symmetry so
 downstream equality checks can be bit-for-bit.  Sigma's wings are held
 only as one small block per center configuration (CenterBlocks): S+ and
 rank(S) are read off the blocks and the Walsh transform, and only the
-center block and the per-configuration blocks are decomposed.
+center block and the per-configuration blocks are decomposed.  The block
+inverse Omega is held by its blocks too (BlockInverse), and formed as an
+n x n array only on request.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .bitgroup import IndexSets
-from .graph import _frozen, _require_rank_tol
 from .hadamard import fwht
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "CenterBlocks",
     "SigmaPartition",
     "SchurResult",
+    "BlockInverse",
     "schur_complement",
     "sb_inverse",
 ]
@@ -34,6 +37,29 @@ _RESIDUAL_TOL = 1e-8
 # rows of S+ per gather: each chunk's int64 index stays within 2 MiB, as
 # assemble_sigma admits n_w < 4096
 _GATHER_ROWS = 64
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    """Refuse a negative or non-finite tolerance: -1 would make every pair an
+    edge, and NaN or infinity none."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
+def _require_rank_tol(rank_tol: Optional[float]) -> None:
+    """Refuse a rank_tol that is given and is no tolerance: NaN would keep no
+    eigenvalue, and -1 every one, round-off included."""
+    if rank_tol is not None:
+        _require_tolerance("rank_tol", rank_tol)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr itself when it is read-only and owns its memory, else a read-only
+    copy, so that no caller can write the array kept."""
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -159,7 +185,8 @@ class CenterBlocks:
         object.__setattr__(self, "vectors", vecs)
 
     def pinv_table(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, int]:
-        """S+ as a flat table that gather reads in wing order, and the rank of S.
+        """S+ as a flat read-only table that gather reads in wing order, and
+        the rank of S.
 
         S is 2^-s fwht_b(stack) read at (beta_i ^ beta_j, alpha_i, alpha_j).
         For S+ the top rank[b] eigenvalues of each block are inverted and
@@ -176,18 +203,27 @@ class CenterBlocks:
             keep &= np.abs(vals) > rank_tol * float(np.abs(vals).max())
         inv_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
         pinv = (vecs * inv_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
-        # alpha padded to a power of two k_pad: the flat index (beta_i ^ beta_j)
-        # k_pad^2 + alpha_i k_pad + alpha_j is u_i ^ v_j, its bit fields apart
-        k_pad = 1 << (k - 1).bit_length()
-        table = np.zeros((configs, k_pad, k_pad))
+        table = np.zeros(configs * self.k_pad * self.k_pad)
         # scaled by 2^-s in exact power-of-two products
-        table[:, :k, :k] = fwht((pinv + pinv.transpose(0, 2, 1)) * (0.5 / configs))
-        return table.reshape(-1), int(keep.sum())
+        self.table_blocks(table)[:, :k, :k] = fwht(
+            (pinv + pinv.transpose(0, 2, 1)) * (0.5 / configs))
+        table.flags.writeable = False
+        return table, int(keep.sum())
+
+    @property
+    def k_pad(self) -> int:
+        """k padded to a power of two: the flat index (beta_i ^ beta_j) k_pad^2
+        + alpha_i k_pad + alpha_j is u_i ^ v_j, its bit fields apart."""
+        return 1 << (self.values.shape[1] - 1).bit_length()
+
+    def table_blocks(self, table: np.ndarray) -> np.ndarray:
+        """A pinv_table table as its 2^s blocks of k_pad x k_pad, a view."""
+        return table.reshape(-1, self.k_pad, self.k_pad)
 
     def gather(self, table: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The n_w x n_w matrix in wing order that a pinv_table table holds,
         written into out when given."""
-        k_pad = 1 << (self.values.shape[1] - 1).bit_length()
+        k_pad = self.k_pad
         high = self.beta.astype(np.int64) * (k_pad * k_pad)
         u, v = high + self.alpha * k_pad, high + self.alpha
         if out is None:
@@ -265,12 +301,11 @@ class SigmaPartition:
 class SchurResult:
     """Generalized Schur complement of the center block, plus row-space data.
 
-    S+ is not held: s_table is its flat table from the center blocks
-    (CenterBlocks.pinv_table), and s_pinv gathers it in wing order when
-    read; sb_inverse gathers it straight into Omega's wing corner.  rank_s
-    comes from the blocks too; b_pinv, rank_b, the row-space coefficients
-    m = F' B+ and residual come from the center rows.  rank_tol is the
-    cutoff they were formed with, if any.
+    S+ is not held: s_table is its flat read-only table from the center
+    blocks (CenterBlocks.pinv_table), and s_pinv gathers it in wing order
+    when read.  rank_s comes from the blocks too; b_pinv (read-only),
+    rank_b, the row-space coefficients m = F' B+ and residual come from
+    the center rows.  rank_tol is the cutoff they were formed with, if any.
     """
 
     blocks: CenterBlocks = field(repr=False, compare=False)
@@ -286,6 +321,74 @@ class SchurResult:
     def s_pinv(self) -> np.ndarray:
         """S+ in wing order, bit for bit Omega's wing corner."""
         return self.blocks.gather(self.s_table)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockInverse:
+    """The block generalized inverse Omega over (center, left wing, right
+    wing), held by its blocks rather than as an n x n array.
+
+    sigma gives the coupling block F of the center rows and the center
+    blocks; b_pinv is B+ and s_table S+'s flat table
+    (CenterBlocks.pinv_table), both kept read-only: as is when read-only
+    and owning their memory, else copied.  dense() forms Omega, and
+    offblock() reads Omega[L, R] off the table without forming it.
+    """
+
+    sigma: SigmaPartition = field(repr=False)
+    b_pinv: np.ndarray = field(repr=False)
+    s_table: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("b_pinv", "s_table"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, _frozen(arr))
+        blocks, n_b = self.sigma.blocks, self.sigma.n_b
+        table_size = blocks.values.shape[0] * blocks.k_pad**2
+        if self.b_pinv.shape != (n_b, n_b) or self.s_table.shape != (table_size,):
+            raise ValueError("B+ or the S+ table does not match the center rows and blocks")
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        n = self.sigma.n_b + self.sigma.n_l + self.sigma.n_r
+        return n, n
+
+    def dense(self) -> np.ndarray:
+        """Omega as a read-only n x n array, formed anew on each call.
+
+        S+ is gathered once, straight into the wing corner (bit for bit
+        SchurResult.s_pinv), and the center rows are formed from it; the
+        whole matrix is symmetric by construction, not by post-hoc
+        symmetrization.
+        """
+        sp = self.sigma
+        n_b = sp.n_b
+        n = self.shape[0]
+        # every entry is written below
+        omega = np.empty((n, n))
+        s_pinv = sp.blocks.gather(self.s_table, out=omega[n_b:, n_b:])
+        if n_b:
+            k = self.b_pinv @ sp.f_block
+            g = k @ s_pinv
+            corner = g @ k.T
+            np.add(self.b_pinv, _symmetrize(corner), out=omega[:n_b, :n_b])
+            np.negative(g, out=omega[:n_b, n_b:])
+            omega[n_b:, :n_b] = omega[:n_b, n_b:].T
+        omega.flags.writeable = False
+        return omega
+
+    def offblock(self) -> np.ndarray:
+        """The entries of Omega[L, R], as the (2^s, k_L, k_R) left-right
+        corner of S+'s table, a read-only view.
+
+        Omega[L, R] holds the table at (beta_i ^ beta_j, alpha_i, alpha_j),
+        and every such triple occurs in it, so the corner's max, min and
+        any(|entry| > tol) are those of Omega[L, R], bit for bit.
+        """
+        blocks = self.sigma.blocks
+        configs, k = blocks.values.shape
+        k_l = self.sigma.n_l // configs
+        return blocks.table_blocks(self.s_table)[:, :k_l, k_l:k]
 
 
 def _schur_parts(
@@ -327,6 +430,7 @@ def schur_complement(
     """
     _require_rank_tol(rank_tol)
     b_pinv, rank_b, m = _schur_parts(sp.sigma, rank_tol, sp.scale)
+    b_pinv.flags.writeable = False
     s_table, rank_s = sp.blocks.pinv_table(rank_tol)
     return SchurResult(
         blocks=sp.blocks,
@@ -340,13 +444,13 @@ def schur_complement(
     )
 
 
-def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> np.ndarray:
-    """The n x n block generalized inverse Omega over (center, left wing,
-    right wing), assembled from the Schur complement, read-only.
+def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> BlockInverse:
+    """The block generalized inverse Omega over (center, left wing, right
+    wing), assembled from the Schur complement and held by its blocks
+    (BlockInverse): no n x n or n_w x n_w array is formed here.
 
-    S+ is gathered once, straight into the wing corner (bit for bit
-    sr.s_pinv), and the center rows are formed from it; the whole matrix
-    is symmetric by construction, not by post-hoc symmetrization.
+    A row-space residual past tolerance is refused: the input is no
+    interaction covariance, or rank_tol cut the center block's range.
     """
     if sr.residual > _RESIDUAL_TOL:
         # center characters span the functions on positive-mass configurations
@@ -354,17 +458,4 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> np.ndarray:
             f"rank_tol {sr.rank_tol} gave rank(B) = {sr.rank_b} where the center "
             f"support gives {int((sp.blocks.mass > 0.0).sum()) - 1}")
         raise ValueError(f"row-space residual {sr.residual} exceeds {_RESIDUAL_TOL}; {cause}")
-    n_b = sp.n_b
-    n = n_b + sp.n_l + sp.n_r
-    # every entry is written below
-    omega = np.empty((n, n))
-    s_pinv = sr.blocks.gather(sr.s_table, out=omega[n_b:, n_b:])
-    if n_b:
-        k = sr.b_pinv @ sp.f_block
-        g = k @ s_pinv
-        corner = g @ k.T
-        np.add(sr.b_pinv, _symmetrize(corner), out=omega[:n_b, :n_b])
-        np.negative(g, out=omega[:n_b, n_b:])
-        omega[n_b:, :n_b] = omega[:n_b, n_b:].T
-    omega.flags.writeable = False
-    return omega
+    return BlockInverse(sp, sr.b_pinv, sr.s_table)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from begin import (
+    BlockInverse,
     GridSource,
     Mask,
     Partition,
@@ -53,6 +54,7 @@ from dense_reference import (
     reference_separates,
     sigma_residual,
 )
+from test_graph import overlapping_parity_cases
 
 TOL = 1e-8
 SHAPES = [
@@ -94,7 +96,7 @@ def corpus():
         for kind, pmf in tagged:
             sp = assemble_sigma(pmf, part)
             sr = schur_complement(sp)
-            om = sb_inverse(sp, sr)
+            inverse = sb_inverse(sp, sr)
             verdict = decide_ci(pmf, part, tol=TOL)
             report = oracle_ci(pmf, part)
             records.append(
@@ -104,7 +106,8 @@ def corpus():
                     "part": part,
                     "sp": sp,
                     "sr": sr,
-                    "om": om,
+                    "inverse": inverse,
+                    "om": inverse.dense(),
                     "verdict": verdict,
                     "oracle": report,
                 }
@@ -175,12 +178,63 @@ def test_block_inverse_identities_on_corpus(corpus):
 
 def test_separation_reads_the_same_off_omega_as_off_its_edges(corpus):
     for rec in corpus:
-        g = build_graph(rec["om"], rec["sp"].labels, TOL)
+        g = build_graph(rec["inverse"], rec["sp"].labels, TOL)
         from_omega = separates(g)
         ref = reference_edges(rec["om"], TOL)
         assert g.edges == ref
         assert separates(g) == from_omega == reference_separates(g.nodes, ref)
         assert from_omega == rec["verdict"].criteria["separation"]
+
+
+def inverse_cases(corpus, rank_tol):
+    """(sigma partition, block inverse) over the corpus and the seeded
+    overlapping-wing parity partitions, at rank_tol; a case the cut refuses
+    is skipped."""
+    cases = [(rec["pmf"], rec["part"]) for rec in corpus]
+    cases += [(pmf, part) for part, pmf in overlapping_parity_cases()]
+    for pmf, part in cases:
+        sp = assemble_sigma(pmf, part)
+        try:
+            yield sp, sb_inverse(sp, schur_complement(sp, rank_tol))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-10])
+def test_separation_is_the_same_from_the_inverse_its_dense_form_and_its_edges(
+    corpus, rank_tol
+):
+    answers = set()
+    for sp, inverse in inverse_cases(corpus, rank_tol):
+        held = build_graph(inverse, sp.labels, TOL)
+        from_corner = separates(held)
+        omega = inverse.dense()
+        from_dense = separates(build_graph(omega, sp.labels, TOL))
+        ref = reference_edges(omega, TOL)
+        assert held.edges == ref
+        # the graph dropped the inverse, so this reads the edges
+        assert separates(held) == from_corner == from_dense
+        assert from_corner == reference_separates(held.nodes, ref)
+        answers.add(from_corner)
+    assert answers == {True, False}
+
+
+def test_verdicts_never_form_omega(corpus, monkeypatch):
+    cases = [(rec["pmf"], rec["part"]) for rec in corpus]
+    cases += [(pmf, part) for part, pmf in overlapping_parity_cases()]
+    expected = [decide_ci(pmf, part, tol=TOL) for pmf, part in cases]
+
+    def refuse(self):
+        raise AssertionError("Omega formed")
+
+    monkeypatch.setattr(BlockInverse, "dense", refuse)
+    assert [decide_ci(pmf, part, tol=TOL) for pmf, part in cases] == expected
+    assert [rec["verdict"] for rec in corpus] == expected[: len(corpus)]
+    # the patch holds: a graph's edges form Omega
+    rec = corpus[-1]
+    g = build_graph(sb_inverse(rec["sp"], rec["sr"]), rec["sp"].labels, TOL)
+    with pytest.raises(AssertionError, match="Omega formed"):
+        g.edges
 
 
 def test_wing_rows_lie_in_center_row_space(corpus):

@@ -943,11 +943,11 @@ def test_subset_search_refuses_a_bad_magnitude_before_reading_a_case(bad):
 
 @pytest.mark.parametrize("kind", ["ci", "generic"])
 @pytest.mark.parametrize("shape", [(3, 5, 3), (2, 7, 2)])
-def test_a_dense_verdict_holds_little_beyond_omega(shape, kind):
-    """A verdict's traced peak stays within 1.7 times what Omega takes
-    (8 n^2 bytes): S+ is gathered once, into Omega's wing corner, the graph
-    keeps Omega uncopied and reads separation off its L x R block, and no
-    edge array, n_w x n_w gather index or extra n x n mask is formed."""
+def test_a_verdict_forms_no_n_by_n_array(shape, kind):
+    """A verdict's traced peak stays within half of what an n x n Omega
+    would take (8 n^2 bytes): Omega is held by its blocks, its L x R block
+    and separation are read off S+'s table, and no Omega, S+, edge array or
+    n x n mask is formed."""
     part = Partition.coordinate_split(*shape)
     if kind == "ci":
         pmf = make_ci_pmf(*shape, seed=7, zero_prob=0.3)
@@ -963,7 +963,7 @@ def test_a_dense_verdict_holds_little_beyond_omega(shape, kind):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.7 * 8 * n * n
+    assert peak <= 0.5 * 8 * n * n
 
 
 def test_probes_form_no_row_space_residual(monkeypatch):

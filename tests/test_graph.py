@@ -152,7 +152,7 @@ def test_separation_matches_inverse_offblock():
             om = sb_inverse(sp, schur_complement(sp))
             g = build_graph(om, sp.labels, 1e-8)
             n_b, n_l = sp.n_b, sp.n_l
-            off = om[n_b : n_b + n_l, n_b + n_l :]
+            off = om.dense()[n_b : n_b + n_l, n_b + n_l :]
             vanished = np.abs(off).max() <= 1e-8 if off.size else True
             assert separates(g) == vanished
 
@@ -232,12 +232,20 @@ def test_graph_validation_errors(split111, halves_pmf):
 def test_build_graph_refuses_an_omega_of_the_wrong_shape_and_takes_a_nested_list():
     part = Partition.coordinate_split(1, 1, 1)
     sp = assemble_sigma(make_generic_pmf(3, seed=6), part)
-    om = sb_inverse(sp, schur_complement(sp))
+    om = sb_inverse(sp, schur_complement(sp)).dense()
     n = om.shape[0]
     for bad in (om[:-1], om[:, :-1], om[0], np.zeros((n + 1, n + 1))):
         shape = rf"omega shape \({', '.join(map(str, bad.shape))},?\) does not match {n} labeled masks"
         with pytest.raises(ValueError, match=shape):
             build_graph(bad, sp.labels, 1e-8)
+    # a block inverse of the same size whose wings split otherwise
+    other = Partition.coordinate_split(1, 2, 2)
+    sp_other = assemble_sigma(make_generic_pmf(5, seed=6), other)
+    inverse = sb_inverse(sp_other, schur_complement(sp_other))
+    swapped = build_index_sets(Partition.coordinate_split(2, 2, 1))
+    assert inverse.shape[0] == len(swapped.all_masks())
+    with pytest.raises(ValueError, match="center and wings differ from the labeled masks'"):
+        build_graph(inverse, swapped, 1e-8)
     nested = om.tolist()
     assert type(nested) is list and type(nested[0]) is list
     assert build_graph(nested, sp.labels, 1e-8) == build_graph(om, sp.labels, 1e-8)
@@ -344,8 +352,8 @@ def case_graph(part, kind, seed, tol=1e-8):
     else:
         pmf = make_generic_pmf(part.p, seed=seed)
     sp = assemble_sigma(pmf, part)
-    om = sb_inverse(sp, schur_complement(sp))
-    return om, build_graph(om, sp.labels, tol)
+    inverse = sb_inverse(sp, schur_complement(sp))
+    return inverse.dense(), build_graph(inverse, sp.labels, tol)
 
 
 @pytest.mark.parametrize("part,kind,seed", REFERENCE_CASES)
@@ -466,7 +474,7 @@ def test_overlapping_wing_partitions_match_reference():
         g = build_graph(om, sp.labels, 1e-8)
         # read off Omega's L x R block, before the edges are formed
         from_omega = separates(g)
-        ref = reference_edges(om, g.tol)
+        ref = reference_edges(om.dense(), g.tol)
         assert g.edges == ref
         assert separates(g) == from_omega == reference_separates(g.nodes, ref)
         assert decide_ci(pmf, part).criteria["separation"] == from_omega
@@ -764,7 +772,7 @@ def test_build_graph_skips_the_public_edge_checks(monkeypatch):
     part = Partition.coordinate_split(1, 2, 1)
     sp = assemble_sigma(pmf, part)
     om = sb_inverse(sp, schur_complement(sp))
-    public = BeginGraph(nodes=eager_nodes(sp.labels), edges=reference_edges(om, 1e-8),
+    public = BeginGraph(nodes=eager_nodes(sp.labels), edges=reference_edges(om.dense(), 1e-8),
                         tol=1e-8)
 
     def refuse(self, *args, **kwargs):
@@ -785,8 +793,10 @@ def test_writing_omega_after_build_graph_does_not_change_the_graph():
     om, _ = case_graph(part, "generic", 4)
     ref = reference_edges(om, 1e-8)
     assert ref and not reference_separates(eager_nodes(labels), ref)
-    # sb_inverse's read-only Omega is kept as is, anything else is copied
-    assert build_graph(om, labels, 1e-8)._omega is om
+    # sb_inverse's block inverse is kept as is, an array thresholded at once
+    sp = assemble_sigma(make_generic_pmf(3, seed=4), part)
+    inverse = sb_inverse(sp, schur_complement(sp))
+    assert build_graph(inverse, labels, 1e-8)._inverse is inverse
     mat = om.copy()
     view = mat[:]
     view.flags.writeable = False

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from begin import (
+    BlockInverse,
     CenterBlocks,
     Mask,
     Partition,
@@ -190,21 +191,21 @@ def test_block_inverse_matches_dense_inverse_when_nonsingular():
         part = Partition.coordinate_split(r, s, t)
         sp = assemble_sigma(pmf, part)
         sr = schur_complement(sp)
-        om = sb_inverse(sp, sr)
+        om = sb_inverse(sp, sr).dense()
         dense = np.linalg.inv(dense_sigma(pmf, part))
         assert np.abs(om - dense).max() <= 1e-8
 
 
 def test_block_inverse_decouples_wings_under_ci(halves_pmf, split111):
     sp = assemble_sigma(halves_pmf, split111)
-    om = sb_inverse(sp, schur_complement(sp))
+    om = sb_inverse(sp, schur_complement(sp)).dense()
     off = om[sp.n_b : sp.n_b + sp.n_l, sp.n_b + sp.n_l :]
     assert np.abs(off).max() <= 1e-10
 
 
 def test_block_inverse_couples_wings_for_parity(xor_pmf, split111):
     sp = assemble_sigma(xor_pmf, split111)
-    om = sb_inverse(sp, schur_complement(sp))
+    om = sb_inverse(sp, schur_complement(sp)).dense()
     off = om[sp.n_b : sp.n_b + sp.n_l, sp.n_b + sp.n_l :]
     assert np.abs(off).max() > 0.1
 
@@ -212,7 +213,7 @@ def test_block_inverse_couples_wings_for_parity(xor_pmf, split111):
 def test_wing_corner_is_schur_pinv_bitwise(halves_pmf, split111):
     sp = assemble_sigma(halves_pmf, split111)
     sr = schur_complement(sp)
-    om = sb_inverse(sp, sr)
+    om = sb_inverse(sp, sr).dense()
     assert np.array_equal(om[sp.n_b :, sp.n_b :], sr.s_pinv)
     assert np.abs(om - om.T).max() == 0.0
 
@@ -239,7 +240,7 @@ def test_a_rank_tol_that_cuts_the_center_range_is_named_in_the_refusal():
     part = Partition.coordinate_split(2, 3, 2)
     pmf = make_ci_pmf(2, 3, 2, seed=11, zero_prob=0.3)
     sp = assemble_sigma(pmf, part)
-    om = sb_inverse(sp, schur_complement(sp))
+    om = sb_inverse(sp, schur_complement(sp)).dense()
     assert sigma_residual(dense_sigma(pmf, part), om) <= 1e-8
     sr = schur_complement(sp, 0.1)
     assert sr.rank_tol == 0.1 and sr.residual > 1e-8
@@ -282,7 +283,7 @@ def test_rowspace_and_sandwich_identities_across_pmf_mix():
         part = Partition.coordinate_split(r, s, t)
         sp = assemble_sigma(pmf, part)
         sr = schur_complement(sp)
-        om = sb_inverse(sp, sr)
+        om = sb_inverse(sp, sr).dense()
         assert sr.residual <= 1e-8
         assert sigma_residual(dense_sigma(pmf, part), om) <= 1e-8
         count += 1
@@ -544,7 +545,7 @@ def test_s_pinv_gather_is_bitwise_the_whole_index_formula(rank_tol):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         # sb_inverse gathers the same bits, once, into Omega's wing corner
         sr = schur_complement(sp, rank_tol)
-        om = sb_inverse(sp, sr)
+        om = sb_inverse(sp, sr).dense()
         assert om[sp.n_b :, sp.n_b :].tobytes() == got.tobytes() == sr.s_pinv.tobytes()
         assert not om.flags.writeable
         ks.add(sp.blocks.values.shape[1])
@@ -553,6 +554,42 @@ def test_s_pinv_gather_is_bitwise_the_whole_index_formula(rank_tol):
     assert {0, 1, 2, 6} <= ks
     assert any(n_w > _GATHER_ROWS and n_w % _GATHER_ROWS for n_w in wings)
     assert overlapping
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-10])
+def test_the_offblock_holds_the_values_of_omega_l_r_on_every_gather_shape(rank_tol):
+    for pmf, part in gather_cases():
+        sp = assemble_sigma(pmf, part)
+        inverse = sb_inverse(sp, schur_complement(sp, rank_tol))
+        lo, hi = sp.n_b, sp.n_b + sp.n_l
+        block = inverse.dense()[lo:hi, hi:]
+        corner = inverse.offblock()
+        # the same values, so the same max, min and threshold, bit for bit
+        assert np.unique(corner).tobytes() == np.unique(block).tobytes()
+        if block.size:
+            for reduce in (np.max, np.min):
+                assert reduce(corner).tobytes() == reduce(block).tobytes()
+        assert inverse.shape == (sp.sigma.shape[1],) * 2
+
+
+def test_a_block_inverse_refuses_writes_and_copies_writable_arrays(halves_pmf, split111):
+    sp = assemble_sigma(halves_pmf, split111)
+    sr = schur_complement(sp)
+    inverse = sb_inverse(sp, sr)
+    # sb_inverse holds schur_complement's read-only arrays as they are
+    assert inverse.b_pinv is sr.b_pinv and inverse.s_table is sr.s_table
+    for arr in (inverse.b_pinv, inverse.s_table, inverse.offblock(), inverse.dense()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    with pytest.raises(AttributeError):
+        inverse.s_table = sr.s_table.copy()
+    b_pinv, s_table = sr.b_pinv.copy(), sr.s_table.copy()
+    kept = BlockInverse(sp, b_pinv, s_table)
+    b_pinv[...], s_table[...] = 0.0, 0.0
+    assert kept.dense().tobytes() == inverse.dense().tobytes()
+    with pytest.raises(ValueError, match="does not match the center rows and blocks"):
+        BlockInverse(sp, sr.b_pinv, sr.s_table[:-1])
 
 
 BAD_TOLERANCES = [float("nan"), float("inf"), -1.0]
