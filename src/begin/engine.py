@@ -275,8 +275,17 @@ def test_ci(
     Schur complement; the other three criteria are computed as cross-checks
     and reported in the criteria map.  max|Omega[L, R]| and graph separation
     are read off the offblock() of sb_inverse's BlockInverse, so no n x n
-    Omega is formed.  A negative or non-finite tol or rank_tol is refused,
-    and so is a sigma past the byte limit.
+    Omega is formed.
+
+    Without rank_tol, rank_B is support_B - 1: the Walsh transform
+    diagonalises the center block with eigenvalues 2^s p_b, so B's rank is
+    the number of positive-mass center configurations, less the constant.
+    No eigendecomposition of B, B+, M = F' B+ or row-space residual is then
+    formed, and nothing is refused for the row space.  With rank_tol,
+    rank_B is the eigenvalue count of B above rank_tol times its largest,
+    and a row-space residual past 1e-8 is refused (sb_inverse), naming the
+    rank the cut gave.  A negative or non-finite tol or rank_tol is
+    refused, and so is a sigma past the byte limit.
     """
     _require_tolerance("tol", tol)
     _require_rank_tol(rank_tol)
@@ -284,7 +293,8 @@ def test_ci(
     joint = _wing_table(pmf, part)
     sp = assemble_sigma(pmf, part, joint)
     sr = schur_complement(sp, rank_tol)
-    # Omega held by its blocks, B+ and S+'s table: no n x n array is formed
+    # Omega held by its blocks and S+'s table: no n x n array is formed, and
+    # without rank_tol no B+ either
     inverse = sb_inverse(sp, sr)
     # Omega[L, R]'s entries are the left-right corner of S+'s table
     max_omega = _max_abs(inverse.offblock())
@@ -299,6 +309,7 @@ def test_ci(
     max_s = _max_abs(fwht(corners * (1.0 / len(corners))))
     # the graph keeps the inverse uncopied and answers from its off-block
     separated = separates(build_graph(inverse, sp.labels, tol))
+    support_b = int((sp.blocks.mass > 0.0).sum())
     criteria = {
         "belief": belief_residual <= tol,
         "factorization": max_corner <= tol,
@@ -311,8 +322,8 @@ def test_ci(
         max_offblock_omega=max_omega,
         belief_residual=belief_residual,
         criteria=criteria,
-        rank_b=sr.rank_b,
-        support_b=int((sp.blocks.mass > 0.0).sum()),
+        rank_b=support_b - 1 if rank_tol is None else sr.rank_b,
+        support_b=support_b,
         tol=tol,
         degenerate_wings=not (sp.n_l and sp.n_r),
         wing_overlap=sp.labels.overlap_count,

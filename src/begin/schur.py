@@ -7,13 +7,15 @@ only as one small block per center configuration (CenterBlocks): S+ and
 rank(S) are read off the blocks and the Walsh transform, and only the
 center block and the per-configuration blocks are decomposed.  The block
 inverse Omega is held by its blocks too (BlockInverse), and formed as an
-n x n array only on request.
+n x n array only on request; B+ and the row-space residual are formed only
+where Omega is, or where a rank_tol is given or they are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -255,7 +257,8 @@ class SigmaPartition:
     blocks, the wing Schur complement split by center configuration, must
     describe its wings.  It is then positive semidefinite exactly when the
     center masses are >= 0, the wing rows lie in the row space of B
-    (checked by sb_inverse) and every block is PSD (checked by CenterBlocks).
+    (checked where B+ is formed: SchurResult.require_row_space) and every
+    block is PSD (checked by CenterBlocks).
     A sigma with a nan or infinite entry is refused.  A read-only float64
     sigma that owns its memory (assemble_sigma's) is kept; any other is
     copied, so no caller can write the stored sigma.
@@ -302,25 +305,68 @@ class SchurResult:
     """Generalized Schur complement of the center block, plus row-space data.
 
     S+ is not held: s_table is its flat read-only table from the center
-    blocks (CenterBlocks.pinv_table), and s_pinv gathers it in wing order
-    when read.  rank_s comes from the blocks too; b_pinv (read-only),
-    rank_b, the row-space coefficients m = F' B+ and residual come from
-    the center rows.  rank_tol is the cutoff they were formed with, if any.
+    blocks (CenterBlocks.pinv_table), kept as is when read-only and owning
+    its memory, else copied; s_pinv gathers it in wing order when read.
+    rank_s comes from the blocks too.  b_pinv (read-only), rank_b, the
+    row-space coefficients m = F' B+ and residual come from sigma's center
+    rows: all four are formed together, by one _schur_parts call, when the
+    first of them is read, and then kept.  rank_tol is the cutoff they are
+    formed with, if any.
     """
 
-    blocks: CenterBlocks = field(repr=False, compare=False)
+    sigma: SigmaPartition = field(repr=False, compare=False)
     s_table: np.ndarray
-    m: np.ndarray
-    rank_b: int
-    residual: float
     rank_s: int
-    b_pinv: np.ndarray
     rank_tol: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        table = _frozen(np.asarray(self.s_table, dtype=np.float64))
+        blocks = self.sigma.blocks
+        if table.shape != (blocks.values.shape[0] * blocks.k_pad**2,):
+            raise ValueError("the S+ table does not match the center blocks")
+        object.__setattr__(self, "s_table", table)
+
+    @cached_property
+    def _center_parts(self) -> Tuple[np.ndarray, int, np.ndarray, float]:
+        rows = self.sigma.sigma
+        b_pinv, rank_b, m = _schur_parts(rows, self.rank_tol, self.sigma.scale)
+        b_pinv.flags.writeable = False
+        return b_pinv, rank_b, m, _row_space_residual(rows, m)
+
+    @property
+    def b_pinv(self) -> np.ndarray:
+        return self._center_parts[0]
+
+    @property
+    def rank_b(self) -> int:
+        return self._center_parts[1]
+
+    @property
+    def m(self) -> np.ndarray:
+        return self._center_parts[2]
+
+    @property
+    def residual(self) -> float:
+        return self._center_parts[3]
+
+    @property
+    def blocks(self) -> CenterBlocks:
+        return self.sigma.blocks
 
     @property
     def s_pinv(self) -> np.ndarray:
         """S+ in wing order, bit for bit Omega's wing corner."""
         return self.blocks.gather(self.s_table)
+
+    def require_row_space(self) -> None:
+        """Refuse a row-space residual past tolerance: the input is no
+        interaction covariance, or rank_tol cut the center block's range."""
+        if self.residual > _RESIDUAL_TOL:
+            # center characters span the functions on positive-mass configurations
+            cause = "the input is not an interaction covariance" if self.rank_tol is None else (
+                f"rank_tol {self.rank_tol} gave rank(B) = {self.rank_b} where the center "
+                f"support gives {int((self.blocks.mass > 0.0).sum()) - 1}")
+            raise ValueError(f"row-space residual {self.residual} exceeds {_RESIDUAL_TOL}; {cause}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,25 +374,25 @@ class BlockInverse:
     """The block generalized inverse Omega over (center, left wing, right
     wing), held by its blocks rather than as an n x n array.
 
-    sigma gives the coupling block F of the center rows and the center
-    blocks; b_pinv is B+ and s_table S+'s flat table
-    (CenterBlocks.pinv_table), both kept read-only: as is when read-only
-    and owning their memory, else copied.  dense() forms Omega, and
-    offblock() reads Omega[L, R] off the table without forming it.
+    schur gives the center rows [B | F] and the center blocks (its sigma),
+    S+'s flat table (CenterBlocks.pinv_table) and B+, which it forms only
+    when dense() first needs it.  dense() forms Omega, and offblock() reads
+    Omega[L, R] off the table without forming it or B+.
     """
 
-    sigma: SigmaPartition = field(repr=False)
-    b_pinv: np.ndarray = field(repr=False)
-    s_table: np.ndarray = field(repr=False)
+    schur: SchurResult = field(repr=False)
 
-    def __post_init__(self) -> None:
-        for name in ("b_pinv", "s_table"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, _frozen(arr))
-        blocks, n_b = self.sigma.blocks, self.sigma.n_b
-        table_size = blocks.values.shape[0] * blocks.k_pad**2
-        if self.b_pinv.shape != (n_b, n_b) or self.s_table.shape != (table_size,):
-            raise ValueError("B+ or the S+ table does not match the center rows and blocks")
+    @property
+    def sigma(self) -> SigmaPartition:
+        return self.schur.sigma
+
+    @property
+    def b_pinv(self) -> np.ndarray:
+        return self.schur.b_pinv
+
+    @property
+    def s_table(self) -> np.ndarray:
+        return self.schur.s_table
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -356,11 +402,14 @@ class BlockInverse:
     def dense(self) -> np.ndarray:
         """Omega as a read-only n x n array, formed anew on each call.
 
-        S+ is gathered once, straight into the wing corner (bit for bit
+        A row-space residual past tolerance is refused first
+        (SchurResult.require_row_space), before anything is allocated.  S+
+        is gathered once, straight into the wing corner (bit for bit
         SchurResult.s_pinv), and the center rows are formed from it; the
         whole matrix is symmetric by construction, not by post-hoc
         symmetrization.
         """
+        self.schur.require_row_space()
         sp = self.sigma
         n_b = sp.n_b
         n = self.shape[0]
@@ -425,23 +474,15 @@ def schur_complement(
     rank_tol * max|eigenvalue of S|.  No n_w x n_w array is formed, and no
     dense D - F' B+ F: it goes through B+, so its rounding grows with the
     condition number of B, and it cancels entries at the scale of sigma, so
-    its small eigenvalues carry no usable scale information.  rank_tol also
-    thresholds B; a negative or non-finite one is refused.
+    its small eigenvalues carry no usable scale information.  B+, rank(B)
+    (an eigenvalue count of B, thresholded by rank_tol when given), M and
+    the residual are not formed here: the SchurResult forms them from the
+    center rows when one of them is first read.  A negative or non-finite
+    rank_tol is refused.
     """
     _require_rank_tol(rank_tol)
-    b_pinv, rank_b, m = _schur_parts(sp.sigma, rank_tol, sp.scale)
-    b_pinv.flags.writeable = False
     s_table, rank_s = sp.blocks.pinv_table(rank_tol)
-    return SchurResult(
-        blocks=sp.blocks,
-        s_table=s_table,
-        m=m,
-        rank_b=rank_b,
-        residual=_row_space_residual(sp.sigma, m),
-        rank_s=rank_s,
-        b_pinv=b_pinv,
-        rank_tol=rank_tol,
-    )
+    return SchurResult(sigma=sp, s_table=s_table, rank_s=rank_s, rank_tol=rank_tol)
 
 
 def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> BlockInverse:
@@ -449,13 +490,15 @@ def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> BlockInverse:
     wing), assembled from the Schur complement and held by its blocks
     (BlockInverse): no n x n or n_w x n_w array is formed here.
 
-    A row-space residual past tolerance is refused: the input is no
-    interaction covariance, or rank_tol cut the center block's range.
+    sp must be the SigmaPartition sr was formed from.  With a rank_tol, a
+    row-space residual past tolerance is refused here, naming rank_tol, the
+    rank of B it gave and the rank the center support gives; without one,
+    the residual is neither formed nor checked here, and a broken row space
+    ("the input is not an interaction covariance") is refused by the
+    inverse's dense(), before Omega is formed.
     """
-    if sr.residual > _RESIDUAL_TOL:
-        # center characters span the functions on positive-mass configurations
-        cause = "the input is not an interaction covariance" if sr.rank_tol is None else (
-            f"rank_tol {sr.rank_tol} gave rank(B) = {sr.rank_b} where the center "
-            f"support gives {int((sp.blocks.mass > 0.0).sum()) - 1}")
-        raise ValueError(f"row-space residual {sr.residual} exceeds {_RESIDUAL_TOL}; {cause}")
-    return BlockInverse(sp, sr.b_pinv, sr.s_table)
+    if sr.sigma is not sp:
+        raise ValueError("the Schur complement was formed from another sigma")
+    if sr.rank_tol is not None:
+        sr.require_row_space()
+    return BlockInverse(sr)

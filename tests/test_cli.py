@@ -19,6 +19,7 @@ from begin import (
     fwht,
     make_ci_pmf,
     make_generic_pmf,
+    oracle_ci,
     partition_to_json,
     prism,
     read_pmf_csv,
@@ -118,6 +119,53 @@ def test_a_zero_rank_tol_that_keeps_round_off_exits_two_naming_it(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: row-space residual ")
     assert err.endswith("; rank_tol 0.0 gave rank(B) = 7 where the center support gives 5\n")
+
+
+def thin_center_pmf(pmf, part, scale):
+    """pmf with the cells whose center coordinates are all 0 scaled by
+    scale, renormalised: one center configuration of small positive mass."""
+    center = sum(g.bits for g in part.b_gens)
+    probs = pmf.probs.copy()
+    probs[(np.arange(probs.size) & center) == 0] *= scale
+    return Pmf(pmf.p, probs / probs.sum())
+
+
+def thin_center_cases():
+    for shape in ((1, 2, 1), (2, 3, 2)):
+        part = Partition.coordinate_split(*shape)
+        for pmf in (make_generic_pmf(sum(shape), seed=5, zero_fraction=0.0),
+                    make_ci_pmf(*shape, seed=5, zero_prob=0.0)):
+            for exponent in range(9, 16):
+                yield thin_center_pmf(pmf, part, 10.0**-exponent), part
+
+
+def test_a_thin_center_configuration_is_answered_not_refused(tmp_path, capsys):
+    # the row-space residual of these inputs is kappa(B) eps round-off, which
+    # once refused them as "not an interaction covariance"
+    pmf_file, part_file = tmp_path / "pmf.csv", tmp_path / "part.json"
+    answered = set()
+    for pmf, part in thin_center_cases():
+        verdict = decide_ci(pmf, part)
+        assert verdict.is_ci == oracle_ci(pmf, part).is_ci
+        assert verdict.rank_b == verdict.support_b - 1
+        write_pmf_csv(pmf, str(pmf_file))
+        part_file.write_text(partition_to_json(part))
+        capsys.readouterr()
+        code = main(["test", str(pmf_file), "--partition", str(part_file)])
+        assert code == (0 if verdict.is_ci else 1)
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["rank_B"], payload["support_B"]) == (verdict.rank_b, verdict.support_b)
+        answered.add(verdict.is_ci)
+    assert answered == {True, False}
+    # Omega is formed through B+, whose round-off still breaks the row space
+    pmf, part = next(thin_center_cases())
+    write_pmf_csv(pmf, str(pmf_file))
+    part_file.write_text(partition_to_json(part))
+    capsys.readouterr()
+    assert main(["graph", str(pmf_file), "--partition", str(part_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row-space residual ")
+    assert err.endswith("; the input is not an interaction covariance\n")
 
 
 def test_verdict_payload_matches_library(tmp_path, part111_file, capsys):

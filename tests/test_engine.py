@@ -977,6 +977,45 @@ def test_probes_form_no_row_space_residual(monkeypatch):
     expected = (verify_block_factorization(pmf, part).gap, subset_offblock(pmf, part, subset))
     monkeypatch.setattr(schur_module, "_row_space_residual", refuse)
     assert (verify_block_factorization(pmf, part).gap, subset_offblock(pmf, part, subset)) == expected
-    # a verdict still checks the row space
+    # a verdict checks the row space only under a rank_tol
     with pytest.raises(AssertionError, match="row-space residual formed"):
-        decide_ci(pmf, part)
+        decide_ci(pmf, part, rank_tol=1e-10)
+
+
+def test_a_verdict_without_rank_tol_forms_no_dense_center_work(monkeypatch):
+    """Without rank_tol a verdict reads rank_B off the center support: it
+    runs no _schur_parts (B's eigendecomposition, B+ and M) and forms no
+    row-space residual, and every field is what it was; with rank_tol it
+    still forms both."""
+    import begin.schur as schur_module
+
+    cases = [
+        ci_121(),
+        (make_generic_pmf(7, seed=5, zero_fraction=0.3), Partition.coordinate_split(2, 3, 2)),
+        (make_ci_pmf(2, 3, 2, seed=11, zero_prob=0.3), Partition.coordinate_split(2, 3, 2)),
+        (make_generic_pmf(2, seed=4), Partition.coordinate_split(1, 0, 1)),
+        (make_generic_pmf(3, seed=2), OVERLAP),
+    ]
+    expected = [decide_ci(pmf, part) for pmf, part in cases]
+    calls = []
+    for name in ("_schur_parts", "_row_space_residual"):
+        def refuse(*args, _name=name):
+            calls.append(_name)
+            raise AssertionError(f"{_name} called")
+
+        monkeypatch.setattr(schur_module, name, refuse)
+    got = [decide_ci(pmf, part) for pmf, part in cases]
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+    assert all(v.rank_b == v.support_b - 1 for v in got)
+    assert not calls
+    monkeypatch.undo()
+    for name in ("_schur_parts", "_row_space_residual"):
+        def counted(*args, _name=name, _real=getattr(schur_module, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(schur_module, name, counted)
+    for pmf, part in cases:
+        calls.clear()
+        decide_ci(pmf, part, rank_tol=1e-10)
+        assert calls == ["_schur_parts", "_row_space_residual"]

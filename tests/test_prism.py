@@ -315,3 +315,97 @@ def test_ci_pmfs_give_exact_wing_zeros_and_agreeing_routes():
         verdict = decide_ci(make_ci_pmf(r, s, t, seed=k, zero_prob=0.3), part)
         assert all(verdict.criteria.values()), (r, s, t, k)
         assert verdict.max_offblock_omega <= verdict.tol
+
+
+@st.composite
+def support_rank_cases(draw):
+    """(pmf, partition) at p <= 10: coordinate splits and parity partitions
+    whose wings overlap, with generic and ci pmfs at zero fractions up to
+    0.5."""
+    p = draw(st.integers(3, 10))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, p - 2))
+        t = draw(st.integers(1, p - 1 - r))
+        part = Partition.coordinate_split(r, p - r - t, t)
+    else:
+        nonzero = st.integers(1, (1 << p) - 1)
+        a = draw(st.lists(nonzero, min_size=1, max_size=2))
+        b = draw(st.lists(nonzero, min_size=1, max_size=3))
+        # a0 XOR a center member joins C, so it lies in both wings unless
+        # a0 is in span(B)
+        shift = 0
+        for g in b:
+            shift ^= g * draw(st.booleans())
+        c = [a[0] ^ shift] + draw(st.lists(nonzero, max_size=1))
+        try:
+            part = Partition(p, *([Mask(g, p) for g in gens] for gens in (a, b, c)))
+        except ValueError:
+            assume(False)
+        assume(build_index_sets(part).overlap)
+    pmf_seed = draw(st.integers(0, 2**31 - 1))
+    zeros = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    if draw(st.booleans()):
+        return make_generic_pmf(p, seed=pmf_seed, zero_fraction=zeros), part
+    r = draw(st.integers(0, p - 1))
+    s = draw(st.integers(0, p - r - 1))
+    return make_ci_pmf(r, s, p - r - s, seed=pmf_seed, zero_prob=zeros), part
+
+
+@seed(17)
+@settings(max_examples=120, deadline=None)
+@given(case=support_rank_cases())
+@example(case=(make_generic_pmf(3, seed=2), OVERLAP))
+@example(case=(make_ci_pmf(1, 8, 1, seed=3, zero_prob=0.5), Partition.coordinate_split(1, 8, 1)))
+def test_a_verdicts_support_rank_and_fields_match_the_dense_reference_chain(case):
+    """rank_B, read off the center support, is the eigenvalue count of the
+    dense center block whenever no positive center mass lies below 1e-12 of
+    the largest; every other field is what the dense routes give."""
+    from dense_reference import (
+        _ConfigTable,
+        reference_center_schur,
+        reference_index_sets,
+        reference_pinv_eigh,
+    )
+    from dense_reference import belief_coefficients as dense_belief_coefficients
+
+    pmf, part = case
+    verdict = decide_ci(pmf, part)
+    sigma = dense_sigma(pmf, part)
+    sp = assemble_sigma(pmf, part)
+    n_b, n_l = sp.n_b, sp.n_l
+    mass = _ConfigTable.of(pmf, [m.bits for m in part.b_span.basis]).mass
+    positive = mass[mass > 0.0]
+    scale = float(np.abs(sigma).max())
+    b_pinv, rank_b = reference_pinv_eigh(sigma[:n_b, :n_b], None, scale)
+    if positive.min() > 1e-12 * positive.max():
+        assert verdict.rank_b == rank_b
+    assert verdict.rank_b == positive.size - 1 and verdict.support_b == positive.size
+    # S[L, R] and Omega[L, R], the wing corner of S+, gathered densely
+    s_lr = block_s(sp.blocks)[:n_l, n_l:]
+    omega_lr = reference_center_schur(sp.blocks)[0][:n_l, n_l:]
+    assert verdict.max_offblock_s == float(np.abs(s_lr).max(initial=0.0))
+    assert verdict.max_offblock_omega == float(np.abs(omega_lr).max(initial=0.0))
+    tol = verdict.tol
+    assert verdict.is_ci == verdict.criteria["schur"] == (verdict.max_offblock_s <= tol)
+    assert verdict.criteria["separation"] == (not (np.abs(omega_lr) > tol).any())
+    # the factorization gap through B+, within the dense route's rounding
+    f_l, f_r = sigma[:n_b, n_b : n_b + n_l], sigma[:n_b, n_b + n_l :]
+    gap = float(np.abs(sigma[n_b : n_b + n_l, n_b + n_l :] - f_l.T @ b_pinv @ f_r).max(initial=0.0))
+    if outside_band(gap, tol):
+        assert verdict.criteria["factorization"] == (gap <= tol)
+    # the belief route, one target per complement character (beta = 0)
+    labels = reference_index_sets(part)
+    at_zero = sp.labels.beta == 0
+    targets = [(mk, "C") for mk, z in zip(labels.l_set, at_zero[:n_l]) if z]
+    targets += [(mk, "A") for mk, z in zip(labels.r_set, at_zero[n_l:]) if z]
+    belief = max(
+        (dense_belief_coefficients(pmf, part, mk, side).residual for mk, side in targets),
+        default=0.0,
+    )
+    slack = max(1e-12, 8 * mass.size * np.finfo(np.float64).eps * positive.max() / positive.min())
+    assert abs(verdict.belief_residual - belief) <= slack
+    if abs(belief - tol) > slack:
+        assert verdict.criteria["belief"] == (belief <= tol)
+    assert verdict.tol == 1e-8
+    assert verdict.degenerate_wings == (not (labels.l_set and labels.r_set))
+    assert verdict.wing_overlap == len(set(labels.l_set) & set(labels.r_set))

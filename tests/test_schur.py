@@ -220,18 +220,15 @@ def test_wing_corner_is_schur_pinv_bitwise(halves_pmf, split111):
 
 def test_block_inverse_rejects_broken_rowspace(halves_pmf, split111):
     sp = assemble_sigma(halves_pmf, split111)
+    # B = 0 while F is not, so the wing rows leave B's row space
+    rows = sp.sigma.copy()
+    rows[:, : sp.n_b] = 0.0
+    broken_sp = SigmaPartition(rows, sp.labels, sp.blocks, sp.scale)
     sr = schur_complement(sp)
-    broken = SchurResult(
-        blocks=sr.blocks,
-        s_table=sr.s_table,
-        m=sr.m,
-        rank_b=sr.rank_b,
-        residual=1.0,
-        rank_s=sr.rank_s,
-        b_pinv=sr.b_pinv,
-    )
+    broken = SchurResult(sigma=broken_sp, s_table=sr.s_table, rank_s=sr.rank_s)
+    assert broken.residual == 0.5
     with pytest.raises(ValueError, match="the input is not an interaction covariance"):
-        sb_inverse(sp, broken)
+        sb_inverse(broken_sp, broken).dense()
 
 
 def test_a_rank_tol_that_cuts_the_center_range_is_named_in_the_refusal():
@@ -584,12 +581,12 @@ def test_a_block_inverse_refuses_writes_and_copies_writable_arrays(halves_pmf, s
             arr[...] = 0.0
     with pytest.raises(AttributeError):
         inverse.s_table = sr.s_table.copy()
-    b_pinv, s_table = sr.b_pinv.copy(), sr.s_table.copy()
-    kept = BlockInverse(sp, b_pinv, s_table)
-    b_pinv[...], s_table[...] = 0.0, 0.0
+    s_table = sr.s_table.copy()
+    kept = BlockInverse(SchurResult(sp, s_table, sr.rank_s))
+    s_table[...] = 0.0
     assert kept.dense().tobytes() == inverse.dense().tobytes()
-    with pytest.raises(ValueError, match="does not match the center rows and blocks"):
-        BlockInverse(sp, sr.b_pinv, sr.s_table[:-1])
+    with pytest.raises(ValueError, match="does not match the center blocks"):
+        SchurResult(sp, sr.s_table[:-1], sr.rank_s)
 
 
 BAD_TOLERANCES = [float("nan"), float("inf"), -1.0]
