@@ -86,7 +86,6 @@ from .quantize import (
     source_from_json,
 )
 from .schur import (
-    BlockInverse,
     CenterBlocks,
     SchurResult,
     SigmaPartition,

@@ -274,8 +274,8 @@ def test_ci(
     The primary verdict thresholds the wing off-block of the generalized
     Schur complement; the other three criteria are computed as cross-checks
     and reported in the criteria map.  max|Omega[L, R]| and graph separation
-    are read off the offblock() of sb_inverse's BlockInverse, so no n x n
-    Omega is formed.
+    are read off the offblock() of the SchurResult that sb_inverse checks,
+    so no n x n Omega is formed.
 
     Without rank_tol, rank_B is support_B - 1: the Walsh transform
     diagonalises the center block with eigenvalues 2^s p_b, so B's rank is

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._textrows import distinct_column, format_rows
 from .bitgroup import IndexSets, Mask, Partition
-from .schur import BlockInverse, _require_tolerance
+from .schur import SchurResult, _require_tolerance
 
 __all__ = [
     "GraphNode",
@@ -50,11 +50,12 @@ Edge = Tuple[int, int, float]
 
 
 class EdgeList:
-    """Read-only sequence of (i, j, weight) edges held as three flat arrays.
+    """Read-only (i, j, weight) edges held as three flat arrays.
 
-    Iterates, indexes, measures and compares equal like the tuple of
-    (int, int, float) triples it stands for, without holding a Python object
-    per edge: a dense block inverse can give millions of edges.
+    Iterates as (int, int, float) triples and has a length, without holding
+    a Python object per edge: a dense block inverse can give millions of
+    edges.  Two EdgeLists are equal when their arrays are; an EdgeList
+    equals no tuple, and is unhashable.
     """
 
     __slots__ = ("rows", "cols", "weights")
@@ -96,11 +97,6 @@ class EdgeList:
     def __iter__(self) -> Iterator[Edge]:
         return zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist())
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        return (int(self.rows[index]), int(self.cols[index]), float(self.weights[index]))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EdgeList):
             return (
@@ -108,15 +104,10 @@ class EdgeList:
                 and np.array_equal(self.cols, other.cols)
                 and np.array_equal(self.weights, other.weights)
             )
-        if isinstance(other, tuple):
-            return tuple(self) == other
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
     def __repr__(self) -> str:
-        return f"EdgeList({tuple(self)!r})"
+        return f"EdgeList({len(self)} edges)"
 
 
 class BeginGraph:
@@ -126,10 +117,12 @@ class BeginGraph:
     iterable of (i, j, weight) triples; they are stored as a tuple and an
     EdgeList.  codes holds each node's wing as its index in "BLR" (int8).
     A graph that build_graph made holds labels instead of nodes, labelled
-    when first read, and either its edges or the BlockInverse it was given:
-    separates reads the inverse's off-block, all a verdict needs, and the
-    edges are formed from its dense form when first read, the inverse
-    dropped once they exist.
+    when first read, and either its edges or the SchurResult it was given
+    (the block inverse, held by its blocks): separates reads its off-block,
+    all a verdict needs, and the edges are formed from its dense Omega when
+    first read, the SchurResult dropped once they exist.  Equal graphs have
+    equal nodes, edges and tol; the hash covers nodes and tol only, so
+    hashing forms no Omega and no edge.
     """
 
     __slots__ = ("codes", "tol", "_edges", "_inverse", "_labels", "_nodes")
@@ -147,7 +140,7 @@ class BeginGraph:
         bad = bad_index | ~finite | (np.abs(weights) <= tol)
         if bad.any():
             k = int(np.argmax(bad))
-            i, j, w = edges[k]
+            i, j, w = int(rows[k]), int(cols[k]), float(weights[k])
             if bad_index[k]:
                 raise ValueError(f"bad edge ({i},{j}) for {n} nodes")
             if not finite[k]:
@@ -157,17 +150,17 @@ class BeginGraph:
 
     @classmethod
     def _adopt(cls, labels: IndexSets, tol: float, edges: Optional[EdgeList],
-               inverse: Optional[BlockInverse]) -> "BeginGraph":
+               inverse: Optional[SchurResult]) -> "BeginGraph":
         """A graph over the center, left and right wing masks of labels, in
         order, at a valid tol, with the edges that build_graph found or the
-        block inverse it keeps."""
+        SchurResult it keeps."""
         out = cls.__new__(cls)
         counts = (labels.b_bits.size, labels.l_bits.size, labels.r_bits.size)
         out._set(np.repeat(_WING_CODES, counts), tol, edges, inverse, labels, None)
         return out
 
     def _set(self, codes: np.ndarray, tol: float, edges: Optional[EdgeList],
-             inverse: Optional[BlockInverse], labels: Optional[IndexSets],
+             inverse: Optional[SchurResult], labels: Optional[IndexSets],
              nodes: Optional[Tuple[GraphNode, ...]]) -> None:
         codes.flags.writeable = False
         for name, value in zip(self.__slots__, (codes, tol, edges, inverse, labels, nodes)):
@@ -189,16 +182,13 @@ class BeginGraph:
             object.__setattr__(self, "_inverse", None)
         return self._edges
 
-    def _key(self) -> Tuple[Tuple[GraphNode, ...], EdgeList, float]:
-        return self.nodes, self.edges, self.tol
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BeginGraph):
             return NotImplemented
-        return self._key() == other._key()
+        return (self.nodes, self.edges, self.tol) == (other.nodes, other.edges, other.tol)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.nodes, self.tol))
 
     def __repr__(self) -> str:
         return f"BeginGraph(nodes={self.nodes!r}, edges={self.edges!r}, tol={self.tol!r})"
@@ -237,18 +227,19 @@ def _labelled_nodes(labels: IndexSets) -> Tuple[GraphNode, ...]:
 
 
 def build_graph(
-    omega: Union[BlockInverse, np.ndarray], labels: IndexSets, tol: float
+    omega: Union[SchurResult, np.ndarray], labels: IndexSets, tol: float
 ) -> BeginGraph:
     """The undirected wing-labeled graph of the n x n block inverse at tol.
 
-    A BlockInverse (sb_inverse's) is kept uncopied, not its edges (see
-    BeginGraph); its wings must split as labels' do.  Any other omega is
-    read as an n x n float64 array and thresholded at once.
+    A SchurResult (sb_inverse's), which holds Omega by its blocks, is kept
+    uncopied, not its edges (see BeginGraph); its wings must split as
+    labels' do.  Any other omega is read as an n x n float64 array and
+    thresholded at once.
     """
     _require_tolerance("tol", tol)
     n_b, n_l = labels.b_bits.size, labels.l_bits.size
     n = n_b + n_l + labels.r_bits.size
-    held = isinstance(omega, BlockInverse)
+    held = isinstance(omega, SchurResult)
     mat = omega if held else np.asarray(omega, dtype=np.float64)
     if mat.shape != (n, n):
         raise ValueError(f"omega shape {mat.shape} does not match {n} labeled masks")
@@ -283,9 +274,9 @@ def separates(g: BeginGraph) -> bool:
     Every node outside the center lies on a wing, so a path from the left
     wing to the right one that avoids the center must cross a left-right
     edge somewhere; separation is the absence of such an edge.  A graph
-    that still holds its block inverse answers from the inverse's
-    off-block, the entries of Omega[L, R], the only ones a left-right edge
-    can come from; any other reads its edges' wing codes.
+    that still holds its SchurResult answers from its off-block, the
+    entries of Omega[L, R], the only ones a left-right edge can come from;
+    any other reads its edges' wing codes.
     """
     if g._inverse is not None:
         corner = g._inverse.offblock()

@@ -5,10 +5,11 @@ Schur complement and its block inverse keep exact structural symmetry so
 downstream equality checks can be bit-for-bit.  Sigma's wings are held
 only as one small block per center configuration (CenterBlocks): S+ and
 rank(S) are read off the blocks and the Walsh transform, and only the
-center block and the per-configuration blocks are decomposed.  The block
-inverse Omega is held by its blocks too (BlockInverse), and formed as an
-n x n array only on request; B+ and the row-space residual are formed only
-where Omega is, or where a rank_tol is given or they are read.
+center block and the per-configuration blocks are decomposed.  The Schur
+complement (SchurResult) also holds the block inverse Omega by these
+blocks, and forms it as an n x n array only on request; B+ and the
+row-space residual are formed only where Omega is, or where a rank_tol is
+given or they are read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "CenterBlocks",
     "SigmaPartition",
     "SchurResult",
-    "BlockInverse",
     "schur_complement",
     "sb_inverse",
 ]
@@ -243,11 +243,6 @@ class CenterBlocks:
             out[rows] = chunk
         return out
 
-    def schur(self, rank_tol: Optional[float] = None) -> Tuple[np.ndarray, int]:
-        """The pseudoinverse of S in wing order, and the rank of S."""
-        table, rank = self.pinv_table(rank_tol)
-        return self.gather(table), rank
-
 
 @dataclass(frozen=True)
 class SigmaPartition:
@@ -300,9 +295,11 @@ class SigmaPartition:
         return self.sigma[: self.n_b, self.n_b :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurResult:
-    """Generalized Schur complement of the center block, plus row-space data.
+    """Generalized Schur complement of the center block, plus row-space data,
+    and the block inverse Omega it determines, held by these parts rather
+    than as an n x n array.
 
     S+ is not held: s_table is its flat read-only table from the center
     blocks (CenterBlocks.pinv_table), kept as is when read-only and owning
@@ -311,10 +308,12 @@ class SchurResult:
     row-space coefficients m = F' B+ and residual come from sigma's center
     rows: all four are formed together, by one _schur_parts call, when the
     first of them is read, and then kept.  rank_tol is the cutoff they are
-    formed with, if any.
+    formed with, if any.  dense() forms Omega, and offblock() reads
+    Omega[L, R] off the table without forming it or B+.  It compares and
+    hashes by identity.
     """
 
-    sigma: SigmaPartition = field(repr=False, compare=False)
+    sigma: SigmaPartition = field(repr=False)
     s_table: np.ndarray
     rank_s: int
     rank_tol: Optional[float] = None
@@ -368,32 +367,6 @@ class SchurResult:
                 f"support gives {int((self.blocks.mass > 0.0).sum()) - 1}")
             raise ValueError(f"row-space residual {self.residual} exceeds {_RESIDUAL_TOL}; {cause}")
 
-
-@dataclass(frozen=True, eq=False)
-class BlockInverse:
-    """The block generalized inverse Omega over (center, left wing, right
-    wing), held by its blocks rather than as an n x n array.
-
-    schur gives the center rows [B | F] and the center blocks (its sigma),
-    S+'s flat table (CenterBlocks.pinv_table) and B+, which it forms only
-    when dense() first needs it.  dense() forms Omega, and offblock() reads
-    Omega[L, R] off the table without forming it or B+.
-    """
-
-    schur: SchurResult = field(repr=False)
-
-    @property
-    def sigma(self) -> SigmaPartition:
-        return self.schur.sigma
-
-    @property
-    def b_pinv(self) -> np.ndarray:
-        return self.schur.b_pinv
-
-    @property
-    def s_table(self) -> np.ndarray:
-        return self.schur.s_table
-
     @property
     def shape(self) -> Tuple[int, int]:
         n = self.sigma.n_b + self.sigma.n_l + self.sigma.n_r
@@ -403,13 +376,12 @@ class BlockInverse:
         """Omega as a read-only n x n array, formed anew on each call.
 
         A row-space residual past tolerance is refused first
-        (SchurResult.require_row_space), before anything is allocated.  S+
-        is gathered once, straight into the wing corner (bit for bit
-        SchurResult.s_pinv), and the center rows are formed from it; the
-        whole matrix is symmetric by construction, not by post-hoc
-        symmetrization.
+        (require_row_space), before anything is allocated.  S+ is gathered
+        once, straight into the wing corner (bit for bit s_pinv), and the
+        center rows are formed from it; the whole matrix is symmetric by
+        construction, not by post-hoc symmetrization.
         """
-        self.schur.require_row_space()
+        self.require_row_space()
         sp = self.sigma
         n_b = sp.n_b
         n = self.shape[0]
@@ -485,20 +457,21 @@ def schur_complement(
     return SchurResult(sigma=sp, s_table=s_table, rank_s=rank_s, rank_tol=rank_tol)
 
 
-def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> BlockInverse:
+def sb_inverse(sp: SigmaPartition, sr: SchurResult) -> SchurResult:
     """The block generalized inverse Omega over (center, left wing, right
-    wing), assembled from the Schur complement and held by its blocks
-    (BlockInverse): no n x n or n_w x n_w array is formed here.
+    wing): sr itself, which holds Omega by its blocks (SchurResult.dense,
+    SchurResult.offblock), once it is checked.  No n x n or n_w x n_w array
+    is formed here.
 
     sp must be the SigmaPartition sr was formed from.  With a rank_tol, a
     row-space residual past tolerance is refused here, naming rank_tol, the
     rank of B it gave and the rank the center support gives; without one,
     the residual is neither formed nor checked here, and a broken row space
-    ("the input is not an interaction covariance") is refused by the
-    inverse's dense(), before Omega is formed.
+    ("the input is not an interaction covariance") is refused by dense(),
+    before Omega is formed.
     """
     if sr.sigma is not sp:
         raise ValueError("the Schur complement was formed from another sigma")
     if sr.rank_tol is not None:
         sr.require_row_space()
-    return BlockInverse(sr)
+    return sr

@@ -8,12 +8,13 @@ center blocks: S = D - F' B+ F formed densely, the eigen helpers it used,
 additivity (rank(S) = rank(sigma) - rank(B), with sigma's spectrum from one
 eigvalsh) by default, and an eigenvalue threshold on S itself under an
 explicit rank_tol.  dense_schur_gap_bound says how far the dense S may lie
-from the block one.  block_s is the S that CenterBlocks.schur gathered off
-the blocks before test_ci read max|S[L, R]| off their Walsh-transformed
-corners, and sigma_residual the sigma omega sigma check that sb_inverse's
-former OmegaMatrix wrapper made.  reference_center_schur is
-CenterBlocks.schur as it was before it gathered S+ a chunk of rows at a
-time: one n_w x n_w int32 index, cast to intp by the fancy index.
+from the block one.  block_s is the S that the former CenterBlocks.schur
+gathered off the blocks before test_ci read max|S[L, R]| off their
+Walsh-transformed corners, and sigma_residual the sigma omega sigma check
+that sb_inverse's former OmegaMatrix wrapper made.  reference_center_schur
+is the former CenterBlocks.schur (now pinv_table, then gather) as it was
+before it gathered S+ a chunk of rows at a time: one n_w x n_w int32
+index, cast to intp by the fancy index.
 
 reference_subset_offblock is subset_offblock as it was before it read the
 factorization gap off sigma's center rows and L x R corner: the whole n x n

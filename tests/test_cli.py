@@ -168,6 +168,16 @@ def test_a_thin_center_configuration_is_answered_not_refused(tmp_path, capsys):
     assert err.endswith("; the input is not an interaction covariance\n")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect (FOUND in CHANGES.md): on thin-center CI pmfs the separation "
+    "route reads the eigh round-off of a tiny-mass block's pseudoinverse, "
+    "scaled by 1/p_b, as a left-right edge while the other three routes say CI"))
+def test_the_four_routes_agree_on_thin_center_inputs():
+    disagree = [(pmf, part) for pmf, part in thin_center_cases()
+                if len(set(decide_ci(pmf, part).criteria.values())) > 1]
+    assert disagree == []
+
+
 def test_verdict_payload_matches_library(tmp_path, part111_file, capsys):
     ci = tmp_path / "ci.csv"
     main(["random", "--mode", "ci", "--dims", "1,1,1", "--seed", "5",

@@ -12,6 +12,7 @@ from begin import (
     Mask,
     Partition,
     Pmf,
+    SchurResult,
     assemble_sigma,
     build_graph,
     build_index_sets,
@@ -62,7 +63,7 @@ def test_xor_graph_couples_the_wings(xor_pmf, split111):
 
 def test_point_mass_graph_is_edgeless(split111):
     g = graph_of(Pmf(3, np.eye(8)[0]), split111)
-    assert g.edges == ()
+    assert tuple(g.edges) == ()
     assert separates(g)
 
 
@@ -360,12 +361,9 @@ def case_graph(part, kind, seed, tol=1e-8):
 def test_build_graph_and_exports_match_reference(part, kind, seed):
     om, g = case_graph(part, kind, seed)
     ref = reference_edges(om, g.tol)
-    assert g.edges == ref
     assert tuple(g.edges) == ref
     assert len(g.edges) == len(ref)
     assert [type(v) for e in g.edges for v in e] == [int, int, float] * len(ref)
-    if ref:
-        assert g.edges[0] == ref[0] and g.edges[-1] == ref[-1]
     assert separates(g) == reference_separates(g.nodes, ref)
     assert export_graph(g, "dot") == reference_dot(g.nodes, ref)
     text = export_graph(g, "json")
@@ -374,15 +372,21 @@ def test_build_graph_and_exports_match_reference(part, kind, seed):
     assert hash(graph_from_json(text)) == hash(g)
 
 
-def test_edge_list_behaves_like_a_tuple_of_triples():
+def test_edge_list_iterates_triples_and_compares_by_its_arrays():
     triples = ((0, 2, 0.5), (1, 2, -0.25))
     edges = EdgeList.from_triples(triples)
-    assert edges == triples and triples == edges
-    assert edges != triples[:1] and edges != list(triples)
-    assert EdgeList.from_triples(()) == ()
-    assert edges[1] == (1, 2, -0.25)
-    assert edges[:1] == triples[:1]
-    assert hash(edges) == hash(triples)
+    assert tuple(edges) == triples and len(edges) == 2
+    assert [type(v) for e in edges for v in e] == [int, int, float] * 2
+    empty = EdgeList.from_triples(())
+    assert len(empty) == 0 and tuple(empty) == ()
+    assert empty.rows.dtype == np.int64 and empty.weights.dtype == np.float64
+    assert edges == EdgeList([0, 1], [2, 2], [0.5, -0.25])
+    assert edges != EdgeList([0, 1], [2, 2], [0.5, 0.25]) and edges != empty
+    # no tuple stands in for it, and it is unhashable
+    assert edges != triples and triples != edges and edges != list(triples)
+    with pytest.raises(TypeError):
+        hash(edges)
+    assert repr(edges) == "EdgeList(2 edges)" and repr(empty) == "EdgeList(0 edges)"
     with pytest.raises(AttributeError):
         edges.rows = np.zeros(2, dtype=np.int64)
     with pytest.raises(ValueError):
@@ -445,7 +449,7 @@ def test_separation_matches_reference_on_random_symmetric_matrices(part, data):
     mat = mat + np.triu(mat, 1).T
     g = build_graph(mat, labels, 1e-8)
     ref = reference_edges(mat, 1e-8)
-    assert g.edges == ref
+    assert tuple(g.edges) == ref
     assert separates(g) == reference_separates(g.nodes, ref)
 
 
@@ -475,7 +479,7 @@ def test_overlapping_wing_partitions_match_reference():
         # read off Omega's L x R block, before the edges are formed
         from_omega = separates(g)
         ref = reference_edges(om.dense(), g.tol)
-        assert g.edges == ref
+        assert tuple(g.edges) == ref
         assert separates(g) == from_omega == reference_separates(g.nodes, ref)
         assert decide_ci(pmf, part).criteria["separation"] == from_omega
         answers.add(from_omega)
@@ -569,7 +573,7 @@ def test_build_graph_matches_the_reference_loop_past_one_tile(kind, seed):
     om, g = case_graph(part, kind, seed)
     assert om.shape[0] > 128
     ref = reference_edges(om, g.tol)
-    assert g.edges == ref and len(g.edges) == len(ref)
+    assert tuple(g.edges) == ref and len(g.edges) == len(ref)
     assert g.edges.rows.dtype == np.int64 and g.edges.weights.dtype == np.float64
     assert separates(g) == reference_separates(g.nodes, ref)
 
@@ -583,7 +587,7 @@ def test_build_graph_thresholds_like_abs_on_a_sparse_matrix_past_one_tile():
     mat = values[rng.integers(values.size, size=(n, n))]
     for tol in (1e-8, 0.5):
         g = build_graph(mat, labels, tol)
-        assert n > 128 and g.edges == reference_edges(mat, tol)
+        assert n > 128 and tuple(g.edges) == reference_edges(mat, tol)
 
 
 def shuffled_json(text, rng):
@@ -615,7 +619,7 @@ def test_edge_list_constructor_copies_the_callers_arrays():
     weights = np.array([0.5, -0.25])
     edges = EdgeList(rows, cols, weights)
     rows[0], cols[0], weights[0] = 1, 1, 9.0
-    assert edges == ((0, 2, 0.5), (1, 2, -0.25))
+    assert tuple(edges) == ((0, 2, 0.5), (1, 2, -0.25))
     assert rows.flags.writeable and cols.flags.writeable and weights.flags.writeable
     assert not (edges.rows.flags.writeable or edges.weights.flags.writeable)
 
@@ -805,7 +809,38 @@ def test_writing_omega_after_build_graph_does_not_change_the_graph():
     for g in graphs[::2]:
         assert not separates(g)
     for g in graphs:
-        assert g.edges == ref and not separates(g)
+        assert tuple(g.edges) == ref and not separates(g)
+
+
+def test_build_graph_keeps_the_schur_complement_sb_inverse_returned():
+    part = Partition.coordinate_split(1, 2, 1)
+    sp = assemble_sigma(make_generic_pmf(4, seed=3), part)
+    sr = schur_complement(sp)
+    g = build_graph(sb_inverse(sp, sr), sp.labels, 1e-8)
+    assert g._inverse is sr
+    assert not separates(g) and g._inverse is sr
+    ref = reference_edges(sr.dense(), 1e-8)
+    assert tuple(g.edges) == ref and g._inverse is None
+
+
+def test_hashing_a_verdict_graph_forms_no_omega(monkeypatch):
+    cases = [
+        (make_ci_pmf(2, 2, 1, seed=4), Partition.coordinate_split(2, 2, 1)),
+        (make_generic_pmf(5, seed=4), Partition.coordinate_split(2, 2, 1)),
+        (make_generic_pmf(3, seed=9), OVERLAP_PART),
+    ]
+    texts = [export_graph(graph_of(pmf, part), "json") for pmf, part in cases]
+
+    def refuse(self):
+        raise AssertionError("Omega formed")
+
+    monkeypatch.setattr(SchurResult, "dense", refuse)
+    for (pmf, part), text in zip(cases, texts):
+        g = graph_of(pmf, part)
+        assert hash(g) == hash(graph_from_json(text))
+        assert g._inverse is not None
+        with pytest.raises(AssertionError, match="Omega formed"):
+            g.edges
 
 
 def test_verdicts_form_no_edge_list(monkeypatch):

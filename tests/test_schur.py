@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from begin import (
-    BlockInverse,
     CenterBlocks,
     Mask,
     Partition,
@@ -229,6 +228,27 @@ def test_block_inverse_rejects_broken_rowspace(halves_pmf, split111):
     assert broken.residual == 0.5
     with pytest.raises(ValueError, match="the input is not an interaction covariance"):
         sb_inverse(broken_sp, broken).dense()
+
+
+def test_sb_inverse_returns_the_schur_complement_it_checked(halves_pmf, split111):
+    sp = assemble_sigma(halves_pmf, split111)
+    sr = schur_complement(sp)
+    assert sb_inverse(sp, sr) is sr
+    # compared and hashed by identity: its arrays decide no equality
+    twin = schur_complement(sp)
+    assert sr == sr and sr != twin and hash(sr) != hash(twin)
+    with pytest.raises(ValueError) as other:
+        sb_inverse(assemble_sigma(halves_pmf, split111), sr)
+    assert str(other.value) == "the Schur complement was formed from another sigma"
+    # the row-space refusal under a rank_tol, its text in full
+    part = Partition.coordinate_split(2, 3, 2)
+    sp = assemble_sigma(make_ci_pmf(2, 3, 2, seed=11, zero_prob=0.3), part)
+    sr = schur_complement(sp, 0.1)
+    with pytest.raises(ValueError) as cut:
+        sb_inverse(sp, sr)
+    assert str(cut.value) == (
+        f"row-space residual {sr.residual} exceeds 1e-08; rank_tol 0.1 gave "
+        "rank(B) = 4 where the center support gives 5")
 
 
 def test_a_rank_tol_that_cuts_the_center_range_is_named_in_the_refusal():
@@ -536,7 +556,8 @@ def test_s_pinv_gather_is_bitwise_the_whole_index_formula(rank_tol):
     ks, wings, overlapping = set(), set(), 0
     for pmf, part in gather_cases():
         sp = assemble_sigma(pmf, part)
-        got, rank = sp.blocks.schur(rank_tol)
+        table, rank = sp.blocks.pinv_table(rank_tol)
+        got = sp.blocks.gather(table)
         ref, ref_rank = reference_center_schur(sp.blocks, rank_tol)
         assert rank == ref_rank
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -573,8 +594,8 @@ def test_a_block_inverse_refuses_writes_and_copies_writable_arrays(halves_pmf, s
     sp = assemble_sigma(halves_pmf, split111)
     sr = schur_complement(sp)
     inverse = sb_inverse(sp, sr)
-    # sb_inverse holds schur_complement's read-only arrays as they are
-    assert inverse.b_pinv is sr.b_pinv and inverse.s_table is sr.s_table
+    # sb_inverse returns schur_complement's result, read-only arrays and all
+    assert inverse is sr
     for arr in (inverse.b_pinv, inverse.s_table, inverse.offblock(), inverse.dense()):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -582,7 +603,7 @@ def test_a_block_inverse_refuses_writes_and_copies_writable_arrays(halves_pmf, s
     with pytest.raises(AttributeError):
         inverse.s_table = sr.s_table.copy()
     s_table = sr.s_table.copy()
-    kept = BlockInverse(SchurResult(sp, s_table, sr.rank_s))
+    kept = SchurResult(sp, s_table, sr.rank_s)
     s_table[...] = 0.0
     assert kept.dense().tobytes() == inverse.dense().tobytes()
     with pytest.raises(ValueError, match="does not match the center blocks"):
