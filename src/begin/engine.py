@@ -6,7 +6,9 @@ generalized Schur complement, block factorization of the cross-covariance,
 conditional-expectation tables, and graph separation on the block inverse.
 The four must agree; the Schur off-block is the primary verdict.  A verdict
 holds the block inverse by its blocks and reads its L x R block off the
-table of S+, so it forms no n x n array.
+table of S+, so it forms no n x n array.  Sigma's n_b x n center rows are
+formed only when read: under a rank_tol, by a dense Omega (begin graph),
+or by the center-subset probes, which form their own.
 """
 
 from __future__ import annotations
@@ -154,9 +156,23 @@ def assemble_sigma(
     its center rows, and the wing Schur complement split by center
     configuration (CenterBlocks).  joint, the pmf's (b, a, c) mass array
     (_wing_table), is built here unless the caller already has it.
+
+    The index sets and the center blocks are formed here; the center rows
+    and max|sigma| only when first read (_center_rows), which a verdict
+    without rank_tol never does.
     """
     _admit_sigma(pmf, part, (1 << part.b_span.dim) - 1)
     labels = build_index_sets(part)
+    if joint is None:
+        joint = _wing_table(pmf, part)
+    blocks = _center_blocks(joint, labels)
+    return SigmaPartition.deferred(labels, blocks, lambda: _center_rows(pmf, labels))
+
+
+def _center_rows(pmf: Pmf, labels: IndexSets) -> Tuple[np.ndarray, float]:
+    """Sigma's center rows [B | F] over (center, left wing, right wing) and
+    max|sigma|, through this module's interaction_cov and moments_from_pmf
+    as they are bound when the rows are read."""
     bits = np.concatenate([labels.b_bits, labels.l_bits, labels.r_bits])
     # B exactly symmetric: entry (i, j) is m[i ^ j] - m[i] m[j]
     rows = interaction_cov(pmf, labels.b_bits, bits)
@@ -164,10 +180,7 @@ def assemble_sigma(
     # by Cauchy-Schwarz the largest |entry| of a covariance is a variance,
     # m[0] - m[k]^2 as interaction_cov forms it
     m = moments_from_pmf(pmf)
-    scale = _max_abs(m[0] - m[bits] * m[bits])
-    if joint is None:
-        joint = _wing_table(pmf, part)
-    return SigmaPartition(rows, labels, _center_blocks(joint, labels), scale)
+    return rows, _max_abs(m[0] - m[bits] * m[bits])
 
 
 def _wing_table(pmf: Pmf, part: Partition) -> np.ndarray:
@@ -285,7 +298,8 @@ def test_ci(
     rank_B is the eigenvalue count of B above rank_tol times its largest,
     and a row-space residual past 1e-8 is refused (sb_inverse), naming the
     rank the cut gave.  A negative or non-finite tol or rank_tol is
-    refused, and so is a sigma past the byte limit.
+    refused, and so is a sigma past the byte limit.  Sigma's center rows
+    [B | F] and max|sigma| are read, and so formed, only under rank_tol.
     """
     _require_tolerance("tol", tol)
     _require_rank_tol(rank_tol)

@@ -9,7 +9,9 @@ center block and the per-configuration blocks are decomposed.  The Schur
 complement (SchurResult) also holds the block inverse Omega by these
 blocks, and forms it as an n x n array only on request; B+ and the
 row-space residual are formed only where Omega is, or where a rank_tol is
-given or they are read.
+given or they are read.  Sigma's center rows (SigmaPartition) may be
+formed on their first read too, and only B+, M, the residual and Omega
+read them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -244,7 +246,6 @@ class CenterBlocks:
         return out
 
 
-@dataclass(frozen=True)
 class SigmaPartition:
     """Interaction covariance over masks ordered center, left wing, right wing:
     its n_b x n center rows [B | F] as sigma, its max|entry| as scale.
@@ -254,18 +255,45 @@ class SigmaPartition:
     center masses are >= 0, the wing rows lie in the row space of B
     (checked where B+ is formed: SchurResult.require_row_space) and every
     block is PSD (checked by CenterBlocks).
-    A sigma with a nan or infinite entry is refused.  A read-only float64
-    sigma that owns its memory (assemble_sigma's) is kept; any other is
-    copied, so no caller can write the stored sigma.
+    SigmaPartition(sigma, labels, blocks, scale) checks the rows it is given
+    at once; deferred takes a function that forms them and the scale, runs
+    it when sigma, scale or f_block is first read, checks its rows the same
+    way, keeps both and drops the function.  A sigma with a nan or infinite
+    entry is refused.  A read-only float64 sigma that owns its memory
+    (assemble_sigma's) is kept; any other is copied, so no caller can write
+    the stored sigma.  It is read-only, and compares and hashes by identity.
     """
 
-    sigma: np.ndarray
-    labels: IndexSets
-    blocks: CenterBlocks = field(repr=False, compare=False)
-    scale: float
+    def __init__(
+        self, sigma: np.ndarray, labels: IndexSets, blocks: CenterBlocks, scale: float
+    ) -> None:
+        self._hold(labels, blocks, lambda: (sigma, scale))
+        self._center  # the given rows are checked now
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.sigma, dtype=np.float64)
+    @classmethod
+    def deferred(
+        cls, labels: IndexSets, blocks: CenterBlocks, form: Callable[[], Tuple[np.ndarray, float]]
+    ) -> "SigmaPartition":
+        """A SigmaPartition whose center rows and scale form() gives on
+        their first read."""
+        out = cls.__new__(cls)
+        out._hold(labels, blocks, form)
+        return out
+
+    def _hold(self, labels: IndexSets, blocks: CenterBlocks, form: Callable) -> None:
+        if blocks.beta.shape != (labels.l_bits.size + labels.r_bits.size,):
+            raise ValueError("center blocks do not index the wings of sigma")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_form", form)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("SigmaPartition is read-only")
+
+    @cached_property
+    def _center(self) -> Tuple[np.ndarray, float]:
+        sigma, scale = self._form()
+        arr = np.asarray(sigma, dtype=np.float64)
         n_b, n = self.n_b, self.n_b + self.n_l + self.n_r
         if arr.shape != (n_b, n):
             raise ValueError(
@@ -273,9 +301,17 @@ class SigmaPartition:
             )
         _require_finite(arr)
         _require_symmetric(arr[:, :n_b], tol=1e-12)
-        object.__setattr__(self, "sigma", _frozen(arr))
-        if self.blocks.beta.shape != (n - n_b,):
-            raise ValueError("center blocks do not index the wings of sigma")
+        # a held graph keeps the SigmaPartition, not what formed its rows
+        object.__setattr__(self, "_form", None)
+        return _frozen(arr), scale
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self._center[0]
+
+    @property
+    def scale(self) -> float:
+        return self._center[1]
 
     @property
     def n_b(self) -> int:

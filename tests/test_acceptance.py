@@ -237,6 +237,96 @@ def test_verdicts_never_form_omega(corpus, monkeypatch):
         g.edges
 
 
+def test_a_verdict_without_rank_tol_forms_no_center_rows(corpus, monkeypatch, tmp_path, capsys):
+    """With no rank_tol, a verdict and `begin test` read nothing of sigma's
+    center rows [B | F] or max|sigma|, and every verdict field and output
+    byte is what it was; under rank_tol, and in `begin graph`, both are
+    formed exactly once."""
+    import begin.engine as engine_module
+
+    cases = [(rec["pmf"], rec["part"]) for rec in corpus]
+    cases += [(pmf, part) for part, pmf in overlapping_parity_cases()]
+    runs = []
+    for k, (pmf, part) in enumerate(cases[::20]):
+        pmf_file, part_file = tmp_path / f"{k}.csv", tmp_path / f"{k}.json"
+        write_pmf_csv(pmf, str(pmf_file))
+        part_file.write_text(partition_to_json(part))
+        runs.append([str(pmf_file), "--partition", str(part_file)])
+
+    def cli(*argv):
+        return cli_main(list(argv)), capsys.readouterr()
+
+    expected = [repr(decide_ci(pmf, part, tol=TOL)) for pmf, part in cases]
+    expected_cli = [cli("test", *args) for args in runs]
+    names = ("interaction_cov", "moments_from_pmf")
+    for name in names:
+        def refuse(*args, _name=name):
+            raise AssertionError(f"{_name} called")
+
+        monkeypatch.setattr(engine_module, name, refuse)
+    assert [repr(decide_ci(pmf, part, tol=TOL)) for pmf, part in cases] == expected
+    assert [cli("test", *args) for args in runs] == expected_cli
+    assert {code for code, _ in expected_cli} == {0, 1}
+    monkeypatch.undo()
+    calls = []
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(engine_module, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(engine_module, name, counted)
+    for pmf, part in cases:
+        calls.clear()
+        try:
+            decide_ci(pmf, part, tol=TOL, rank_tol=1e-10)
+        except ValueError:
+            pass  # a refusal names the rank the cut gave, which reads the rows
+        assert sorted(calls) == list(names)
+    for args in runs:
+        calls.clear()
+        assert cli("graph", *args)[0] == 0
+        assert sorted(calls) == list(names)
+
+
+def test_the_deferred_center_rows_are_the_eager_ones(corpus, monkeypatch):
+    """assemble_sigma's center rows, formed when first read, are bit for bit
+    interaction_cov's over (center, left wing, right wing), and its scale
+    is max|sigma|.  They are formed once, whichever of sigma, scale,
+    f_block, rank_b and dense() reads them, and what formed them is then
+    let go: a held SigmaPartition keeps no pmf alive."""
+    import weakref
+
+    import begin.engine as engine_module
+
+    calls, real = [], engine_module.interaction_cov
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(engine_module, "interaction_cov", counted)
+    for rec in corpus:
+        part = rec["part"]
+        pmf = Pmf(rec["pmf"].p, rec["pmf"].probs)
+        alive = weakref.ref(pmf)
+        labels = rec["sp"].labels
+        bits = np.concatenate([labels.b_bits, labels.l_bits, labels.r_bits])
+        eager = interaction_cov(pmf, labels.b_bits, bits)
+        scale = float(np.abs(dense_sigma(pmf, part)).max())
+        sp = assemble_sigma(pmf, part)
+        sr = schur_complement(sp)
+        del pmf
+        calls.clear()
+        assert alive() is not None
+        assert sp.sigma.tobytes() == eager.tobytes() and sp.sigma.shape == eager.shape
+        assert alive() is None
+        assert sp.scale == scale
+        assert sp.f_block.tobytes() == eager[:, labels.b_bits.size :].tobytes()
+        assert sr.rank_b == rec["sr"].rank_b
+        assert sr.dense().tobytes() == rec["om"].tobytes()
+        assert calls == [labels.b_bits.size]
+
+
 def test_wing_rows_lie_in_center_row_space(corpus):
     for rec in corpus:
         assert rec["sr"].residual <= TOL

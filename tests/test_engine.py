@@ -604,8 +604,8 @@ def test_the_search_reads_each_case_once_whatever_its_subset_count(monkeypatch):
         calls.clear()
         search_subset_counterexamples([case])
         counts.append((calls.count("interaction_cov"), calls.count("moments_from_pmf")))
-    # the verdict's center rows and moments, then the probe's rows, corner and moments
-    assert counts == [(3, 2)] * 4
+    # the probe's rows, corner and moments: the verdict reads no center row
+    assert counts == [(2, 1)] * 4
 
 
 @pytest.mark.parametrize("shape", [(2, 7, 2), (2, 8, 2)])
@@ -769,8 +769,10 @@ def test_subset_sigma_past_the_byte_limit_is_refused_before_allocation(monkeypat
 def test_benchmark_and_roadmap_shapes_are_admitted(monkeypatch, shape):
     refuse_to_allocate(monkeypatch)
     part = Partition.coordinate_split(*shape)
+    sp = assemble_sigma(make_generic_pmf(sum(shape), seed=2), part)
+    # the center rows are formed when first read
     with pytest.raises(Allocated):
-        assemble_sigma(make_generic_pmf(sum(shape), seed=2), part)
+        sp.sigma
 
 
 def test_a_refused_sigma_builds_no_index_sets(monkeypatch):
@@ -840,15 +842,16 @@ def test_verdicts_and_graphs_ask_interaction_cov_for_the_center_rows_only(
         pmf_file, part_file = tmp_path / f"{k}.csv", tmp_path / f"{k}.json"
         write_pmf_csv(pmf, str(pmf_file))
         part_file.write_text(partition_to_json(part))
+        # with no rank_tol a verdict reads no center row
         runs = (
-            lambda: decide_ci(pmf, part),
-            lambda: decide_ci(pmf, part, rank_tol=1e-10),
-            lambda: main(["graph", str(pmf_file), "--partition", str(part_file)]),
+            (lambda: decide_ci(pmf, part), []),
+            (lambda: decide_ci(pmf, part, rank_tol=1e-10), [(n_b, n)]),
+            (lambda: main(["graph", str(pmf_file), "--partition", str(part_file)]), [(n_b, n)]),
         )
-        for run in runs:
+        for run, asked in runs:
             shapes.clear()
             run()
-            assert shapes == [(n_b, n)]
+            assert shapes == asked
     assert capsys.readouterr().err == ""
 
 
@@ -942,18 +945,21 @@ def test_subset_search_refuses_a_bad_magnitude_before_reading_a_case(bad):
 
 
 @pytest.mark.parametrize("kind", ["ci", "generic"])
-@pytest.mark.parametrize("shape", [(3, 5, 3), (2, 7, 2)])
+@pytest.mark.parametrize("shape", [(3, 5, 3), (2, 7, 2), (2, 8, 2)])
 def test_a_verdict_forms_no_n_by_n_array(shape, kind):
     """A verdict's traced peak stays within half of what an n x n Omega
     would take (8 n^2 bytes): Omega is held by its blocks, its L x R block
     and separation are read off S+'s table, and no Omega, S+, edge array or
-    n x n mask is formed."""
+    n x n mask is formed.  Where the center is wide, the peak also stays
+    below sigma's n_b x n center rows (8 n_b n bytes), which a verdict
+    without rank_tol does not form."""
     part = Partition.coordinate_split(*shape)
     if kind == "ci":
         pmf = make_ci_pmf(*shape, seed=7, zero_prob=0.3)
     else:
         pmf = make_generic_pmf(sum(shape), seed=7, zero_fraction=0.3)
-    n = len(build_index_sets(part).all_masks())
+    labels = build_index_sets(part)
+    n, n_b = len(labels.all_masks()), labels.b_bits.size
     decide_ci(pmf, part)
     tracemalloc.start()
     try:
@@ -964,6 +970,8 @@ def test_a_verdict_forms_no_n_by_n_array(shape, kind):
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * 8 * n * n
+    if shape != (3, 5, 3):
+        assert peak < 8 * n_b * n
 
 
 def test_probes_form_no_row_space_residual(monkeypatch):
