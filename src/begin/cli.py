@@ -3,11 +3,17 @@
 Exit codes: 0 = CI (or plain success), 1 = not CI, 2 = error.  Empirical
 (sample) inputs never produce a hard verdict unless --assert-tol is given;
 they get an advisory report with magnitudes and "empirical": true.
+
+`main` builds its argument parser on the first call and reuses it for every
+later call in the same process; nothing writes to the parser once it is
+built, and `parse_args` returns a fresh namespace per call.  A console-script
+run builds it once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence, Tuple
@@ -48,6 +54,7 @@ def _parse_depths(text: str) -> Tuple[int, ...]:
     return (int(text),)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="begin",

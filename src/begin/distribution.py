@@ -261,10 +261,17 @@ def make_ising_cycle_pmf(thetas: Sequence[float], chord: float = 0.0) -> Pmf:
 
     chord adds a 13 diagonal term, which breaks X1 _||_ X3 | (X2,X4).
     Probabilities are not dyadic here; downstream checks use tolerances.
+    Weights whose energy range 2*(sum|theta_k| + |chord|) is not finite are
+    refused: energy - max would overflow, giving nan probabilities or
+    silently absorbing the smaller weights.
     """
     th = [float(v) for v in thetas]
     if len(th) != 4 or not all(np.isfinite(th)):
         raise ValueError("need four finite edge weights")
+    if not np.isfinite(chord):
+        raise ValueError(f"need a finite chord weight, got {chord}")
+    if not np.isfinite(2.0 * (sum(map(abs, th)) + abs(float(chord)))):
+        raise ValueError("energy range 2*(sum|thetas| + |chord|) is not finite")
     cells = np.arange(16, dtype=np.int64)
     x = [1.0 - 2.0 * ((cells >> (3 - j)) & 1) for j in range(4)]
     energy = (

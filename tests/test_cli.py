@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +31,14 @@ from begin import (
 )
 from begin._textrows import CHUNK_ROWS, read_lines
 from begin.distribution import _is_pmf_header
-from begin.cli import _format_matrix, _format_vector, _read_vector, _sniff_pmf_file, main
+from begin.cli import (
+    _build_parser,
+    _format_matrix,
+    _format_vector,
+    _read_vector,
+    _sniff_pmf_file,
+    main,
+)
 from begin.engine import test_ci as decide_ci
 
 from conftest import cell_index, random_chain_pmf
@@ -468,15 +477,79 @@ def test_file_commands_leave_numpy_ma_unimported(tmp_path):
 
 def test_the_cli_digest_is_identical_over_two_runs():
     """tools/cli_digest.py hashes what every CLI call lets a user see; two
-    runs of one tree must print the same lines."""
+    runs of one tree must print the same lines, and so must two runs of its
+    calls in one interpreter, which share main's parser."""
     tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cli_digest.py")
     src = os.path.dirname(os.path.dirname(begin.__file__))
-    runs = [subprocess.run([sys.executable, tool], env={**os.environ, "PYTHONPATH": src},
-                           capture_output=True, text=True, timeout=600) for _ in range(2)]
+    twice = f"import runpy\nrun = runpy.run_path({tool!r})['run']\nrun()\nrun()\n"
+    runs = [subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=600)
+            for argv in ([sys.executable, tool], [sys.executable, tool],
+                         [sys.executable, "-c", twice])]
     for run in runs:
         assert run.returncode == 0, run.stderr
         assert re.fullmatch(r"([0-9a-f]{64}  \S.*\n)+", run.stdout)
     assert runs[0].stdout == runs[1].stdout
+    assert runs[2].stdout == runs[0].stdout * 2
+    # usage errors (exit 2 from argparse) are among the calls both halves hash
+    assert " rank gen7 tol\n" in runs[0].stdout
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, tmp_path, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    vec = tmp_path / "vec.txt"
+    vec.write_text("1\n2\n")
+    for _ in range(3):
+        assert main(["wht", str(vec)]) == 0
+    # one tree is the top-level parser and its eight subcommands
+    assert len(built) <= 9
+    assert _build_parser() is _build_parser()
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of argv run by a new interpreter."""
+    src = os.path.dirname(os.path.dirname(begin.__file__))
+    run = subprocess.run([sys.executable, "-m", "begin.cli", *argv],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    return run.returncode, run.stdout, run.stderr
+
+
+def in_process(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv) in this interpreter."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_in_process_calls_carry_nothing_into_the_next(tmp_path, part111_file, capsys):
+    xor = write_xor(tmp_path)
+    vec = tmp_path / "vec.txt"
+    vec.write_text("1\n2\n3\n4\n")
+    graph = ["graph", xor, "--partition", part111_file]
+    wht = ["wht", str(vec)]
+    rank = ["rank", xor]
+    # a call with a non-default format, or a usage error, then a plain call:
+    # DOT, CSV and the rank report, as a new process prints them
+    for before, code, after, starts in (
+        ([*graph, "--format", "json"], 0, graph, "graph begin {"),
+        ([*wht, "--format", "json"], 0, wht, "10\n"),
+        ([*rank, "--tol", "1"], 2, rank, "rank: "),
+    ):
+        expected = fresh_process(after)
+        assert expected[0] == 0 and expected[1].startswith(starts)
+        assert in_process(before, capsys)[0] == code
+        assert in_process(after, capsys) == expected
 
 
 def test_random_modes_are_deterministic(tmp_path):
@@ -517,6 +590,21 @@ def test_random_argument_validation(tmp_path, capsys):
     ):
         assert main(["random", "--mode", "ci", "--dims", "1,1,1", flag, value,
                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    overflow = "energy range 2*(sum|thetas| + |chord|) is not finite"
+    for thetas, chord, message in (
+        ("1,1,1,1", "inf", "need a finite chord weight, got inf"),
+        ("1,1,1,1", "-inf", "need a finite chord weight, got -inf"),
+        ("1,1,1,1", "nan", "need a finite chord weight, got nan"),
+        ("1e308,1e308,1,1", "0", overflow),
+        ("1e308,1,1,1", "0", overflow),
+        ("1,1,1,1", "1e308", overflow),
+    ):
+        # refused before any arithmetic, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["random", "--mode", "ising", "--thetas", thetas,
+                         f"--chord={chord}", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

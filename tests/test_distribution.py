@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,30 @@ def test_cycle_model_examples():
     broken = make_ising_cycle_pmf([1.0, 1.0, 1.0, 1.0], chord=0.6)
     assert not oracle_ci(broken, first).is_ci
     assert oracle_ci(broken, second).is_ci
+
+
+@pytest.mark.parametrize("thetas, chord, message", [
+    ([0.1, 0.2, 0.3, 0.4], np.inf, "need a finite chord weight, got inf"),
+    ([0.1, 0.2, 0.3, 0.4], np.nan, "need a finite chord weight, got nan"),
+    ([1e308, 1e308, 1.0, 1.0], 0.0, "energy range"),
+    ([1e308, 1.0, 1.0, 1.0], 0.0, "energy range"),
+    ([1.0, 1.0, 1.0, 1.0], np.float64(-1e308), "energy range"),
+    ([0.0, 0.0, 0.0, 9e307], 9e307, "energy range"),
+])
+def test_cycle_model_refuses_weights_whose_energy_range_overflows(thetas, chord, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_ising_cycle_pmf(thetas, chord=chord)
+
+
+def test_cycle_model_keeps_the_largest_finite_energy_range():
+    # 2 * (4e307 + 4e307) is finite: the weights are kept, the energy forms
+    # without overflow, and the heaviest cells share all the mass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pmf = make_ising_cycle_pmf([4e307, 0.0, 0.0, 0.0], chord=4e307)
+    assert pmf.probs.sum() == 1.0 and np.isfinite(pmf.probs).all()
 
 
 def test_pmf_csv_round_trip(tmp_path):

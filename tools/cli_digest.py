@@ -125,6 +125,14 @@ def calls():
                 ["never.csv"]))
     out.append(("random bad alpha", ["random", "--mode", "ci", "--dims", "1,1,1",
                                      "--alpha", "0", "--out", "{d}/never.csv"], ["never.csv"]))
+    # ising weights refused before any arithmetic: a non-finite chord, and
+    # weights whose energy range overflows, from two huge thetas or from one
+    for label, thetas, chord in (("chord inf", "0.3,-0.2,0.5,0.1", "inf"),
+                                 ("two huge thetas", "1e308,1e308,1,1", "0"),
+                                 ("one huge theta", "1e308,1,1,1", "0")):
+        out.append((f"random ising {label}", ["random", "--mode", "ising", "--thetas", thetas,
+                                              "--chord", chord, "--out", "{d}/never.csv"],
+                    ["never.csv"]))
     # alpha 0.01 draws exact zeros, which at seed 2 are all a table keeps
     for seed in (1, 2):
         out.append((f"random ci small alpha seed {seed}",
